@@ -3,9 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "analysis/log_stats.hpp"
+#include "campaign_goldens.hpp"
 #include "scenario/multi_server.hpp"
 
 namespace edhp::scenario {
@@ -96,23 +95,23 @@ TEST(MultiServer, HoneypotsOnDifferentServersSeeDifferentPeers) {
 TEST(MultiServer, GoldenUnchangedWithFaultsDisabled) {
   const auto& r = mini_run();
   EXPECT_EQ(r.base.merged.records.size(), 12778u);
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& rec : r.base.merged.records) {
-    std::uint64_t t_bits = 0;
-    std::memcpy(&t_bits, &rec.timestamp, 8);
-    mix(t_bits);
-    mix(rec.peer);
-    mix(rec.user);
-    mix(static_cast<std::uint64_t>(rec.honeypot));
-    mix(static_cast<std::uint64_t>(rec.type));
-  }
-  EXPECT_EQ(h, 0x4187cf786e73a860ull);
+  EXPECT_EQ(fingerprint(r.base.merged), 0x4187cf786e73a860ull);
   EXPECT_EQ(r.base.faults.host_crashes, 0u);
   EXPECT_EQ(r.base.recovery.records_lost_tail, 0u);
+}
+
+// Chaos-on golden: every axis armed at once against several directory
+// servers (see test_scenario.cpp for the single-server campaigns).
+TEST(MultiServer, GoldenWithEveryChaosAxis) {
+  MultiServerConfig config;
+  config.scale = 0.03;
+  config.days = 3;
+  config.honeypots = 6;
+  config.server_sizes = {0.5, 0.3, 0.2};
+  arm_every_chaos_axis(config);
+  const auto r = run_multi_server(config);
+  EXPECT_EQ(r.base.merged.records.size(), 8277u);
+  EXPECT_EQ(fingerprint(r.base.merged), 0x45d902f9cac9af80ull);
 }
 
 // Third leg of the lazy-vs-eager determinism contract (distributed and

@@ -3,10 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "analysis/log_stats.hpp"
 #include "analysis/subsets.hpp"
+#include "campaign_goldens.hpp"
 #include "scenario/scenario.hpp"
 
 namespace edhp::scenario {
@@ -212,27 +211,6 @@ TEST(GreedyScenario, Fig12PopularityIsSkewed) {
   EXPECT_GT(pop.front().peers, 4 * pop[pop.size() / 2].peers);
 }
 
-/// FNV-1a (64-bit words) over every merged record field that matters for
-/// bit-identity.
-std::uint64_t fingerprint(const logbook::LogFile& log) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& rec : log.records) {
-    std::uint64_t t_bits = 0;
-    static_assert(sizeof(rec.timestamp) == 8);
-    std::memcpy(&t_bits, &rec.timestamp, 8);
-    mix(t_bits);
-    mix(rec.peer);
-    mix(rec.user);
-    mix(static_cast<std::uint64_t>(rec.honeypot));
-    mix(static_cast<std::uint64_t>(rec.type));
-  }
-  return h;
-}
-
 // Golden baselines: with the fault model disabled (the default), the merged
 // logs must stay bit-identical to the pre-fault-subsystem seed. A change
 // here means some dormant code path consumed an RNG draw or reordered
@@ -262,6 +240,36 @@ TEST(Scenarios, GoldenGreedyUnchangedWithFaultsDisabled) {
   EXPECT_EQ(fingerprint(r.merged), 0x7fe276d7b5708429ull);
   EXPECT_TRUE(r.audit.balanced()) << r.audit.breakdown();
   EXPECT_EQ(r.audit.records_born, r.merged.records.size());
+}
+
+// Chaos-on goldens: every axis armed at once (host/uplink/server/manager
+// churn, abuse, Byzantine lies, clock faults, resource budgets and faults).
+// Each adversary draws from its own split of the engine RNG, so these pin
+// the order in which a campaign wires its world, fleet and injectors.
+TEST(Scenarios, GoldenDistributedWithEveryChaosAxis) {
+  DistributedConfig config;
+  config.scale = 0.01;
+  config.days = 3;
+  config.honeypots = 4;
+  config.with_top_peer = false;
+  config.audit = true;
+  arm_every_chaos_axis(config);
+  const auto r = run_distributed(config);
+  EXPECT_EQ(r.merged.records.size(), 3013u);
+  EXPECT_EQ(fingerprint(r.merged), 0x527ca2b987341e29ull);
+  EXPECT_TRUE(r.audit.balanced()) << r.audit.breakdown();
+}
+
+TEST(Scenarios, GoldenGreedyWithEveryChaosAxis) {
+  GreedyConfig config;
+  config.scale = 0.02;
+  config.days = 3;
+  config.audit = true;
+  arm_every_chaos_axis(config);
+  const auto r = run_greedy(config);
+  EXPECT_EQ(r.merged.records.size(), 283381u);
+  EXPECT_EQ(fingerprint(r.merged), 0x94e825ffe2c3aad5ull);
+  EXPECT_TRUE(r.audit.balanced()) << r.audit.breakdown();
 }
 
 TEST(Scenarios, DeterministicForFixedSeed) {
