@@ -51,7 +51,7 @@ Outcome run_with(const bench::Options& opt, bool abuse, double intensity,
   }
   o.abuse = result.abuse;
   o.defense = result.defense;
-  o.events_per_sec = static_cast<double>(result.sim_events) / elapsed;
+  o.events_per_sec = static_cast<double>(result.engine.events_executed) / elapsed;
   return o;
 }
 

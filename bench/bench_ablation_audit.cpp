@@ -34,8 +34,8 @@ double one_run(const scenario::DistributedConfig& config,
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  *events = r.sim_events;
-  return static_cast<double>(r.sim_events) / elapsed;
+  *events = r.engine.events_executed;
+  return static_cast<double>(r.engine.events_executed) / elapsed;
 }
 
 /// Audit-on/off throughput comparison robust to machine noise: seven

@@ -69,7 +69,7 @@ Outcome run_with(const bench::Options& opt, bool byzantine, Duration lie_mtbf,
   }
   o.byzantine = result.byzantine;
   o.integrity = result.integrity;
-  o.events_per_sec = static_cast<double>(result.sim_events) / elapsed;
+  o.events_per_sec = static_cast<double>(result.engine.events_executed) / elapsed;
   return o;
 }
 

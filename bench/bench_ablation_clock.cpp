@@ -122,7 +122,7 @@ Outcome run_case(const bench::Options& opt, const ClockCase& c,
   Outcome o;
   o.records = skewed.merged.records.size();
   o.integrity = skewed.time_integrity;
-  o.events_per_sec = static_cast<double>(skewed.sim_events) / elapsed;
+  o.events_per_sec = static_cast<double>(skewed.engine.events_executed) / elapsed;
 
   // True rank of the skewed run's records: position in the clock-off twin's
   // merged order, identified by (honeypot, occurrence index).

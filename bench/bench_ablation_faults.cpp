@@ -48,7 +48,7 @@ Outcome run_with(const bench::Options& opt, bool chaos, Duration host_mtbf) {
       result.recovery.records_lost_tail,
       result.recovery.retained_fraction,
       result.recovery.total_downtime / 3600.0,
-      static_cast<double>(result.sim_events) / elapsed};
+      static_cast<double>(result.engine.events_executed) / elapsed};
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ RunOutcome run(const bench::Options& opt, const char* label,
             << r.records_streamed << " (fingerprint 0x" << std::hex
             << r.stream_fingerprint << std::dec << "), peak RSS "
             << r.peak_rss_bytes / (1024 * 1024) << " MiB, "
-            << static_cast<std::uint64_t>(static_cast<double>(r.sim_events) /
+            << static_cast<std::uint64_t>(static_cast<double>(r.engine.events_executed) /
                                           o.wall_seconds)
             << " events/s, wall " << o.wall_seconds << " s\n";
   return o;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
 
   const double events_per_sec =
       large.wall_seconds > 0
-          ? static_cast<double>(large.result.sim_events) / large.wall_seconds
+          ? static_cast<double>(large.result.engine.events_executed) / large.wall_seconds
           : 0.0;
   std::printf(
       "{\"bench\":\"population\",\"rss_100k_bytes\":%llu,"

@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
   rows.emplace_back("published blacklist reports",
                     analysis::with_commas(result.blacklist_reports));
   rows.emplace_back("wire messages simulated",
-                    analysis::with_commas(result.wire_messages));
+                    analysis::with_commas(result.net_totals.messages_delivered));
   rows.emplace_back("simulation events",
-                    analysis::with_commas(result.sim_events));
+                    analysis::with_commas(result.engine.events_executed));
   analysis::print_kv(std::cout, "campaign summary", rows);
 
   // --- Strategy comparison ----------------------------------------------------

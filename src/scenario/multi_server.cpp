@@ -1,14 +1,11 @@
 #include "scenario/multi_server.hpp"
 
 #include <cmath>
-#include <ostream>
 
 #include "analysis/log_stats.hpp"
-#include "common/memstat.hpp"
 #include "peer/population.hpp"
 #include "scenario/calibration.hpp"
-#include "server/server.hpp"
-#include "sim/diurnal.hpp"
+#include "scenario/campaign.hpp"
 
 namespace edhp::scenario {
 namespace {
@@ -21,38 +18,24 @@ struct Resident {
 
 }  // namespace
 
-MultiServerConfig::MultiServerConfig() : behavior(behavior_2008()) {}
+MultiServerConfig::MultiServerConfig() {
+  scale = 0.1;
+  seed = 20081201;
+  days = 10;
+}
 
 MultiServerResult run_multi_server(const MultiServerConfig& config,
                                    std::ostream* progress) {
-  sim::Simulation simulation(config.seed);
-  net::Network network(simulation);
-  auto diurnal = sim::DiurnalProfile::european_2008();
-  peer::FileCatalog catalog(catalog_2008(), simulation.rng().split(0xCA7A));
-  auto params = config.behavior;
-  peer::SharedBlacklist blacklist(params.gossip_penalty /
-                                  std::max(config.scale, 1e-6));
-  peer::SourceCache source_cache;
-  auto& rng = simulation.rng();
-
-  net::DefenseConfig defense = config.defense;
-  if (!defense.enabled && config.abuse.enabled && config.auto_defense) {
-    defense = abuse_defense_config();
-  }
+  Campaign campaign(config);
+  World& world = campaign.world();
+  auto& rng = campaign.rng();
 
   // --- Servers of different sizes -------------------------------------------
   const std::size_t n_servers = config.server_sizes.size();
-  std::vector<std::unique_ptr<server::Server>> servers;
-  std::vector<honeypot::ServerRef> refs;
   for (std::size_t i = 0; i < n_servers; ++i) {
-    const auto node = network.add_node(true);
-    server::ServerConfig sc;
-    sc.name = "server-" + std::to_string(i);
-    sc.defense = defense;
-    servers.push_back(std::make_unique<server::Server>(network, node, sc));
-    servers.back()->start();
-    refs.push_back(honeypot::ServerRef{node, sc.name, 4661});
+    campaign.add_directory_server("server-" + std::to_string(i));
   }
+  const auto& refs = campaign.directory();
 
   // Residents give each server its standing population.
   std::vector<Resident> residents;
@@ -73,40 +56,35 @@ MultiServerResult run_multi_server(const MultiServerConfig& config,
   for (std::size_t i = 0; i < n_servers; ++i) {
     const auto count = resident_counts[i];
     for (std::size_t c = 0; c < count; ++c) {
-      const auto node = network.add_node(true);
+      const auto node = world.network.add_node(true);
       residents.emplace_back();
       auto& resident = residents.back();
-      network.connect(node, refs[i].node, [&resident, node,
-                                           &resident_rng](net::EndpointPtr ep) {
-        if (!ep) return;
-        resident.endpoint = std::move(ep);
-        proto::LoginRequest login;
-        login.user = UserId::from_words(resident_rng(), resident_rng());
-        login.port = 4662;
-        login.tags = {proto::Tag::string_tag(proto::kTagName, "resident")};
-        resident.endpoint->send(proto::encode(proto::AnyMessage{login}));
-      });
+      world.network.connect(
+          node, refs[i].node, [&resident, &resident_rng](net::EndpointPtr ep) {
+            if (!ep) return;
+            resident.endpoint = std::move(ep);
+            proto::LoginRequest login;
+            login.user = UserId::from_words(resident_rng(), resident_rng());
+            login.port = 4662;
+            login.tags = {proto::Tag::string_tag(proto::kTagName, "resident")};
+            resident.endpoint->send(proto::encode(proto::AnyMessage{login}));
+          });
     }
   }
-  simulation.run_until(30.0);
+  world.simulation.run_until(30.0);
 
   // --- Manager surveys and assigns -------------------------------------------
-  honeypot::ManagerConfig manager_cfg = chaos_manager_config(config.chaos);
-  manager_cfg.defense = defense;
-  honeypot::Manager manager(network, manager_cfg);
-  if (config.chaos.enabled || config.chaos.byzantine.enabled) {
-    manager.set_backup_servers(refs);  // sibling servers double as backups
-  }
+  // In adversarial runs the sibling servers double as escalation backups, so
+  // a honeypot whose server keeps refusing it is redirected — the paper's
+  // "redirect them toward other servers".
+  campaign.set_backup_servers(refs);
   MultiServerResult result;
-  result.base.honeypots = config.honeypots;
-  result.base.days = config.days;
-  result.base.random_content.assign(config.honeypots, true);
-
-  const auto probe = network.add_node(true);
+  const auto probe = world.network.add_node(true);
   std::vector<honeypot::Manager::ServerSurveyEntry> survey;
-  manager.survey_servers(refs, probe, 5.0,
-                         [&survey](auto entries) { survey = std::move(entries); });
-  simulation.run_until(40.0);
+  campaign.manager().survey_servers(refs, probe, 5.0, [&survey](auto entries) {
+    survey = std::move(entries);
+  });
+  world.simulation.run_until(40.0);
 
   for (const auto& entry : survey) {
     result.survey.emplace_back(entry.server.name, entry.users);
@@ -146,148 +124,16 @@ MultiServerResult run_multi_server(const MultiServerConfig& config,
     }
   }
 
-  // Stable host handles: valid across control-plane crashes, when the
-  // manager's fleet table is empty (see run_distributed).
-  std::vector<honeypot::Honeypot*> hosts;
-  hosts.reserve(config.honeypots);
   for (std::size_t h = 0; h < config.honeypots; ++h) {
     honeypot::HoneypotConfig hp;
     hp.id = static_cast<std::uint16_t>(h);
     hp.name = "mhp-" + std::to_string(h);
     hp.strategy = honeypot::ContentStrategy::random_content;
-    hp.budget.disk_quota_bytes = config.chaos.disk_quota_bytes;
-    hp.budget.mem_budget_records = config.chaos.mem_budget_records;
-    hp.budget.session_ceiling = config.chaos.session_ceiling;
-    hp.budget.policy = config.chaos.degrade_policy;
-    hp.budget.shed_user_word = fault::kAbuseUserWord;
-    if (config.chaos.byzantine.enabled && config.chaos.byzantine.defend) {
-      hp.self_probe_period = config.chaos.byzantine.probe_period;
-      hp.self_probe_timeout = config.chaos.byzantine.probe_timeout;
-      hp.integrity_defense = true;
-    }
-    const auto index =
-        manager.launch(std::move(hp), network.add_node(true), refs[assignment[h]]);
-    hosts.push_back(&manager.honeypot(index));
+    campaign.launch(std::move(hp), refs[assignment[h]]);
   }
   result.server_of_honeypot = assignment;
-  manager.start();
-
-  // Fault injection over honeypot hosts, every directory server, and the
-  // control plane itself.
-  std::unique_ptr<fault::Injector> injector;
-  struct {
-    Time down_at = -1.0;
-    std::uint64_t crashes = 0;
-  } outage;
-  if (config.chaos.enabled) {
-    auto plan = fault::FaultPlan::generate(config.chaos, config.honeypots,
-                                           n_servers, config.days * kDay,
-                                           rng.split(config.chaos.seed));
-    fault::Injector::Bindings bind;
-    bind.host_count = config.honeypots;
-    bind.host_node = [&hosts](std::size_t h) { return hosts[h]->node(); };
-    bind.crash_host = [&hosts](std::size_t h) { hosts[h]->crash(); };
-    bind.disk_full = [&hosts](std::size_t h, bool active, double magnitude) {
-      hosts[h]->set_resource_fault(budget::ResourceFault::disk_full, active,
-                                   magnitude);
-    };
-    bind.disk_slow = [&hosts](std::size_t h, bool active, double magnitude) {
-      hosts[h]->set_resource_fault(budget::ResourceFault::disk_slow, active,
-                                   magnitude);
-    };
-    bind.mem_pressure = [&hosts](std::size_t h, bool active, double magnitude) {
-      hosts[h]->set_resource_fault(budget::ResourceFault::mem_pressure, active,
-                                   magnitude);
-    };
-    bind.stop_server = [&servers](std::size_t s) {
-      if (s < servers.size()) servers[s]->stop();
-    };
-    bind.start_server = [&servers](std::size_t s) {
-      if (s < servers.size()) servers[s]->start();
-    };
-    bind.crash_manager = [&manager, &simulation, &outage] {
-      outage.down_at = simulation.now();
-      ++outage.crashes;
-      manager.crash();
-    };
-    if (config.chaos.manager_recovery) {
-      bind.recover_manager = [&manager, &outage] {
-        manager.recover(outage.down_at);
-        outage.down_at = -1.0;
-      };
-    }
-    injector = std::make_unique<fault::Injector>(network, std::move(plan),
-                                                 std::move(bind));
-    injector->arm();
-  }
-
-  // Adversarial traffic (see run_distributed): every honeypot and every
-  // directory server is a target.
-  std::unique_ptr<fault::AbuseInjector> abuse;
-  if (config.abuse.enabled) {
-    const Rng abuse_rng = rng.split(config.abuse.seed);
-    auto plan = fault::AbusePlan::generate(config.abuse, config.honeypots,
-                                           n_servers, config.days * kDay,
-                                           abuse_rng);
-    fault::AbuseInjector::Bindings bind;
-    bind.honeypot_count = config.honeypots;
-    bind.honeypot_node = [&hosts](std::size_t h) { return hosts[h]->node(); };
-    bind.server_count = n_servers;
-    bind.server_node = [&refs](std::size_t s) { return refs[s].node; };
-    abuse = std::make_unique<fault::AbuseInjector>(
-        network, std::move(plan), config.abuse, std::move(bind),
-        abuse_rng.split(0xEE));
-    abuse->arm();
-  }
-
-  // Byzantine misbehavior (see run_distributed): every directory server can
-  // lie, every honeypot is a liar-peer target.
-  std::unique_ptr<fault::ByzantineInjector> byz;
-  if (config.chaos.byzantine.enabled) {
-    const Rng byz_rng = rng.split(config.chaos.byzantine.seed);
-    auto plan = fault::ByzantinePlan::generate(config.chaos.byzantine,
-                                               config.honeypots, n_servers,
-                                               config.days * kDay, byz_rng);
-    fault::ByzantineInjector::Bindings bind;
-    bind.honeypot_count = config.honeypots;
-    bind.honeypot_node = [&hosts](std::size_t h) { return hosts[h]->node(); };
-    bind.server_count = n_servers;
-    bind.drop_offers = [&servers](std::size_t s, bool active) {
-      servers[s]->set_drop_offers(active);
-    };
-    bind.truncate_offers = [&servers](std::size_t s, bool active,
-                                      double keep) {
-      servers[s]->set_truncate_offers(active, keep);
-    };
-    bind.stale_index = [&servers](std::size_t s, bool active) {
-      servers[s]->set_stale_index(active);
-    };
-    bind.fabricate_sources = [&servers](std::size_t s, bool active,
-                                        std::size_t count,
-                                        std::uint64_t seed) {
-      servers[s]->set_fabricate_sources(active, count, seed);
-    };
-    bind.corrupt_search = [&servers](std::size_t s, bool active,
-                                     std::uint64_t seed) {
-      servers[s]->set_corrupt_search(active, seed);
-    };
-    bind.advertised_files = [&hosts](std::size_t h) {
-      std::vector<proto::PublishedFile> out;
-      for (const auto& f : hosts[h]->advertised()) {
-        proto::PublishedFile pf;
-        pf.file = f.id;
-        pf.port = 4662;
-        pf.name = f.name;
-        pf.size = f.size;
-        out.push_back(std::move(pf));
-      }
-      return out;
-    };
-    byz = std::make_unique<fault::ByzantineInjector>(
-        network, std::move(plan), config.chaos.byzantine, std::move(bind),
-        byz_rng.split(fault::splits::kByzContent));
-    byz->arm();
-  }
+  campaign.manager().start();
+  campaign.arm_adversaries();
 
   // --- Advertised files + demand ----------------------------------------------
   std::vector<honeypot::AdvertisedFile> files;
@@ -296,26 +142,19 @@ MultiServerResult run_multi_server(const MultiServerConfig& config,
     files.push_back(honeypot::AdvertisedFile{
         FileId::from_words(id_rng(), id_rng()), d.name, d.size});
   }
-  simulation.run_until(60.0);
-  manager.advertise_all(files);
+  world.simulation.run_until(60.0);
+  campaign.manager().advertise_all(files);
   for (const auto& f : files) {
     result.base.advertised_ids.push_back(f.id);
   }
   result.base.advertised_files = files.size();
 
-  peer::PeerContext ctx;
-  ctx.net = &network;
-  ctx.server_node = refs[0].node;
-  ctx.blacklist = &blacklist;
-  ctx.catalog = &catalog;
-  ctx.params = &params;
-  ctx.diurnal = &diurnal;
-  ctx.source_cache = &source_cache;
+  // Each peer is homed on one server, weighted by size.
+  peer::PeerContext ctx = world.context(refs[0].node);
   for (std::size_t i = 0; i < n_servers; ++i) {
     ctx.home_servers.push_back(refs[i].node);
     ctx.home_server_weights.push_back(config.server_sizes[i]);
   }
-
   peer::Population population(ctx, rng.split(0x90B), config.population_mode);
   for (std::size_t i = 0; i < files.size(); ++i) {
     const auto& d = kDistributedFiles[i];
@@ -328,64 +167,18 @@ MultiServerResult run_multi_server(const MultiServerConfig& config,
     demand.ramp_up = hours(6);
     population.add_demand(demand);
   }
-  simulation.schedule_at(minutes(10), [&population] { population.start(); });
+  world.simulation.schedule_at(minutes(10),
+                               [&population] { population.start(); });
 
-  for (std::uint32_t d = 0; d < static_cast<std::uint32_t>(config.days); ++d) {
-    simulation.run_until((d + 1) * kDay);
-    if (progress != nullptr) {
-      *progress << "  day " << d + 1 << "/" << static_cast<int>(config.days)
-                << "\n";
-    }
-  }
+  // Whole days only: this campaign's published dataset must not change for
+  // a fractional `days` (the single-server campaigns run the partial day).
+  campaign.run_days(std::floor(config.days), progress);
   population.stop();
-  if (outage.down_at >= 0 && config.chaos.manager_recovery) {
-    manager.recover(outage.down_at);
-    outage.down_at = -1.0;
-  }
-  manager.stop();
+  campaign.stop();
   for (auto& r : residents) {
     if (r.endpoint) r.endpoint->close();
   }
-
-  result.base.merged =
-      outage.crashes > 0
-          ? manager.merged_anonymized_durable(&result.base.distinct_peers)
-          : manager.merged_anonymized(&result.base.distinct_peers);
-  result.base.observed = manager.observed_files();
-  result.base.peer_totals = population.totals();
-  result.base.recovery = manager.recovery_stats();
-  if (injector) {
-    result.base.faults = injector->stats();
-    result.base.recovery.manager_crashes = result.base.faults.manager_crashes;
-  }
-  if (outage.down_at >= 0) {
-    result.base.recovery.manager_downtime += simulation.now() - outage.down_at;
-  }
-  result.base.defense = manager.defense_stats();
-  for (const auto& s : servers) {
-    result.base.defense += s->defense_stats();
-  }
-  if (abuse) {
-    result.base.abuse = abuse->stats();
-  }
-  if (byz) {
-    result.base.byzantine = byz->stats();
-  }
-  result.base.integrity = manager.integrity_stats();
-  for (const auto* hp : hosts) {
-    result.base.degrade += hp->degrade_stats();
-  }
-  result.base.engine = simulation.stats();
-  result.base.net_totals = network.totals();
-  result.base.sim_events = result.base.engine.events_executed;
-  result.base.wire_messages = result.base.net_totals.messages_delivered;
-  result.base.wire_bytes = result.base.net_totals.bytes_delivered;
-  result.base.population_arrivals = population.arrivals();
-  result.base.population_peak_active = population.peak_active();
-  result.base.population_slab_slots = population.slab_capacity();
-  result.base.net_peak_live_nodes = network.peak_live_node_count();
-  result.base.net_nodes_retired = network.nodes_retired();
-  result.base.peak_rss_bytes = peak_rss_bytes();
+  campaign.fill(result.base, population);
 
   const auto sets =
       analysis::peer_sets_by_honeypot(result.base.merged, config.honeypots);

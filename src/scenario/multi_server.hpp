@@ -14,28 +14,13 @@
 
 namespace edhp::scenario {
 
-struct MultiServerConfig {
-  double scale = 0.1;
-  std::uint64_t seed = 20081201;
-  double days = 10;
+struct MultiServerConfig : CampaignConfig {
   std::size_t honeypots = 8;
   /// Relative size (resident user share) of each simulated server.
   std::vector<double> server_sizes = {0.45, 0.3, 0.15, 0.1};
   /// Resident (idle, logged-in) clients representing each server's standing
   /// population, at scale 1.
   std::size_t residents_at_scale_1 = 2000;
-  /// Full fault model (disabled by default). In the chaos variant the other
-  /// directory servers double as escalation backups, so a honeypot whose
-  /// server keeps refusing it is redirected — the paper's "redirect them
-  /// toward other servers".
-  fault::ChaosConfig chaos;
-  /// Adversarial traffic + admission control (see DistributedConfig).
-  fault::AbuseConfig abuse;
-  net::DefenseConfig defense;
-  bool auto_defense = true;
-  peer::BehaviorParams behavior;
-  /// Live-peer storage strategy (see DistributedConfig::population_mode).
-  peer::PopulationMode population_mode = peer::PopulationMode::lazy;
 
   MultiServerConfig();
 };

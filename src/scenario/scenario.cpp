@@ -1,168 +1,13 @@
 #include "scenario/scenario.hpp"
 
 #include <cmath>
-#include <ostream>
-#include <span>
-#include <unordered_map>
-
-#include "common/memstat.hpp"
 
 #include "peer/population.hpp"
 #include "peer/top_peer.hpp"
 #include "scenario/calibration.hpp"
-#include "server/server.hpp"
-#include "sim/diurnal.hpp"
+#include "scenario/campaign.hpp"
 
 namespace edhp::scenario {
-namespace {
-
-/// Shared wiring of one measurement run.
-struct World {
-  sim::Simulation simulation;
-  net::Network network;
-  sim::DiurnalProfile diurnal = sim::DiurnalProfile::european_2008();
-  peer::FileCatalog catalog;
-  peer::SharedBlacklist blacklist;
-  peer::BehaviorParams params;
-  peer::SourceCache source_cache;
-  std::unordered_map<std::uint32_t, double> source_weights;
-
-  World(std::uint64_t seed, const peer::BehaviorParams& behavior, double scale,
-        const net::LinkModel& link = {})
-      : simulation(seed),
-        network(simulation, link),
-        catalog(catalog_2008(), simulation.rng().split(0xCA7A)),
-        // The penalty models the *fraction* of the community a published
-        // detection reaches, so the product (reports x penalty) must be
-        // scale-invariant: fewer simulated peers, louder each report.
-        blacklist(behavior.gossip_penalty / std::max(scale, 1e-6)),
-        params(behavior) {}
-
-  [[nodiscard]] peer::PeerContext context(net::NodeId server_node) {
-    peer::PeerContext ctx;
-    ctx.net = &network;
-    ctx.server_node = server_node;
-    ctx.server_port = 4661;
-    ctx.blacklist = &blacklist;
-    ctx.catalog = &catalog;
-    ctx.params = &params;
-    ctx.diurnal = &diurnal;
-    ctx.source_weights = &source_weights;
-    ctx.source_cache = &source_cache;
-    return ctx;
-  }
-};
-
-/// Project the chaos link knobs onto the network's link model. All-default
-/// knobs yield the default model (no extra RNG draws), so link-clean runs
-/// are bit-identical to a build without the projection.
-net::LinkModel link_model(const fault::ChaosConfig& chaos) {
-  net::LinkModel m;
-  m.ge_p_enter_bad = chaos.link_burst_enter;
-  m.ge_p_exit_bad = chaos.link_burst_exit;
-  m.ge_loss_bad = chaos.link_burst_loss;
-  m.datagram_dup = chaos.link_dup;
-  m.datagram_reorder = chaos.link_reorder;
-  m.reorder_delay = chaos.link_reorder_delay;
-  return m;
-}
-
-/// Tracks the control-plane outage window a fault plan opens via the
-/// crash_manager binding, so teardown can recover (or account the loss).
-struct ManagerOutage {
-  Time down_at = -1.0;        ///< sim time of the open crash, -1 when up
-  std::uint64_t crashes = 0;  ///< manager crashes delivered by the plan
-};
-
-void fill_result(ScenarioResult& result, World& world,
-                 const honeypot::Manager& manager,
-                 const peer::Population& population,
-                 bool durable_merge = false) {
-  // After any control-plane crash the published dataset is what the durable
-  // pipeline (journal-acked chunk store + salvaged local spools) yields —
-  // the run's headline claim is that it matches the live merge bit-for-bit.
-  result.merged = durable_merge
-                      ? manager.merged_anonymized_durable(&result.distinct_peers)
-                      : manager.merged_anonymized(&result.distinct_peers);
-  // The merge above is what fills the timestamp-integrity ledger; read it
-  // only afterwards.
-  result.time_integrity = manager.time_integrity();
-  result.observed = manager.observed_files();
-  result.relaunches = manager.relaunches();
-  result.peer_totals = population.totals();
-  result.recovery = manager.recovery_stats();
-  result.engine = world.simulation.stats();
-  result.net_totals = world.network.totals();
-  result.sim_events = result.engine.events_executed;
-  result.wire_messages = result.net_totals.messages_delivered;
-  result.wire_bytes = result.net_totals.bytes_delivered;
-
-  result.population_arrivals = population.arrivals();
-  result.population_peak_active = population.peak_active();
-  result.population_slab_slots = population.slab_capacity();
-  result.net_peak_live_nodes = world.network.peak_live_node_count();
-  result.net_nodes_retired = world.network.nodes_retired();
-  // Stream-mode accounting: sum the counts, chain the per-honeypot
-  // fingerprints (in fleet order) into one run fingerprint.
-  std::uint64_t sf = 1469598103934665603ull;
-  for (std::size_t h = 0; h < manager.fleet_size(); ++h) {
-    const honeypot::Honeypot& hp = manager.honeypot(h);
-    result.records_streamed += hp.records_streamed();
-    sf ^= hp.stream_fingerprint();
-    sf *= 1099511628211ull;
-  }
-  result.stream_fingerprint = sf;
-  result.peak_rss_bytes = peak_rss_bytes();
-}
-
-/// Fill the conservation ledger from counters every subsystem already
-/// keeps, then hard-fail an audited imbalance. `hosts` must cover every
-/// honeypot ever launched — the scenarios' stable pointers do, fleet and
-/// orphans alike, since a manager crash moves the owning unique_ptr but
-/// never the Honeypot object. `durable` mirrors the merge path fill_result
-/// took. Call after every other result field is final (degrade, streamed
-/// and merged all feed the equation).
-void finalize_audit(ScenarioResult& result, const honeypot::Manager& manager,
-                    std::span<honeypot::Honeypot* const> hosts, bool durable,
-                    bool enforce) {
-  auto& a = result.audit;
-  a.enabled = enforce;
-  a.records_merged = result.merged.records.size();
-  a.records_shed = result.degrade.records_shed;
-  a.records_excluded = manager.records_excluded_last_merge();
-  a.records_streamed = result.records_streamed;
-  for (const auto* hp : hosts) {
-    a.records_born += hp->records_born();
-    a.records_lost_tail += hp->records_lost_tail();
-    // In-memory tails reach a live merge but not a durable salvage: they
-    // are an accounted (spool-period-bounded) loss only on that path.
-    if (durable) a.records_unflushed += hp->unspooled_tail();
-  }
-  if (durable) {
-    a.records_quarantined = manager.records_quarantined_last_merge();
-  }
-  audit::enforce(a);
-}
-
-/// The defense policy a run actually applies: an explicit request wins;
-/// otherwise abuse campaigns get the tuned policy unless the ablation
-/// baseline (`auto_defense == false`) asked to fight bare-handed.
-net::DefenseConfig effective_defense(const net::DefenseConfig& requested,
-                                     const fault::AbuseConfig& abuse,
-                                     bool auto_defense) {
-  if (requested.enabled) return requested;
-  if (abuse.enabled && auto_defense) return abuse_defense_config();
-  return requested;
-}
-
-void report_progress(std::ostream* progress, World& world, double total_days) {
-  if (progress == nullptr) return;
-  *progress << "  day " << day_index(world.simulation.now()) << "/"
-            << static_cast<int>(total_days) << ", events "
-            << world.simulation.executed() << "\n";
-}
-
-}  // namespace
 
 honeypot::ManagerConfig chaos_manager_config(const fault::ChaosConfig& chaos) {
   honeypot::ManagerConfig mc;
@@ -204,18 +49,18 @@ honeypot::ManagerConfig chaos_manager_config(const fault::ChaosConfig& chaos) {
   return mc;
 }
 
-net::DefenseConfig abuse_defense_config() {
-  // The DefenseConfig defaults ARE the tuned policy (they are calibrated
-  // against the default abuse mix in test_abuse.cpp); this helper only
-  // switches them on.
-  net::DefenseConfig d;
-  d.enabled = true;
-  return d;
+CampaignConfig::CampaignConfig() : behavior(behavior_2008()) {}
+
+DistributedConfig::DistributedConfig() {
+  scale = 0.25;
+  seed = 20081001;
+  days = 32;
 }
 
-DistributedConfig::DistributedConfig() : behavior(behavior_2008()) {}
-
-GreedyConfig::GreedyConfig() : behavior(behavior_2008()) {
+GreedyConfig::GreedyConfig() {
+  scale = 0.25;
+  seed = 20081101;
+  days = 15;
   // Among thousands of harvested files, clients typically want several from
   // the same provider (Figs 11/12 imply ~3.6 files per observed peer).
   behavior.secondary_targets_mean = 4.0;
@@ -223,53 +68,21 @@ GreedyConfig::GreedyConfig() : behavior(behavior_2008()) {
 
 ScenarioResult run_distributed(const DistributedConfig& config,
                                std::ostream* progress) {
-  World world(config.seed, config.behavior, config.scale,
-              link_model(config.chaos));
+  Campaign campaign(config);
+  World& world = campaign.world();
   if (config.diurnal) {
     world.diurnal = *config.diurnal;
   }
-  auto& rng = world.simulation.rng();
+  auto& rng = campaign.rng();
 
-  const net::DefenseConfig defense =
-      effective_defense(config.defense, config.abuse, config.auto_defense);
-
-  // The large server all honeypots connect to.
-  const auto server_node = world.network.add_node(true);
-  server::ServerConfig server_cfg;
-  server_cfg.defense = defense;
-  server::Server server(world.network, server_node, server_cfg);
-  server.start();
-  honeypot::ServerRef server_ref{server_node, "big-server-2008", 4661};
-
-  // Standby servers for watchdog escalation and Byzantine quarantine
-  // (chaos/byzantine runs only: adding nodes would shift every later IP
-  // assignment otherwise).
-  std::vector<std::unique_ptr<server::Server>> standby;
-  std::vector<honeypot::ServerRef> standby_refs;
-  if (config.chaos.enabled || config.chaos.byzantine.enabled) {
-    for (std::size_t s = 0; s < config.chaos.backup_servers; ++s) {
-      const auto node = world.network.add_node(true);
-      server::ServerConfig sc;
-      sc.name = "standby-" + std::to_string(s);
-      sc.defense = defense;
-      standby.push_back(std::make_unique<server::Server>(world.network, node, sc));
-      standby.back()->start();
-      standby_refs.push_back(honeypot::ServerRef{node, sc.name, 4661});
-    }
-  }
+  // The large server all honeypots connect to, plus standby servers for
+  // watchdog escalation and Byzantine quarantine.
+  const auto server = campaign.add_directory_server("big-server-2008");
+  campaign.add_standby_servers();
+  campaign.set_backup_servers(campaign.standby());
 
   // Fleet: PlanetLab-like hosts; first half no-content, second half
   // random-content (the paper's 12/12 split).
-  honeypot::ManagerConfig manager_cfg = chaos_manager_config(config.chaos);
-  manager_cfg.defense = defense;
-  honeypot::Manager manager(world.network, manager_cfg);
-  if (!standby_refs.empty()) {
-    manager.set_backup_servers(standby_refs);
-  }
-  ScenarioResult result;
-  result.honeypots = config.honeypots;
-  result.days = config.days;
-  result.random_content.resize(config.honeypots);
   // Visibility weights are drawn once per host *pair* (one no-content, one
   // random-content honeypot share each draw), so the two strategy groups
   // have identical weight profiles and the Fig 5/6 gap isolates the
@@ -280,43 +93,22 @@ ScenarioResult run_distributed(const DistributedConfig& config,
   for (auto& w : pair_weights) {
     w = weight_rng.lognormal(0.0, config.behavior.source_weight_sigma);
   }
-  // Stable host handles for fault bindings and end-of-run sweeps: honeypot
-  // objects outlive manager crashes (they are parked as orphans), so these
-  // pointers stay valid even while the manager's fleet table is down.
-  std::vector<honeypot::Honeypot*> hosts;
-  hosts.reserve(config.honeypots);
   for (std::size_t h = 0; h < config.honeypots; ++h) {
-    const bool random_content = h >= config.honeypots / 2;
-    result.random_content[h] = random_content;
     honeypot::HoneypotConfig hp;
     hp.id = static_cast<std::uint16_t>(h);
     hp.name = "hp-" + std::to_string(h);
-    hp.strategy = random_content ? honeypot::ContentStrategy::random_content
-                                 : honeypot::ContentStrategy::no_content;
+    hp.strategy = h >= config.honeypots / 2
+                      ? honeypot::ContentStrategy::random_content
+                      : honeypot::ContentStrategy::no_content;
     hp.harvest_shared_lists = true;
-    // Resource budgets: zero ceilings are exact no-ops, so unconditional
-    // assignment keeps the budget-free goldens bit-identical.
-    hp.budget.disk_quota_bytes = config.chaos.disk_quota_bytes;
-    hp.budget.mem_budget_records = config.chaos.mem_budget_records;
-    hp.budget.session_ceiling = config.chaos.session_ceiling;
-    hp.budget.policy = config.chaos.degrade_policy;
-    hp.budget.shed_user_word = fault::kAbuseUserWord;
-    hp.audit_selftest_drop = config.chaos.audit_selftest_drop;
     hp.stream_records = config.stream_records;
-    if (config.chaos.byzantine.enabled && config.chaos.byzantine.defend) {
-      hp.self_probe_period = config.chaos.byzantine.probe_period;
-      hp.self_probe_timeout = config.chaos.byzantine.probe_timeout;
-      hp.integrity_defense = true;
-    }
-    const auto host = world.network.add_node(true);
-    const auto index = manager.launch(std::move(hp), host, server_ref);
-    hosts.push_back(&manager.honeypot(index));
+    const auto host = campaign.launch(std::move(hp), server).node();
     // Per-honeypot visibility weight (uptime, bandwidth, position in
     // provider lists): drives the Fig 10 min/max spread.
     world.source_weights[world.network.info(host).ip.value()] =
         pair_weights[h % half];
   }
-  manager.start();
+  campaign.manager().start();
 
   // The four advertised fake files.
   std::vector<honeypot::AdvertisedFile> files;
@@ -327,7 +119,8 @@ ScenarioResult run_distributed(const DistributedConfig& config,
   }
   // Give honeypots a moment to log in before advertising.
   world.simulation.run_until(30.0);
-  manager.advertise_all(files);
+  campaign.manager().advertise_all(files);
+  ScenarioResult result;
   for (const auto& f : files) {
     result.advertised_ids.push_back(f.id);
   }
@@ -349,7 +142,7 @@ ScenarioResult run_distributed(const DistributedConfig& config,
     pool_factor =
         static_cast<double>(config.population_override) / scaled_total;
   }
-  peer::Population population(world.context(server_node), rng.split(0x90B),
+  peer::Population population(world.context(server.node), rng.split(0x90B),
                               config.population_mode);
   for (std::size_t i = 0; i < files.size(); ++i) {
     const auto& d = kDistributedFiles[i];
@@ -368,138 +161,7 @@ ScenarioResult run_distributed(const DistributedConfig& config,
   world.simulation.schedule_at(minutes(8),
                                [&population] { population.start(); });
 
-  // Fault injection. The chaos path schedules a full seeded FaultPlan
-  // (host crash/reboot windows, uplink outages, server restarts, latency
-  // spikes, partitions); dead honeypots are respawned by the manager's
-  // status poll, exactly the paper's relaunch mechanism. Without chaos the
-  // historical hourly crash grid runs, bit-for-bit.
-  std::unique_ptr<sim::PeriodicTimer> crash_timer;
-  std::unique_ptr<fault::Injector> injector;
-  ManagerOutage outage;
-  if (config.chaos.enabled) {
-    auto plan = fault::FaultPlan::generate(
-        config.chaos, config.honeypots, 1, config.days * kDay,
-        rng.split(config.chaos.seed));
-    fault::Injector::Bindings bind;
-    bind.host_count = config.honeypots;
-    // Host bindings go through the stable pointers, not the manager's fleet
-    // table: a host can crash or reboot while the control plane is down.
-    bind.host_node = [&hosts](std::size_t h) { return hosts[h]->node(); };
-    bind.crash_host = [&hosts](std::size_t h) { hosts[h]->crash(); };
-    // Resource-exhaustion faults go through the same stable pointers: a
-    // disk can fill while the control plane is down.
-    bind.disk_full = [&hosts](std::size_t h, bool active, double magnitude) {
-      hosts[h]->set_resource_fault(budget::ResourceFault::disk_full, active,
-                                   magnitude);
-    };
-    bind.disk_slow = [&hosts](std::size_t h, bool active, double magnitude) {
-      hosts[h]->set_resource_fault(budget::ResourceFault::disk_slow, active,
-                                   magnitude);
-    };
-    bind.mem_pressure = [&hosts](std::size_t h, bool active, double magnitude) {
-      hosts[h]->set_resource_fault(budget::ResourceFault::mem_pressure, active,
-                                   magnitude);
-    };
-    bind.stop_server = [&server](std::size_t s) {
-      if (s == 0) server.stop();
-    };
-    bind.start_server = [&server](std::size_t s) {
-      if (s == 0) server.start();
-    };
-    bind.crash_manager = [&manager, &world, &outage] {
-      outage.down_at = world.simulation.now();
-      ++outage.crashes;
-      manager.crash();
-    };
-    if (config.chaos.manager_recovery) {
-      bind.recover_manager = [&manager, &outage] {
-        manager.recover(outage.down_at);
-        outage.down_at = -1.0;
-      };
-    }
-    injector = std::make_unique<fault::Injector>(world.network, std::move(plan),
-                                                 std::move(bind));
-    injector->arm();
-  } else if (config.host_mtbf > 0) {
-    crash_timer = fault::Injector::legacy_crash_grid(
-        world.simulation, config.host_mtbf,
-        [&manager] { return manager.fleet_size(); },
-        [&manager](std::size_t h) { manager.honeypot(h).crash(); },
-        rng.split(0xDEAD));
-    crash_timer->start();
-  }
-
-  // Adversarial traffic. The injector (and its hostile nodes) exists only
-  // when abuse is enabled, so an abuse-free run allocates no extra nodes,
-  // consumes no extra RNG draws, and stays bit-identical.
-  std::unique_ptr<fault::AbuseInjector> abuse;
-  if (config.abuse.enabled) {
-    const Rng abuse_rng = rng.split(config.abuse.seed);
-    auto plan = fault::AbusePlan::generate(config.abuse, config.honeypots, 1,
-                                           config.days * kDay, abuse_rng);
-    fault::AbuseInjector::Bindings bind;
-    bind.honeypot_count = config.honeypots;
-    bind.honeypot_node = [&hosts](std::size_t h) { return hosts[h]->node(); };
-    bind.server_count = 1;
-    bind.server_node = [server_node](std::size_t) { return server_node; };
-    abuse = std::make_unique<fault::AbuseInjector>(
-        world.network, std::move(plan), config.abuse, std::move(bind),
-        abuse_rng.split(0xEE));
-    abuse->arm();
-  }
-
-  // Byzantine misbehavior: lie windows flipped on the live servers, liar
-  // peers run against the honeypots. Gated exactly like abuse — disabled
-  // means no liar nodes, no RNG draws, bit-identical runs.
-  std::unique_ptr<fault::ByzantineInjector> byz;
-  if (config.chaos.byzantine.enabled) {
-    const Rng byz_rng = rng.split(config.chaos.byzantine.seed);
-    auto plan = fault::ByzantinePlan::generate(
-        config.chaos.byzantine, config.honeypots, 1 + standby.size(),
-        config.days * kDay, byz_rng);
-    fault::ByzantineInjector::Bindings bind;
-    bind.honeypot_count = config.honeypots;
-    bind.honeypot_node = [&hosts](std::size_t h) { return hosts[h]->node(); };
-    bind.server_count = 1 + standby.size();
-    auto server_at = [&server, &standby](std::size_t s) -> server::Server& {
-      return s == 0 ? server : *standby[s - 1];
-    };
-    bind.drop_offers = [server_at](std::size_t s, bool active) {
-      server_at(s).set_drop_offers(active);
-    };
-    bind.truncate_offers = [server_at](std::size_t s, bool active,
-                                       double keep) {
-      server_at(s).set_truncate_offers(active, keep);
-    };
-    bind.stale_index = [server_at](std::size_t s, bool active) {
-      server_at(s).set_stale_index(active);
-    };
-    bind.fabricate_sources = [server_at](std::size_t s, bool active,
-                                         std::size_t count,
-                                         std::uint64_t seed) {
-      server_at(s).set_fabricate_sources(active, count, seed);
-    };
-    bind.corrupt_search = [server_at](std::size_t s, bool active,
-                                      std::uint64_t seed) {
-      server_at(s).set_corrupt_search(active, seed);
-    };
-    bind.advertised_files = [&hosts](std::size_t h) {
-      std::vector<proto::PublishedFile> out;
-      for (const auto& f : hosts[h]->advertised()) {
-        proto::PublishedFile pf;
-        pf.file = f.id;
-        pf.port = 4662;
-        pf.name = f.name;
-        pf.size = f.size;
-        out.push_back(std::move(pf));
-      }
-      return out;
-    };
-    byz = std::make_unique<fault::ByzantineInjector>(
-        world.network, std::move(plan), config.chaos.byzantine,
-        std::move(bind), byz_rng.split(fault::splits::kByzContent));
-    byz->arm();
-  }
+  campaign.arm_adversaries(config.host_mtbf);
 
   // The single hyperactive peer of Figs 8/9.
   std::unique_ptr<peer::TopPeer> top;
@@ -508,133 +170,44 @@ ScenarioResult run_distributed(const DistributedConfig& config,
     peer::PeerProfile profile =
         peer::sample_profile(top_rng, config.behavior, world.diurnal);
     profile.client_name = "MLDonkey 2.9";  // crawler-ish client
-    top = std::make_unique<peer::TopPeer>(world.network, server_node, profile,
+    top = std::make_unique<peer::TopPeer>(world.network, server.node, profile,
                                           files[0].id, peer::TopPeerParams{},
                                           top_rng.split(7));
     world.simulation.schedule_at(hours(6), [&top] { top->start(); });
   }
 
-  // Run the measurement day by day (progress + bounded queue growth).
-  for (std::uint32_t d = 0; d < static_cast<std::uint32_t>(config.days); ++d) {
-    world.simulation.run_until((d + 1) * kDay);
-    report_progress(progress, world, config.days);
-  }
-  world.simulation.run_until(config.days * kDay);
-
+  campaign.run_days(config.days, progress);
   population.stop();
   if (top) top->stop();
-
-  result.blacklist_reports = world.blacklist.reports();
-  double rep_nc = 0, rep_rc = 0;
-  std::size_t n_nc = 0, n_rc = 0;
-  for (std::size_t h = 0; h < hosts.size(); ++h) {
-    const auto ip = world.network.info(hosts[h]->node()).ip.value();
-    const double rep = world.blacklist.reputation(ip);
-    if (result.random_content[h]) {
-      rep_rc += rep;
-      ++n_rc;
-    } else {
-      rep_nc += rep;
-      ++n_nc;
-    }
-  }
-  if (n_nc > 0) result.reputation_no_content = rep_nc / static_cast<double>(n_nc);
-  if (n_rc > 0) result.reputation_random_content = rep_rc / static_cast<double>(n_rc);
-
-  // A crash window can reach past the horizon (its recover event is never
-  // emitted). With recovery on, the restarted process replays the journal
-  // now so the final gathering flushes every honeypot; with recovery off
-  // the control plane stays dead and the run publishes what the durable
-  // state alone can salvage.
-  if (outage.down_at >= 0 && config.chaos.manager_recovery) {
-    manager.recover(outage.down_at);
-    outage.down_at = -1.0;
-  }
-  manager.stop();
-  fill_result(result, world, manager, population, outage.crashes > 0);
-  if (injector) {
-    result.faults = injector->stats();
-    result.recovery.manager_crashes = result.faults.manager_crashes;
-  }
-  if (outage.down_at >= 0) {
-    result.recovery.manager_downtime +=
-        world.simulation.now() - outage.down_at;
-  }
-  result.defense = manager.defense_stats();
-  result.defense += server.defense_stats();
-  for (const auto& s : standby) {
-    result.defense += s->defense_stats();
-  }
-  for (const auto* hp : hosts) {
-    result.degrade += hp->degrade_stats();
-  }
-  if (abuse) {
-    result.abuse = abuse->stats();
-  }
-  if (byz) {
-    result.byzantine = byz->stats();
-  }
-  // Integrity accounting is filled unconditionally (all-zero when the
-  // Byzantine model is off); records_excluded was fixed by the merge above.
-  result.integrity = manager.integrity_stats();
-  finalize_audit(result, manager, hosts, outage.crashes > 0, config.audit);
+  campaign.stop();
+  campaign.fill(result, population);
   return result;
 }
 
 ScenarioResult run_greedy(const GreedyConfig& config, std::ostream* progress) {
-  World world(config.seed, config.behavior, config.scale,
-              link_model(config.chaos));
-  auto& rng = world.simulation.rng();
+  Campaign campaign(config);
+  World& world = campaign.world();
+  auto& rng = campaign.rng();
 
-  const net::DefenseConfig defense =
-      effective_defense(config.defense, config.abuse, config.auto_defense);
-
-  const auto server_node = world.network.add_node(true);
-  server::ServerConfig server_cfg;
-  server_cfg.defense = defense;
-  server::Server server(world.network, server_node, server_cfg);
-  server.start();
-  honeypot::ServerRef server_ref{server_node, "big-server-2008", 4661};
-
-  honeypot::ManagerConfig manager_cfg = chaos_manager_config(config.chaos);
-  manager_cfg.defense = defense;
-  honeypot::Manager manager(world.network, manager_cfg);
+  const auto server = campaign.add_directory_server("big-server-2008");
   honeypot::HoneypotConfig hp;
   hp.id = 0;
   hp.name = "hp-greedy";
   hp.strategy = honeypot::ContentStrategy::no_content;  // sent no content
   hp.harvest_shared_lists = true;
-  hp.budget.disk_quota_bytes = config.chaos.disk_quota_bytes;
-  hp.budget.mem_budget_records = config.chaos.mem_budget_records;
-  hp.budget.session_ceiling = config.chaos.session_ceiling;
-  hp.budget.policy = config.chaos.degrade_policy;
-  hp.budget.shed_user_word = fault::kAbuseUserWord;
-  hp.audit_selftest_drop = config.chaos.audit_selftest_drop;
-  if (config.chaos.byzantine.enabled && config.chaos.byzantine.defend) {
-    hp.self_probe_period = config.chaos.byzantine.probe_period;
-    hp.self_probe_timeout = config.chaos.byzantine.probe_timeout;
-    // integrity_defense stays OFF for the greedy strategy: it adopts the
-    // very files it harvests from contacting peers, so the forged-list rule
-    // (peer claims our own advertised hashes) would flag every honest
-    // provider and break the harvest. Self-probes alone still catch the
-    // server-side lies.
-  }
   hp.greedy = true;
   hp.greedy_harvest_window = config.harvest_window;
   hp.greedy_max_files = std::max<std::size_t>(
       kGreedyAdvertisedFloor,
       static_cast<std::size_t>(
           std::llround(static_cast<double>(kGreedyAdvertisedFiles) * config.scale)));
-  const auto host = world.network.add_node(true);
-  manager.launch(std::move(hp), host, server_ref);
-  // Stable handle: survives manager crashes (see run_distributed).
-  honeypot::Honeypot* hp0 = &manager.honeypot(0);
-  manager.start();
-
-  ScenarioResult result;
-  result.honeypots = 1;
-  result.days = config.days;
-  result.random_content = {false};
+  // integrity_defense stays OFF for the greedy strategy: it adopts the very
+  // files it harvests from contacting peers, so the forged-list rule (peer
+  // claims our own advertised hashes) would flag every honest provider and
+  // break the harvest. Self-probes alone still catch the server-side lies.
+  const honeypot::Honeypot& greedy =
+      campaign.launch(std::move(hp), server, /*integrity_defense=*/false);
+  campaign.manager().start();
 
   // Seed files from the catalog.
   std::vector<honeypot::AdvertisedFile> seeds;
@@ -643,123 +216,21 @@ ScenarioResult run_greedy(const GreedyConfig& config, std::ostream* progress) {
     seeds.push_back(honeypot::AdvertisedFile{f.id, f.name, f.size});
   }
   world.simulation.run_until(30.0);
-  manager.advertise(0, seeds);
-
-  // Fault injection for the chaos variant (single host, single server).
-  std::unique_ptr<fault::Injector> injector;
-  ManagerOutage outage;
-  if (config.chaos.enabled) {
-    auto plan = fault::FaultPlan::generate(config.chaos, 1, 1,
-                                           config.days * kDay,
-                                           rng.split(config.chaos.seed));
-    fault::Injector::Bindings bind;
-    bind.host_count = 1;
-    bind.host_node = [hp0](std::size_t) { return hp0->node(); };
-    bind.crash_host = [hp0](std::size_t) { hp0->crash(); };
-    bind.disk_full = [hp0](std::size_t, bool active, double magnitude) {
-      hp0->set_resource_fault(budget::ResourceFault::disk_full, active,
-                              magnitude);
-    };
-    bind.disk_slow = [hp0](std::size_t, bool active, double magnitude) {
-      hp0->set_resource_fault(budget::ResourceFault::disk_slow, active,
-                              magnitude);
-    };
-    bind.mem_pressure = [hp0](std::size_t, bool active, double magnitude) {
-      hp0->set_resource_fault(budget::ResourceFault::mem_pressure, active,
-                              magnitude);
-    };
-    bind.stop_server = [&server](std::size_t) { server.stop(); };
-    bind.start_server = [&server](std::size_t) { server.start(); };
-    bind.crash_manager = [&manager, &world, &outage] {
-      outage.down_at = world.simulation.now();
-      ++outage.crashes;
-      manager.crash();
-    };
-    if (config.chaos.manager_recovery) {
-      bind.recover_manager = [&manager, &outage] {
-        manager.recover(outage.down_at);
-        outage.down_at = -1.0;
-      };
-    }
-    injector = std::make_unique<fault::Injector>(world.network, std::move(plan),
-                                                 std::move(bind));
-    injector->arm();
-  }
-
-  // Adversarial traffic (see run_distributed).
-  std::unique_ptr<fault::AbuseInjector> abuse;
-  if (config.abuse.enabled) {
-    const Rng abuse_rng = rng.split(config.abuse.seed);
-    auto plan = fault::AbusePlan::generate(config.abuse, 1, 1,
-                                           config.days * kDay, abuse_rng);
-    fault::AbuseInjector::Bindings bind;
-    bind.honeypot_count = 1;
-    bind.honeypot_node = [hp0](std::size_t) { return hp0->node(); };
-    bind.server_count = 1;
-    bind.server_node = [server_node](std::size_t) { return server_node; };
-    abuse = std::make_unique<fault::AbuseInjector>(
-        world.network, std::move(plan), config.abuse, std::move(bind),
-        abuse_rng.split(0xEE));
-    abuse->arm();
-  }
-
-  // Byzantine misbehavior (see run_distributed): one server, one honeypot.
-  std::unique_ptr<fault::ByzantineInjector> byz;
-  if (config.chaos.byzantine.enabled) {
-    const Rng byz_rng = rng.split(config.chaos.byzantine.seed);
-    auto plan = fault::ByzantinePlan::generate(config.chaos.byzantine, 1, 1,
-                                               config.days * kDay, byz_rng);
-    fault::ByzantineInjector::Bindings bind;
-    bind.honeypot_count = 1;
-    bind.honeypot_node = [hp0](std::size_t) { return hp0->node(); };
-    bind.server_count = 1;
-    bind.drop_offers = [&server](std::size_t, bool active) {
-      server.set_drop_offers(active);
-    };
-    bind.truncate_offers = [&server](std::size_t, bool active, double keep) {
-      server.set_truncate_offers(active, keep);
-    };
-    bind.stale_index = [&server](std::size_t, bool active) {
-      server.set_stale_index(active);
-    };
-    bind.fabricate_sources = [&server](std::size_t, bool active,
-                                       std::size_t count, std::uint64_t seed) {
-      server.set_fabricate_sources(active, count, seed);
-    };
-    bind.corrupt_search = [&server](std::size_t, bool active,
-                                    std::uint64_t seed) {
-      server.set_corrupt_search(active, seed);
-    };
-    bind.advertised_files = [hp0](std::size_t) {
-      std::vector<proto::PublishedFile> out;
-      for (const auto& f : hp0->advertised()) {
-        proto::PublishedFile pf;
-        pf.file = f.id;
-        pf.port = 4662;
-        pf.name = f.name;
-        pf.size = f.size;
-        out.push_back(std::move(pf));
-      }
-      return out;
-    };
-    byz = std::make_unique<fault::ByzantineInjector>(
-        world.network, std::move(plan), config.chaos.byzantine,
-        std::move(bind), byz_rng.split(fault::splits::kByzContent));
-    byz->arm();
-  }
+  campaign.manager().advertise(0, seeds);
+  campaign.arm_adversaries();
 
   // Demands follow the advertised list as it grows: a watcher adds a demand
   // for every newly advertised file. Per-file demand is a property of the
   // network (not of the honeypot) and is NOT scaled: the greedy measurement
   // scales through the size of the harvested list instead.
-  peer::Population population(world.context(server_node), rng.split(0x90B),
+  peer::Population population(world.context(server.node), rng.split(0x90B),
                               config.population_mode);
   Rng demand_rng = rng.split(0xDE3A);
   std::size_t demanded = 0;
   auto sync_demands = [&] {
     // Through the stable handle: the watcher keeps firing during a
     // control-plane outage, when the manager's fleet table is empty.
-    const auto& advertised = hp0->advertised();
+    const auto& advertised = greedy.advertised();
     while (demanded < advertised.size()) {
       const auto& file = advertised[demanded];
       ++demanded;
@@ -782,46 +253,16 @@ ScenarioResult run_greedy(const GreedyConfig& config, std::ostream* progress) {
   demand_watcher.start();
   population.start();
 
-  for (std::uint32_t d = 0; d < static_cast<std::uint32_t>(config.days); ++d) {
-    world.simulation.run_until((d + 1) * kDay);
-    report_progress(progress, world, config.days);
-  }
-  world.simulation.run_until(config.days * kDay);
-
+  campaign.run_days(config.days, progress);
   demand_watcher.stop();
   population.stop();
-  if (outage.down_at >= 0 && config.chaos.manager_recovery) {
-    manager.recover(outage.down_at);
-    outage.down_at = -1.0;
-  }
-  manager.stop();
-
-  result.advertised_files = hp0->advertised().size();
-  for (const auto& f : hp0->advertised()) {
+  campaign.stop();
+  ScenarioResult result;
+  for (const auto& f : greedy.advertised()) {
     result.advertised_ids.push_back(f.id);
   }
-  fill_result(result, world, manager, population, outage.crashes > 0);
-  if (injector) {
-    result.faults = injector->stats();
-    result.recovery.manager_crashes = result.faults.manager_crashes;
-  }
-  if (outage.down_at >= 0) {
-    result.recovery.manager_downtime +=
-        world.simulation.now() - outage.down_at;
-  }
-  result.defense = manager.defense_stats();
-  result.defense += server.defense_stats();
-  result.degrade += hp0->degrade_stats();
-  if (abuse) {
-    result.abuse = abuse->stats();
-  }
-  if (byz) {
-    result.byzantine = byz->stats();
-  }
-  result.integrity = manager.integrity_stats();
-  honeypot::Honeypot* const greedy_hosts[] = {hp0};
-  finalize_audit(result, manager, greedy_hosts, outage.crashes > 0,
-                 config.audit);
+  result.advertised_files = result.advertised_ids.size();
+  campaign.fill(result, population);
   return result;
 }
 

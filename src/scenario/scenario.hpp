@@ -9,10 +9,11 @@
 // contacting peers during its first day and advertises everything it
 // learns; 15 days.
 //
-// Both return the published dataset (merged + stage-2 anonymised log) plus
-// the scenario metadata analyses need. `scale` multiplies peer arrival
-// rates and pools; durations are unchanged, so shapes are preserved while
-// runtime drops.
+// Both, and run_multi_server() (multi_server.hpp), take the shared
+// CampaignConfig block and return the published dataset (merged + stage-2
+// anonymised log) plus the scenario metadata analyses need. `scale`
+// multiplies peer arrival rates and pools; durations are unchanged, so
+// shapes are preserved while runtime drops.
 
 #include <cstdint>
 #include <iosfwd>
@@ -36,35 +37,54 @@
 
 namespace edhp::scenario {
 
-struct DistributedConfig {
-  double scale = 0.25;
-  std::uint64_t seed = 20081001;
-  std::size_t honeypots = 24;
-  double days = 32;
-  bool with_top_peer = true;
-  /// Mean time between honeypot host failures (0 disables crash injection).
-  /// This is the historical hourly-Bernoulli crash grid, kept bit-for-bit;
-  /// ignored when `chaos.enabled` (the FaultPlan then owns all churn).
-  Duration host_mtbf = days_(16);
+/// The knobs every campaign shares (distributed, greedy, multi-server).
+/// Each campaign's config derives from it and sets its own defaults.
+struct CampaignConfig {
+  // Each campaign's constructor sets its own scale, seed and days.
+  double scale = 0;
+  std::uint64_t seed = 0;
+  double days = 0;
   /// Full fault model: when enabled, a seeded FaultPlan drives host, link,
-  /// server, latency and partition churn, and the manager runs with retry
-  /// backoff, watchdog escalation and crash-safe log spooling.
+  /// server, latency, partition, resource, clock and control-plane churn,
+  /// and the manager runs with retry backoff, watchdog escalation and
+  /// crash-safe log spooling. The link knobs (bursty loss, duplication,
+  /// reordering) and the Byzantine model apply whenever they are set.
   fault::ChaosConfig chaos;
   /// Adversarial traffic: when enabled, a seeded AbusePlan spawns hostile
   /// peers (byte corruptors, connection flooders, slowloris sessions,
-  /// oversize-message abusers) against every honeypot and the server.
+  /// oversize-message abusers) against every honeypot and directory server.
   fault::AbuseConfig abuse;
-  /// Admission-control policy for the server and every honeypot. Disabled
+  /// Admission-control policy for the servers and every honeypot. Disabled
   /// by default; when `abuse.enabled` and this is left disabled, the tuned
-  /// abuse_defense_config() policy is applied automatically.
+  /// policy (the DefenseConfig defaults, switched on) is applied.
   net::DefenseConfig defense;
   /// Set false to run an abuse campaign with no admission control at all
   /// (the ablation baseline); ignored unless `abuse.enabled`.
   bool auto_defense = true;
   peer::BehaviorParams behavior;  ///< defaults to behavior_2008()
+  /// Live-peer storage strategy; both modes produce bit-identical campaign
+  /// datasets and differ only in memory behaviour.
+  peer::PopulationMode population_mode = peer::PopulationMode::lazy;
+  /// Enforce the record-conservation ledger: the run fails (throws
+  /// audit::ImbalanceError) unless born == merged + Σ accounted. The ledger
+  /// itself is always filled (ScenarioResult::audit); this flag only arms
+  /// the hard failure. Off-path cost is one counter increment per record,
+  /// so goldens are bit-identical either way.
+  bool audit = false;
+
+ protected:
+  CampaignConfig();
+};
+
+struct DistributedConfig : CampaignConfig {
+  std::size_t honeypots = 24;
+  bool with_top_peer = true;
+  /// Mean time between honeypot host failures (0 disables crash injection).
+  /// This is the historical hourly-Bernoulli crash grid, kept bit-for-bit;
+  /// ignored when `chaos.enabled` (the FaultPlan then owns all churn).
+  Duration host_mtbf = 16 * kDay;
   /// Override of the regional activity mixture (default: european_2008).
   std::optional<sim::DiurnalProfile> diurnal;
-
   /// When nonzero, rescales the per-file finite pools pro-rata so the total
   /// interested-peer population equals this count. Arrival rates are left
   /// at the campaign baseline: unarrived peers are pure per-demand
@@ -77,38 +97,12 @@ struct DistributedConfig {
   /// retaining it (ScenarioResult::records_streamed/stream_fingerprint).
   /// Bench-only: the merged dataset comes out empty. Keep off with chaos.
   bool stream_records = false;
-  /// Live-peer storage strategy; both modes produce bit-identical campaign
-  /// datasets and differ only in memory behaviour.
-  peer::PopulationMode population_mode = peer::PopulationMode::lazy;
-  /// Enforce the record-conservation ledger: the run fails (throws
-  /// audit::ImbalanceError) unless born == merged + Σ accounted. The ledger
-  /// itself is always filled (ScenarioResult::audit); this flag only arms
-  /// the hard failure. Off-path cost is one counter increment per record,
-  /// so goldens are bit-identical either way.
-  bool audit = false;
 
   DistributedConfig();
-
- private:
-  static constexpr Duration days_(double d) { return d * kDay; }
 };
 
-struct GreedyConfig {
-  double scale = 0.25;
-  std::uint64_t seed = 20081101;
-  double days = 15;
+struct GreedyConfig : CampaignConfig {
   Duration harvest_window = kDay;
-  /// Full fault model (disabled by default; see DistributedConfig::chaos).
-  fault::ChaosConfig chaos;
-  /// Adversarial traffic + admission control (see DistributedConfig).
-  fault::AbuseConfig abuse;
-  net::DefenseConfig defense;
-  bool auto_defense = true;
-  peer::BehaviorParams behavior;
-  /// Live-peer storage strategy (see DistributedConfig::population_mode).
-  peer::PopulationMode population_mode = peer::PopulationMode::lazy;
-  /// Enforce the record-conservation ledger (see DistributedConfig::audit).
-  bool audit = false;
 
   GreedyConfig();
 };
@@ -127,13 +121,10 @@ struct ScenarioResult {
   peer::PeerStats peer_totals;
   std::uint64_t relaunches = 0;
   std::uint64_t blacklist_reports = 0;
-  /// Mean end-of-run community reputation per strategy group (distributed
-  /// only; 1.0 = never reported).
+  /// Mean end-of-run community reputation per strategy group (1.0 = never
+  /// reported, or no honeypot in the group).
   double reputation_no_content = 1.0;
   double reputation_random_content = 1.0;
-  std::uint64_t sim_events = 0;
-  std::uint64_t wire_messages = 0;
-  std::uint64_t wire_bytes = 0;
   /// Event-engine run statistics (slab recycling, cancellations, peak heap).
   sim::EngineStats engine;
   /// Aggregate traffic counters over every node in the run.
@@ -194,12 +185,6 @@ struct ScenarioResult {
 /// default (legacy) ManagerConfig when `chaos.enabled` is false.
 [[nodiscard]] honeypot::ManagerConfig chaos_manager_config(
     const fault::ChaosConfig& chaos);
-
-/// Admission-control policy tuned for the default abuse mix: session caps
-/// sized to the fleet, per-remote connect budgets that starve flooders but
-/// never an honest client, and handshake/idle reaping on the slab engine's
-/// O(1)-cancel timers.
-[[nodiscard]] net::DefenseConfig abuse_defense_config();
 
 [[nodiscard]] ScenarioResult run_distributed(const DistributedConfig& config,
                                              std::ostream* progress = nullptr);

@@ -9,6 +9,7 @@
 
 #include "common/clock.hpp"
 #include "logbook/record.hpp"
+#include "scenario/scenario.hpp"
 
 namespace edhp::scenario {
 
@@ -35,8 +36,7 @@ inline std::uint64_t fingerprint(const logbook::LogFile& log) {
 
 /// Arms host/uplink/server/manager churn, abuse, Byzantine lies, clock
 /// drift and steps, resource budgets and resource faults at once.
-template <class Config>
-void arm_every_chaos_axis(Config& c) {
+inline void arm_every_chaos_axis(CampaignConfig& c) {
   c.chaos.enabled = true;
   c.chaos.host_mtbf = hours(18);
   c.chaos.uplink_mtbf = hours(16);

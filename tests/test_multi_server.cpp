@@ -17,6 +17,7 @@ const MultiServerResult& mini_run() {
     config.days = 4;
     config.honeypots = 6;
     config.server_sizes = {0.5, 0.3, 0.2};
+    config.audit = true;  // the golden below proves auditing is a no-op
     return run_multi_server(config);
   }();
   return result;
@@ -98,20 +99,49 @@ TEST(MultiServer, GoldenUnchangedWithFaultsDisabled) {
   EXPECT_EQ(fingerprint(r.base.merged), 0x4187cf786e73a860ull);
   EXPECT_EQ(r.base.faults.host_crashes, 0u);
   EXPECT_EQ(r.base.recovery.records_lost_tail, 0u);
+  // The conservation ledger covers the multi-server fleet too.
+  EXPECT_TRUE(r.base.audit.enabled);
+  EXPECT_TRUE(r.base.audit.balanced()) << r.base.audit.breakdown();
+  EXPECT_EQ(r.base.audit.records_born, r.base.merged.records.size());
 }
 
-// Chaos-on golden: every axis armed at once against several directory
-// servers (see test_scenario.cpp for the single-server campaigns).
-TEST(MultiServer, GoldenWithEveryChaosAxis) {
+MultiServerConfig small_config() {
   MultiServerConfig config;
   config.scale = 0.03;
   config.days = 3;
   config.honeypots = 6;
   config.server_sizes = {0.5, 0.3, 0.2};
+  config.audit = true;
+  return config;
+}
+
+// Chaos-on golden: every axis armed at once against several directory
+// servers (see test_scenario.cpp for the single-server campaigns). The
+// campaign shares the other two's control plane, so the manager relaunches
+// crashed honeypots, the merge repairs clock skew and the conservation
+// ledger balances here as well.
+TEST(MultiServer, GoldenWithEveryChaosAxis) {
+  auto config = small_config();
   arm_every_chaos_axis(config);
   const auto r = run_multi_server(config);
   EXPECT_EQ(r.base.merged.records.size(), 8277u);
   EXPECT_EQ(fingerprint(r.base.merged), 0x45d902f9cac9af80ull);
+  EXPECT_GT(r.base.faults.host_crashes, 0u);
+  EXPECT_GT(r.base.relaunches, 0u);
+  EXPECT_GT(r.base.time_integrity.observations_used, 0u);
+  EXPECT_TRUE(r.base.audit.balanced()) << r.base.audit.breakdown();
+  EXPECT_GT(r.base.audit.accounted(), 0u);
+}
+
+// The chaos link knobs reach the multi-server network: the manager's UDP
+// survey datagrams are duplicated in flight.
+TEST(MultiServer, HonoursChaosLinkKnobs) {
+  auto config = small_config();
+  config.days = 1;
+  config.chaos.link_dup = 0.99;
+  const auto r = run_multi_server(config);
+  EXPECT_GT(r.base.net_totals.datagrams_duplicated, 0u);
+  EXPECT_TRUE(r.base.audit.balanced()) << r.base.audit.breakdown();
 }
 
 // Third leg of the lazy-vs-eager determinism contract (distributed and
