@@ -1,13 +1,20 @@
 #!/usr/bin/env sh
-# Tier-1 in one command: Release build + tests, then the ASan/UBSan preset.
+# Tier-1 in one command: Release build + tests + the benchmark smoke, then
+# the ASan/UBSan preset.
 #
 #   scripts/tier1.sh                # both presets
-#   scripts/tier1.sh --release      # release only (fast inner loop)
+#   scripts/tier1.sh --release      # release + benchmark smoke only
 #   scripts/tier1.sh --asan         # sanitizer only
 #   scripts/tier1.sh --fuzz         # asan preset, codec-hardening tests only
 #   scripts/tier1.sh --chaosfuzz N  # release build, N-point chaos-schedule
 #                                   # fuzz batch (fixed seed, deterministic)
 #                                   # + committed corpus replay
+#
+# The release suite runs parallel, shuffled and twice over, so a test that
+# shares state with another (a fixed scratch path, say) fails loudly. The
+# benchmark smoke builds benchmark/ — a separate CMake project over the same
+# sources whose rep.cpp is the config API's strictest caller — and checks
+# its pinned outputs at smoke scale.
 #
 # The deterministic codec fuzzer and the abuse/admission tests are ordinary
 # ctest entries, so both presets always run them; under the asan preset they
@@ -44,7 +51,11 @@ if [ "$want_release" = 1 ]; then
   echo "== tier1: release preset =="
   cmake --preset default
   cmake --build --preset default -j
-  ctest --preset default -j"$(nproc)"
+  ctest --preset default -j"$(nproc)" --schedule-random --repeat until-fail:2
+  echo "== tier1: benchmark smoke =="
+  cmake -S benchmark -B build-bench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-bench -j"$(nproc)"
+  ctest --test-dir build-bench -L edhp_bench
 fi
 
 if [ "$want_asan" = 1 ]; then

@@ -18,6 +18,7 @@
 #include "fault/abuse.hpp"
 #include "logbook/journal.hpp"
 #include "logbook/log_io.hpp"
+#include "scratch_dir.hpp"
 
 namespace edhp {
 namespace {
@@ -27,37 +28,34 @@ struct RunResult {
   std::string output;
 };
 
-/// Run the inspect binary with `args`, capturing stdout+stderr.
-RunResult run_inspect(const std::string& args) {
-  const auto out_path =
-      (std::filesystem::temp_directory_path() / "edhp_inspect_out.txt")
-          .string();
-  const std::string cmd = std::string(EDHP_INSPECT_BIN) + " " + args + " > " +
-                          out_path + " 2>&1";
-  const int raw = std::system(cmd.c_str());
-  RunResult r;
-#ifdef WEXITSTATUS
-  r.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
-#else
-  r.exit_code = raw;
-#endif
-  std::ifstream f(out_path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  r.output = ss.str();
-  std::remove(out_path.c_str());
-  return r;
-}
-
 class InspectCliTest : public ::testing::Test {
  protected:
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "edhp_inspect_fixtures";
+  ScratchDir scratch;  // this test's own fixtures and output capture
+  const std::filesystem::path& dir = scratch.path();
 
   std::string log_path, journal_path;
 
+  /// Run the inspect binary with `args`, capturing stdout+stderr.
+  RunResult run_inspect(const std::string& args) const {
+    const auto out_path = scratch.file("inspect_out.txt");
+    const std::string cmd = std::string(EDHP_INSPECT_BIN) + " " + args +
+                            " > " + out_path + " 2>&1";
+    const int raw = std::system(cmd.c_str());
+    RunResult r;
+#ifdef WEXITSTATUS
+    r.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+#else
+    r.exit_code = raw;
+#endif
+    std::ifstream f(out_path);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    r.output = ss.str();
+    std::remove(out_path.c_str());
+    return r;
+  }
+
   void SetUp() override {
-    std::filesystem::create_directories(dir);
     log_path = (dir / "campaign.edhplog").string();
     journal_path = (dir / "manager.edhpjrn").string();
 
@@ -93,8 +91,6 @@ class InspectCliTest : public ::testing::Test {
     journal.append(logbook::JournalEntryType::chunk_stored, payload);
     journal.save(journal_path);
   }
-
-  void TearDown() override { std::filesystem::remove_all(dir); }
 };
 
 TEST_F(InspectCliTest, NoArgumentsPrintsUsage) {

@@ -11,6 +11,7 @@
 
 #include "logbook/journal.hpp"
 #include "logbook/spool.hpp"
+#include "scratch_dir.hpp"
 
 namespace edhp::logbook {
 namespace {
@@ -172,21 +173,18 @@ TEST(Journal, MidStreamCorruptionIsQuarantinedNotFatal) {
 }
 
 TEST(Journal, SaveLoadRoundTrip) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "edhp_journal_rt.edhpjrn")
-          .string();
+  const ScratchDir scratch;
+  const auto path = scratch.file("rt.edhpjrn");
   const Journal j = sample_journal();
   j.save(path);
   const Journal loaded = Journal::load(path);
   EXPECT_EQ(loaded.bytes(), j.bytes());
   EXPECT_EQ(loaded.entries_appended(), j.entries_appended());
-  std::remove(path.c_str());
 }
 
 TEST(Journal, LoadRejectsBadMagicAndMissingFile) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "edhp_journal_bad.edhpjrn")
-          .string();
+  const ScratchDir scratch;
+  const auto path = scratch.file("bad.edhpjrn");
   {
     std::ofstream f(path, std::ios::binary);
     f << "NOTAJRNL plus some trailing garbage";
@@ -197,9 +195,8 @@ TEST(Journal, LoadRejectsBadMagicAndMissingFile) {
 }
 
 TEST(Journal, LoadToleratesTornTailInFile) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "edhp_journal_torn.edhpjrn")
-          .string();
+  const ScratchDir scratch;
+  const auto path = scratch.file("torn.edhpjrn");
   const Journal j = sample_journal();
   j.save(path);
   // Truncate the file mid-frame (drop the last 3 bytes).
@@ -208,7 +205,6 @@ TEST(Journal, LoadToleratesTornTailInFile) {
   const auto scan = loaded.scan();
   EXPECT_TRUE(scan.torn_tail);
   EXPECT_EQ(scan.entries.size(), sample_journal().scan().entries.size() - 1);
-  std::remove(path.c_str());
 }
 
 // --- Spool-chunk integrity (shares fnv1a with the journal) -----------------

@@ -7,6 +7,7 @@
 #include "common/bytes.hpp"
 #include "logbook/log_io.hpp"
 #include "logbook/merge.hpp"
+#include "scratch_dir.hpp"
 
 namespace edhp::logbook {
 namespace {
@@ -111,7 +112,8 @@ TEST(LogIo, CsvHasHeaderAndRows) {
 
 TEST(LogIo, SaveAndLoadFile) {
   const auto log = sample_log(5);
-  const std::string path = ::testing::TempDir() + "/edhp_test_log.bin";
+  const ScratchDir scratch;
+  const std::string path = scratch.file("log.bin");
   save(path, log);
   EXPECT_EQ(load(path), log);
   EXPECT_THROW((void)load(path + ".does-not-exist"), std::runtime_error);

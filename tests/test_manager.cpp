@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 
 #include "honeypot/manager.hpp"
 #include "logbook/log_io.hpp"
 #include "server/server.hpp"
+#include "scratch_dir.hpp"
 
 namespace edhp::honeypot {
 namespace {
@@ -354,16 +354,14 @@ TEST_F(ManagerTest, PersistLogsWritesLoadableFiles) {
   launch_one();
   launch_one(ContentStrategy::random_content);
   settle();
-  const auto dir = ::testing::TempDir() + "edhp_persist";
-  std::filesystem::create_directories(dir);
-  const auto paths = manager.persist_logs(dir);
+  const ScratchDir dir;
+  const auto paths = manager.persist_logs(dir.path().string());
   ASSERT_EQ(paths.size(), 2u);
   for (const auto& path : paths) {
     const auto log = logbook::load(path);
     EXPECT_EQ(log.header.peer_kind, logbook::PeerIdKind::stage1_hash);
   }
   EXPECT_EQ(logbook::load(paths[1]).header.strategy, "random-content");
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "analysis/report.hpp"
+#include "scratch_dir.hpp"
 
 namespace edhp::analysis {
 namespace {
@@ -72,7 +72,8 @@ TEST(PrintKv, AlignsKeys) {
 }
 
 TEST(WriteGnuplot, ProducesParseableColumns) {
-  const std::string path = ::testing::TempDir() + "/edhp_gnuplot_test.dat";
+  const ScratchDir scratch;
+  const std::string path = scratch.file("gnuplot.dat");
   std::vector<Series> series{{"y1", {5, 6, 7}}, {"y2", {1, 2, 3}}};
   const std::vector<double> x{10, 20, 30};
   write_gnuplot(path, x, series);
@@ -87,8 +88,6 @@ TEST(WriteGnuplot, ProducesParseableColumns) {
   EXPECT_DOUBLE_EQ(a, 10);
   EXPECT_DOUBLE_EQ(b, 5);
   EXPECT_DOUBLE_EQ(c, 1);
-  in.close();
-  std::remove(path.c_str());
 }
 
 TEST(WriteGnuplot, UnwritablePathThrows) {
