@@ -238,7 +238,9 @@ void Campaign::arm_abuse() {
   bind.honeypot_count = hosts_.size();
   bind.honeypot_node = [this](std::size_t h) { return hosts_[h]->node(); };
   bind.server_count = directory_refs_.size();
-  bind.server_node = [this](std::size_t s) { return directory_refs_[s].node; };
+  bind.server_node = [this](std::size_t s) {
+    return directory_refs_[s].node;
+  };
   abuse_ = std::make_unique<fault::AbuseInjector>(
       world_.network, std::move(plan), config_.abuse, std::move(bind),
       abuse_rng.split(0xEE));

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,30 +13,14 @@
 
 #include "audit/audit.hpp"
 #include "audit/chaos_point.hpp"
+#include "campaign_goldens.hpp"
 #include "logbook/spool.hpp"
 #include "scenario/scenario.hpp"
 
 namespace edhp::audit {
 namespace {
 
-/// Same FNV-1a record mix as the golden tests in test_scenario.cpp.
-std::uint64_t fingerprint(const logbook::LogFile& log) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& rec : log.records) {
-    std::uint64_t t_bits = 0;
-    std::memcpy(&t_bits, &rec.timestamp, 8);
-    mix(t_bits);
-    mix(rec.peer);
-    mix(rec.user);
-    mix(static_cast<std::uint64_t>(rec.honeypot));
-    mix(static_cast<std::uint64_t>(rec.type));
-  }
-  return h;
-}
+using scenario::fingerprint;
 
 scenario::DistributedConfig small_config() {
   scenario::DistributedConfig config;

@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "campaign_goldens.hpp"
 #include "fault/byzantine.hpp"
 #include "honeypot/manager.hpp"
 #include "logbook/journal.hpp"
@@ -643,24 +643,6 @@ TEST_F(ByzantineDefenseTest, TornTailSweepEndingInQuarantineFrame) {
 
 namespace edhp::scenario {
 namespace {
-
-std::uint64_t fingerprint(const logbook::LogFile& log) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& rec : log.records) {
-    std::uint64_t t_bits = 0;
-    std::memcpy(&t_bits, &rec.timestamp, 8);
-    mix(t_bits);
-    mix(rec.peer);
-    mix(rec.user);
-    mix(static_cast<std::uint64_t>(rec.honeypot));
-    mix(static_cast<std::uint64_t>(rec.type));
-  }
-  return h;
-}
 
 DistributedConfig mini_byzantine_config() {
   DistributedConfig config;

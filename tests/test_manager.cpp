@@ -3,11 +3,10 @@
 
 #include <gtest/gtest.h>
 
-
 #include "honeypot/manager.hpp"
 #include "logbook/log_io.hpp"
-#include "server/server.hpp"
 #include "scratch_dir.hpp"
+#include "server/server.hpp"
 
 namespace edhp::honeypot {
 namespace {

@@ -211,6 +211,15 @@ TEST(GreedyScenario, Fig12PopularityIsSkewed) {
   EXPECT_GT(pop.front().peers, 4 * pop[pop.size() / 2].peers);
 }
 
+// The greedy honeypot sends no content, so peers detect and report it just
+// as they report the distributed no-content group.
+TEST(GreedyScenario, NoContentHoneypotGetsBlacklisted) {
+  const auto& r = mini_greedy();
+  EXPECT_GT(r.blacklist_reports, 0u);
+  EXPECT_LT(r.reputation_no_content, 1.0);
+  EXPECT_EQ(r.reputation_random_content, 1.0);  // no such group
+}
+
 // Golden baselines: with the fault model disabled (the default), the merged
 // logs must stay bit-identical to the pre-fault-subsystem seed. A change
 // here means some dormant code path consumed an RNG draw or reordered
