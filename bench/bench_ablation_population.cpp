@@ -37,7 +37,7 @@ scenario::DistributedConfig campaign(const bench::Options& opt,
                                      peer::PopulationMode mode) {
   scenario::DistributedConfig config;
   config.scale = opt.scale;
-  if (opt.seed != 0) config.seed = opt.seed;
+  if (opt.seed) config.seed = *opt.seed;
   config.days = opt.days.value_or(16.0);
   config.honeypots = 8;
   config.with_top_peer = false;  // isolate the population's footprint

@@ -1,20 +1,24 @@
 #pragma once
-// Shared helpers for the figure/table reproduction harnesses.
+// Command line and campaign configs shared by the bench harnesses:
+// bench_reproduce (Table I and Figs 2-12 from one run of each campaign) and
+// the ablations.
 //
 // Every harness accepts:
-//   --scale=<f>   population scale (default 0.2; 1.0 = paper scale)
+//   --scale=<f>   population scale (1.0 = paper scale; default per harness)
 //   --paper       shorthand for --scale=1.0
-//   --seed=<n>    RNG seed
+//   --seed=<n>    RNG seed (default: the scenario's own)
 //   --days=<d>    shorten the measurement (shapes preserved)
 //   --quiet       suppress per-day progress
-// and prints the same rows/series the paper reports, plus a recap of the
-// paper's values for comparison.
+//   --help        print the usage and exit
+// Any other argument, or a value that is not a complete number, prints the
+// usage to stderr and exits with status 2.
 
+#include <charconv>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <optional>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "scenario/scenario.hpp"
 
@@ -22,30 +26,54 @@ namespace edhp::bench {
 
 struct Options {
   double scale = 0.2;
-  std::uint64_t seed = 0;  ///< 0: keep the scenario default
+  std::optional<std::uint64_t> seed;  ///< unset: keep the scenario default
   std::optional<double> days;
   bool quiet = false;
 };
+
+inline constexpr std::string_view kUsage =
+    "options: --scale=<f> | --paper | --seed=<n> | --days=<d> | --quiet\n";
+
+[[noreturn]] inline void usage_error(std::string_view what,
+                                     std::string_view arg) {
+  std::cerr << what << ": " << arg << "\n" << kUsage;
+  std::exit(2);
+}
+
+/// The number after the `=` of `arg`; anything but a complete number is a
+/// usage error.
+template <class T>
+T parse_value(std::string_view arg) {
+  const auto text = arg.substr(arg.find('=') + 1);
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc{} || end != text.data() + text.size()) {
+    usage_error("not a number", arg);
+  }
+  return value;
+}
 
 inline Options parse_options(int argc, char** argv, double default_scale = 0.2) {
   Options opt;
   opt.scale = default_scale;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+    const std::string_view arg = argv[i];
     if (arg == "--paper") {
       opt.scale = 1.0;
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = std::stod(arg.substr(8));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--days=", 0) == 0) {
-      opt.days = std::stod(arg.substr(7));
+    } else if (arg.starts_with("--scale=")) {
+      opt.scale = parse_value<double>(arg);
+    } else if (arg.starts_with("--seed=")) {
+      opt.seed = parse_value<std::uint64_t>(arg);
+    } else if (arg.starts_with("--days=")) {
+      opt.days = parse_value<double>(arg);
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--help") {
-      std::cout << "options: --scale=<f> | --paper | --seed=<n> | --days=<d> "
-                   "| --quiet\n";
+      std::cout << kUsage;
       std::exit(0);
+    } else {
+      usage_error("unknown argument", arg);
     }
   }
   return opt;
@@ -54,7 +82,7 @@ inline Options parse_options(int argc, char** argv, double default_scale = 0.2) 
 inline scenario::DistributedConfig distributed_config(const Options& opt) {
   scenario::DistributedConfig config;
   config.scale = opt.scale;
-  if (opt.seed != 0) config.seed = opt.seed;
+  if (opt.seed) config.seed = *opt.seed;
   if (opt.days) config.days = *opt.days;
   return config;
 }
@@ -62,36 +90,9 @@ inline scenario::DistributedConfig distributed_config(const Options& opt) {
 inline scenario::GreedyConfig greedy_config(const Options& opt) {
   scenario::GreedyConfig config;
   config.scale = opt.scale;
-  if (opt.seed != 0) config.seed = opt.seed;
+  if (opt.seed) config.seed = *opt.seed;
   if (opt.days) config.days = *opt.days;
   return config;
-}
-
-inline scenario::ScenarioResult run_distributed(const Options& opt) {
-  auto config = distributed_config(opt);
-  std::cout << "running distributed measurement: scale=" << config.scale
-            << " honeypots=" << config.honeypots << " days=" << config.days
-            << "\n";
-  return scenario::run_distributed(config, opt.quiet ? nullptr : &std::cout);
-}
-
-inline scenario::ScenarioResult run_greedy(const Options& opt) {
-  auto config = greedy_config(opt);
-  std::cout << "running greedy measurement: scale=" << config.scale
-            << " days=" << config.days << "\n";
-  return scenario::run_greedy(config, opt.quiet ? nullptr : &std::cout);
-}
-
-/// "paper reports X (at scale 1.0); measured Y" one-liner.
-inline void paper_vs_measured(std::string_view what, double paper_value,
-                              double measured, double scale) {
-  std::cout << "  " << what << ": paper " << paper_value
-            << " | measured " << measured;
-  if (scale != 1.0) {
-    std::cout << " (at scale " << scale << ", scale-adjusted paper ~"
-              << paper_value * scale << ")";
-  }
-  std::cout << "\n";
 }
 
 }  // namespace edhp::bench
