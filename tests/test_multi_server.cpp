@@ -97,6 +97,8 @@ TEST(MultiServer, GoldenUnchangedWithFaultsDisabled) {
   const auto& r = mini_run();
   EXPECT_EQ(r.base.merged.records.size(), 12778u);
   EXPECT_EQ(fingerprint(r.base.merged), 0x4187cf786e73a860ull);
+  EXPECT_EQ(r.base.observed.distinct, 2382u);
+  EXPECT_EQ(r.base.observed.bytes, 853930907371u);
   EXPECT_EQ(r.base.faults.host_crashes, 0u);
   EXPECT_EQ(r.base.recovery.records_lost_tail, 0u);
   // The conservation ledger covers the multi-server fleet too.
@@ -126,6 +128,8 @@ TEST(MultiServer, GoldenWithEveryChaosAxis) {
   const auto r = run_multi_server(config);
   EXPECT_EQ(r.base.merged.records.size(), 8277u);
   EXPECT_EQ(fingerprint(r.base.merged), 0x45d902f9cac9af80ull);
+  EXPECT_EQ(r.base.observed.distinct, 98891u);
+  EXPECT_EQ(r.base.observed.bytes, 36098868467264u);
   EXPECT_GT(r.base.faults.host_crashes, 0u);
   EXPECT_GT(r.base.relaunches, 0u);
   EXPECT_GT(r.base.time_integrity.observations_used, 0u);

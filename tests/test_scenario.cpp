@@ -228,6 +228,8 @@ TEST(Scenarios, GoldenDistributedUnchangedWithFaultsDisabled) {
   const auto& r = mini_distributed();
   EXPECT_EQ(r.merged.records.size(), 28945u);
   EXPECT_EQ(fingerprint(r.merged), 0xad6b1b6fa123723aull);
+  EXPECT_EQ(r.observed.distinct, 2637u);
+  EXPECT_EQ(r.observed.bytes, 934041255808u);
   // Dormant fault machinery left no trace.
   EXPECT_EQ(r.faults.host_crashes + r.faults.uplink_outages +
                 r.faults.server_restarts,
@@ -247,6 +249,8 @@ TEST(Scenarios, GoldenGreedyUnchangedWithFaultsDisabled) {
   const auto& r = mini_greedy();
   EXPECT_EQ(r.merged.records.size(), 479288u);
   EXPECT_EQ(fingerprint(r.merged), 0x7fe276d7b5708429ull);
+  EXPECT_EQ(r.observed.distinct, 19181u);
+  EXPECT_EQ(r.observed.bytes, 6999926281134u);
   EXPECT_TRUE(r.audit.balanced()) << r.audit.breakdown();
   EXPECT_EQ(r.audit.records_born, r.merged.records.size());
 }
@@ -266,6 +270,8 @@ TEST(Scenarios, GoldenDistributedWithEveryChaosAxis) {
   const auto r = run_distributed(config);
   EXPECT_EQ(r.merged.records.size(), 3013u);
   EXPECT_EQ(fingerprint(r.merged), 0x527ca2b987341e29ull);
+  EXPECT_EQ(r.observed.distinct, 55882u);
+  EXPECT_EQ(r.observed.bytes, 20504752514437u);
   EXPECT_TRUE(r.audit.balanced()) << r.audit.breakdown();
 }
 
@@ -278,6 +284,8 @@ TEST(Scenarios, GoldenGreedyWithEveryChaosAxis) {
   const auto r = run_greedy(config);
   EXPECT_EQ(r.merged.records.size(), 283381u);
   EXPECT_EQ(fingerprint(r.merged), 0x94e825ffe2c3aad5ull);
+  EXPECT_EQ(r.observed.distinct, 30951u);
+  EXPECT_EQ(r.observed.bytes, 11310442560125u);
   EXPECT_TRUE(r.audit.balanced()) << r.audit.breakdown();
 }
 
