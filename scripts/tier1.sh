@@ -16,9 +16,11 @@
 # sources whose rep.cpp is the config API's strictest caller — and checks
 # its pinned outputs at smoke scale.
 #
-# The deterministic codec fuzzer and the abuse/admission tests are ordinary
-# ctest entries, so both presets always run them; under the asan preset they
-# double as memory-safety proofs. --fuzz is the focused loop for codec work;
+# The deterministic codec fuzzer, the abuse/admission tests and the
+# observed-file catalogue's differential test (it ingests attacker-sized
+# shared lists) are ordinary ctest entries, so both presets always run them;
+# under the asan preset they double as memory-safety proofs. --fuzz is the
+# focused loop for codec work;
 # --chaosfuzz is the conservation-ledger smoke (see tools/edhp_chaosfuzz.cpp):
 # a fixed-seed batch means a failure here is reproducible verbatim, and any
 # shrunk repro lands in tests/chaos_corpus/ ready to commit.
@@ -63,7 +65,7 @@ if [ "$want_asan" = 1 ]; then
   cmake --preset asan
   cmake --build --preset asan -j
   if [ "$fuzz_only" = 1 ]; then
-    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine'
+    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine|ObservedCatalogue'
   else
     ctest --preset asan -j"$(nproc)"
   fi

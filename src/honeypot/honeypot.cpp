@@ -883,11 +883,7 @@ void Honeypot::handle_shared_list(PeerConn& conn,
     }
   }
   for (const auto& f : arena_.of(msg.files)) {
-    if (observed_files_.try_emplace(f.file, f.size).second) {
-      observed_bytes_ += f.size;
-      // Retained past the packet's lifetime: copy out of the view.
-      observed_names_.push_back(std::string(f.name));
-    }
+    observed_.insert(f.file, f.size, f.name);
     if (config_.greedy && in_harvest_window() &&
         advertised_.size() < config_.greedy_max_files &&
         !advertised_ids_.contains(f.file)) {

@@ -32,6 +32,7 @@
 #include "anonymize/ip_anonymizer.hpp"
 #include "honeypot/config.hpp"
 #include "honeypot/integrity.hpp"
+#include "honeypot/observed.hpp"
 #include "logbook/record.hpp"
 #include "net/network.hpp"
 #include "proto/messages.hpp"
@@ -233,18 +234,11 @@ class Honeypot {
   /// into a fresh log with the same header.
   [[nodiscard]] logbook::LogFile take_log();
 
-  /// Distinct files seen in harvested shared-file lists (with their sizes),
-  /// for Table I's "distinct files" / "space used".
-  [[nodiscard]] const std::unordered_map<FileId, std::uint32_t>& observed_files()
-      const noexcept {
-    return observed_files_;
-  }
-  [[nodiscard]] std::uint64_t observed_bytes() const noexcept {
-    return observed_bytes_;
-  }
-  /// Names of observed files (for the manager's anonymised catalog export).
-  [[nodiscard]] const std::vector<std::string>& observed_names() const noexcept {
-    return observed_names_;
+  /// Distinct files seen in harvested shared-file lists, with their sizes
+  /// and names: Table I's "distinct files" / "space used" and the manager's
+  /// anonymised catalog export.
+  [[nodiscard]] const ObservedCatalogue& observed() const noexcept {
+    return observed_;
   }
 
   [[nodiscard]] const sim::CounterSet& counters() const noexcept {
@@ -392,9 +386,7 @@ class Honeypot {
   std::uint64_t records_born_ = 0;         ///< conservation-ledger births
   std::uint64_t audit_selftest_tick_ = 0;  ///< Nth-record drop cadence
   std::unordered_map<std::string, std::uint16_t> name_cache_;
-  std::unordered_map<FileId, std::uint32_t> observed_files_;
-  std::uint64_t observed_bytes_ = 0;
-  std::vector<std::string> observed_names_;
+  ObservedCatalogue observed_;
   Time started_at_ = 0;
 
   // Recovery state.

@@ -1063,12 +1063,8 @@ RecoveryStats Manager::recovery_stats() const {
 IntegrityStats Manager::integrity_stats() const {
   IntegrityStats out = integrity_;
   out.records_excluded = records_excluded_;
-  for (const auto& slot : fleet_) {
-    out += slot.honeypot->integrity_stats();
-  }
-  for (const auto& hp : orphans_) {
-    out += hp->integrity_stats();
-  }
+  for_each_honeypot(
+      [&out](const Honeypot& hp) { out += hp.integrity_stats(); });
   return out;
 }
 
@@ -1085,12 +1081,7 @@ bool Manager::server_quarantined(const std::string& name) const {
 
 net::DefenseStats Manager::defense_stats() const {
   net::DefenseStats out;
-  for (const auto& slot : fleet_) {
-    out += slot.honeypot->defense_stats();
-  }
-  for (const auto& hp : orphans_) {
-    out += hp->defense_stats();
-  }
+  for_each_honeypot([&out](const Honeypot& hp) { out += hp.defense_stats(); });
   return out;
 }
 
@@ -1161,18 +1152,12 @@ logbook::LogFile Manager::merged_anonymized_durable(
   // spool (chunks cut but never delivered while the manager was down, or
   // delivered but unacked). Ingestion dedups, so overlap is harmless.
   logbook::SpoolStore salvage = *spool_store_;
-  const auto salvage_from = [&salvage](const Honeypot& hp) {
+  for_each_honeypot([&salvage](const Honeypot& hp) {
     for (const auto& chunk : hp.pending_chunks()) {
       salvage.set_header(chunk.honeypot, hp.log().header);
       salvage.ingest(chunk);
     }
-  };
-  for (const auto& slot : fleet_) {
-    salvage_from(*slot.honeypot);
-  }
-  for (const auto& hp : orphans_) {
-    salvage_from(*hp);
-  }
+  });
   auto logs = salvage.reassemble_all();
   // Records still resident in corrupt chunks after the salvage pass keep
   // the `quarantined` disposition in the conservation ledger (a winning
@@ -1197,10 +1182,12 @@ logbook::LogFile Manager::merged_anonymized_durable(
 std::vector<std::string> Manager::export_observed_names(
     std::uint64_t threshold) const {
   std::vector<std::string> corpus;
-  for (const auto& slot : fleet_) {
-    const auto& names = slot.honeypot->observed_names();
-    corpus.insert(corpus.end(), names.begin(), names.end());
-  }
+  for_each_honeypot([&corpus](const Honeypot& hp) {
+    const auto& seen = hp.observed();
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      corpus.emplace_back(seen.name(i));
+    }
+  });
   anonymize::NameAnonymizer anonymizer(corpus, threshold);
   std::vector<std::string> out;
   out.reserve(corpus.size());
@@ -1210,19 +1197,11 @@ std::vector<std::string> Manager::export_observed_names(
   return out;
 }
 
-Manager::ObservedFiles Manager::observed_files() const {
-  std::unordered_map<FileId, std::uint32_t> all;
-  for (const auto& slot : fleet_) {
-    for (const auto& [file, size] : slot.honeypot->observed_files()) {
-      all.try_emplace(file, size);
-    }
-  }
-  ObservedFiles out;
-  out.distinct = all.size();
-  for (const auto& [file, size] : all) {
-    out.bytes += size;
-  }
-  return out;
+ObservedFiles Manager::observed_files() const {
+  std::vector<const ObservedCatalogue*> catalogues;
+  for_each_honeypot(
+      [&catalogues](const Honeypot& hp) { catalogues.push_back(&hp.observed()); });
+  return observed_union(catalogues);
 }
 
 }  // namespace edhp::honeypot

@@ -303,17 +303,15 @@ class Manager {
   [[nodiscard]] logbook::LogFile merged_anonymized_durable(
       std::uint64_t* distinct_peers_out = nullptr) const;
 
-  /// Union of observed (harvested) files across the fleet with their total
-  /// size in bytes — Table I's distinct-files and space-used statistics.
-  struct ObservedFiles {
-    std::uint64_t distinct = 0;
-    std::uint64_t bytes = 0;
-  };
+  /// Union of observed (harvested) files across the fleet, orphans
+  /// included, with their total size in bytes — Table I's distinct-files
+  /// and space-used statistics. A file's first honeypot in fleet order
+  /// sets its size.
   [[nodiscard]] ObservedFiles observed_files() const;
 
   /// Publishable catalog of observed file names: every name harvested by
-  /// the fleet, passed through the word-frequency anonymiser (words rarer
-  /// than `threshold` become integer tokens).
+  /// the fleet (orphans included), passed through the word-frequency
+  /// anonymiser (words rarer than `threshold` become integer tokens).
   [[nodiscard]] std::vector<std::string> export_observed_names(
       std::uint64_t threshold) const;
 
@@ -389,6 +387,14 @@ class Manager {
   /// Honeypots surviving a control-plane crash, awaiting re-adoption.
   std::vector<std::unique_ptr<Honeypot>> orphans_;
   RecoveryStats recovery_;  ///< counters accumulated by the watchdog
+
+  /// Visit every live honeypot: the fleet in order, then the orphans of a
+  /// dead control plane (after an unrecovered crash they are the fleet).
+  template <typename Visit>
+  void for_each_honeypot(Visit&& visit) const {
+    for (const auto& slot : fleet_) visit(*slot.honeypot);
+    for (const auto& hp : orphans_) visit(*hp);
+  }
 
   // --- Server-health / quarantine state (Byzantine defense) ---------------
   struct ServerHealth {

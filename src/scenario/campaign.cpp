@@ -389,12 +389,12 @@ void Campaign::fill(ScenarioResult& result,
   }
 
   // Stream-mode accounting: sum the counts, chain the per-honeypot
-  // fingerprints (in fleet order) into one run fingerprint.
+  // fingerprints (in launch order, orphans of a dead manager included) into
+  // one run fingerprint.
   std::uint64_t sf = 1469598103934665603ull;
-  for (std::size_t h = 0; h < manager_.fleet_size(); ++h) {
-    const honeypot::Honeypot& hp = manager_.honeypot(h);
-    result.records_streamed += hp.records_streamed();
-    sf ^= hp.stream_fingerprint();
+  for (const auto* hp : hosts_) {
+    result.records_streamed += hp->records_streamed();
+    sf ^= hp->stream_fingerprint();
     sf *= 1099511628211ull;
   }
   result.stream_fingerprint = sf;

@@ -115,7 +115,7 @@ struct ScenarioResult {
   double days = 0;
   std::size_t advertised_files = 0;  ///< final advertised-list size
   std::vector<FileId> advertised_ids;
-  honeypot::Manager::ObservedFiles observed;
+  honeypot::ObservedFiles observed;
   /// strategy_of[h]: true when honeypot h used random-content.
   std::vector<bool> random_content;
   peer::PeerStats peer_totals;

@@ -152,8 +152,8 @@ TEST_F(DownloaderTest, SharesCacheWhenAsked) {
   auto peer = make_peer();
   peer->start();
   s.run_until(days(1));
-  EXPECT_GE(hp.observed_files().size(), 1u);
-  EXPECT_GT(hp.observed_bytes(), 0u);
+  EXPECT_GE(hp.observed().size(), 1u);
+  EXPECT_GT(hp.observed().bytes(), 0u);
 }
 
 TEST_F(DownloaderTest, NeverSharesWhenDisabled) {
@@ -162,7 +162,7 @@ TEST_F(DownloaderTest, NeverSharesWhenDisabled) {
   auto peer = make_peer();
   peer->start();
   s.run_until(days(1));
-  EXPECT_EQ(hp.observed_files().size(), 0u);
+  EXPECT_EQ(hp.observed().size(), 0u);
 }
 
 TEST_F(DownloaderTest, HandshakeOnlyPeerNeverStartsUpload) {

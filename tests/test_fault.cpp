@@ -526,7 +526,8 @@ TEST(ChaosScenario, ManagerCrashRecoveryIsLossless) {
 // With recovery disabled the fleet is orphaned at the first crash, yet the
 // durable merge (spool store + salvaged local spools) still retains at least
 // 99% of the baseline: only per-honeypot tails newer than the last spool cut
-// can be lost.
+// can be lost. The orphans still report what they observed, so Table I's
+// distinct files and space used match the crash-free run exactly.
 TEST(ChaosScenario, DisabledRecoveryLosesOnlyBoundedTails) {
   DistributedConfig config;
   config.scale = 0.02;
@@ -551,6 +552,39 @@ TEST(ChaosScenario, DisabledRecoveryLosesOnlyBoundedTails) {
   EXPECT_GE(ratio, 0.99) << faulty.merged.records.size() << " of "
                          << baseline.merged.records.size() << " records";
   EXPECT_LE(ratio, 1.0);
+  ASSERT_GT(baseline.observed.distinct, 0u);
+  EXPECT_EQ(faulty.observed.distinct, baseline.observed.distinct);
+  EXPECT_EQ(faulty.observed.bytes, baseline.observed.bytes);
+}
+
+// Stream mode folds records into per-honeypot counters. After an unrecovered
+// manager crash every honeypot is an orphan, and the audited run must still
+// count what they streamed: the ledger balances, and the count and chained
+// fingerprint equal the crash-free run's.
+TEST(ChaosScenario, StreamedRunCountsOrphanedHoneypots) {
+  DistributedConfig config;
+  config.scale = 0.02;
+  config.days = 8;
+  config.honeypots = 8;
+  config.with_top_peer = false;
+  config.stream_records = true;
+  config.audit = true;
+  config.chaos.enabled = true;
+  config.chaos.host_mtbf = 0;
+  config.chaos.manager_mtbf = days(2);
+  config.chaos.manager_recovery = false;
+
+  DistributedConfig clean = config;
+  clean.chaos.manager_mtbf = 0;
+
+  const auto orphaned = run_distributed(config);
+  const auto baseline = run_distributed(clean);
+  ASSERT_GT(orphaned.faults.manager_crashes, 0u);
+  EXPECT_EQ(orphaned.recovery.manager_recoveries, 0u);
+  EXPECT_TRUE(orphaned.audit.balanced()) << orphaned.audit.breakdown();
+  ASSERT_GT(baseline.records_streamed, 0u);
+  EXPECT_EQ(orphaned.records_streamed, baseline.records_streamed);
+  EXPECT_EQ(orphaned.stream_fingerprint, baseline.stream_fingerprint);
 }
 
 TEST(ChaosScenario, GreedyChaosVariantRuns) {

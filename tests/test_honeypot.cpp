@@ -250,10 +250,11 @@ TEST_F(HoneypotTest, HarvestsSharedListsAndAggregates) {
   peer2.ep->send(proto::encode(AnyMessage{answer}));
   settle();
 
-  EXPECT_EQ(hp.observed_files().size(), 3u);
-  EXPECT_EQ(hp.observed_bytes(), 1000u + 2000u + 3000u);
+  EXPECT_EQ(hp.observed().size(), 3u);
+  EXPECT_EQ(hp.observed().bytes(), 1000u + 2000u + 3000u);
   EXPECT_EQ(hp.counters().get("shared_lists_received"), 2u);
-  EXPECT_EQ(hp.observed_names().size(), 3u);
+  EXPECT_EQ(hp.observed().name(0), "shared-0.avi");
+  EXPECT_EQ(hp.observed().name(2), "shared-2.avi");
 }
 
 TEST_F(HoneypotTest, GreedyModeAdoptsHarvestedFiles) {
@@ -299,7 +300,7 @@ TEST_F(HoneypotTest, GreedyStopsAfterHarvestWindow) {
   settle();
   EXPECT_TRUE(hp.advertised().empty());
   // Still *observed* for the distinct-files statistics.
-  EXPECT_EQ(hp.observed_files().size(), 1u);
+  EXPECT_EQ(hp.observed().size(), 1u);
 }
 
 TEST_F(HoneypotTest, AnswersSharedFilesBrowsing) {
