@@ -61,12 +61,11 @@ ObservedFiles observed_union(
     std::span<const ObservedCatalogue* const> catalogues) {
   std::size_t total = 0;
   for (const auto* c : catalogues) total += c->size();
-  ObservedFiles out;
-  if (total == 0) return out;
   // Sized once for every entry, so the load stays at most 1/2 without
   // growing; a slot points at the winning entry (null = empty).
   std::vector<const ObservedCatalogue::Entry*> index(std::bit_ceil(2 * total));
   const std::size_t mask = index.size() - 1;
+  ObservedFiles out;
   for (const auto* c : catalogues) {
     for (const auto& e : c->entries()) {
       std::size_t slot = slot_hash(e.file) & mask;

@@ -46,7 +46,7 @@ class ObservedCatalogue {
   /// Name of entries()[i], as first sighted; valid until the next insert.
   [[nodiscard]] std::string_view name(std::size_t i) const noexcept {
     const std::size_t begin = i == 0 ? 0 : name_ends_[i - 1];
-    return std::string_view(names_).substr(begin, name_ends_[i] - begin);
+    return std::string_view(names_.data() + begin, name_ends_[i] - begin);
   }
 
  private:
