@@ -130,6 +130,8 @@ TEST(MultiServer, GoldenWithEveryChaosAxis) {
   EXPECT_EQ(fingerprint(r.base.merged), 0x45d902f9cac9af80ull);
   EXPECT_EQ(r.base.observed.distinct, 98891u);
   EXPECT_EQ(r.base.observed.bytes, 36098868467264u);
+  EXPECT_EQ(r.base.recovery.journal_entries, 6356u);
+  EXPECT_EQ(r.base.recovery.journal_bytes, 247178u);
   EXPECT_GT(r.base.faults.host_crashes, 0u);
   EXPECT_GT(r.base.relaunches, 0u);
   EXPECT_GT(r.base.time_integrity.observations_used, 0u);

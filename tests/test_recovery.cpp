@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "audit/audit.hpp"
@@ -459,6 +460,57 @@ TEST_F(RecoveryTest, ClockObservationsSurviveCrashAndReplay) {
   for (std::size_t i = 0; i < mid.size(); ++i) {
     EXPECT_EQ(manager.clock_observations()[i], mid[i]);
   }
+}
+
+// The exact journal one scripted session appends, byte for byte: launch,
+// advertise, reassign, backups, start, spool chunk stores and clock
+// sightings, a relaunch, an advertise repair, an escalation, stop, and a
+// crash/recover (recovered + checkpoint). Any change to a payload layout,
+// a frame or the order of appends moves the digest.
+TEST_F(RecoveryTest, ScriptedSessionJournalIsPinned) {
+  ManagerConfig mc = durable_config();
+  mc.track_clocks = true;
+  mc.escalate_after = 1;
+  Manager manager(net, mc);
+  launch_one(manager, ref);
+  launch_one(manager, ref);
+  settle();
+  manager.advertise(
+      0, {AdvertisedFile{FileId::from_words(21, 22), "pin.avi", 4096}});
+  manager.reassign(1, backup_ref);
+  manager.set_backup_servers({backup_ref});
+  manager.start();
+  feed_hellos(manager.honeypot(0), 3);
+  s.run_until(s.now() + minutes(10));
+
+  // Relaunch: the honeypot dies while its server is up.
+  manager.honeypot(0).crash();
+  s.run_until(s.now() + minutes(30));
+  // Repair: the honeypot lost its ordered list behind the manager's back.
+  manager.honeypot(0).advertise({});
+  s.run_until(s.now() + minutes(15));
+  // Escalation: the honeypot dies again with its server down, so the
+  // relaunch fails and the next poll moves it to the backup.
+  server.stop();
+  manager.honeypot(0).crash();
+  s.run_until(s.now() + hours(1));
+  manager.stop();
+  manager.crash();
+  manager.recover(s.now());
+
+  std::map<logbook::JournalEntryType, std::size_t> by_type;
+  for (const auto& e : journal->scan().entries) {
+    ++by_type[static_cast<logbook::JournalEntryType>(e.type)];
+  }
+  using T = logbook::JournalEntryType;
+  for (const auto type :
+       {T::checkpoint, T::launch, T::reassign, T::advertise, T::backups,
+        T::start, T::stop, T::relaunch, T::escalate, T::repair,
+        T::chunk_stored, T::recovered, T::clock_observation}) {
+    EXPECT_GT(by_type[type], 0u) << logbook::to_string(type);
+  }
+  EXPECT_EQ(journal->size_bytes(), 1610u);
+  EXPECT_EQ(logbook::fnv1a(journal->bytes()), 0xb4c1925ab7c855d4ull);
 }
 
 // A self-probe is in flight (verdict or timeout pending) when the manager

@@ -272,6 +272,8 @@ TEST(Scenarios, GoldenDistributedWithEveryChaosAxis) {
   EXPECT_EQ(fingerprint(r.merged), 0x527ca2b987341e29ull);
   EXPECT_EQ(r.observed.distinct, 55882u);
   EXPECT_EQ(r.observed.bytes, 20504752514437u);
+  EXPECT_EQ(r.recovery.journal_entries, 3527u);
+  EXPECT_EQ(r.recovery.journal_bytes, 150999u);
   EXPECT_TRUE(r.audit.balanced()) << r.audit.breakdown();
 }
 
@@ -286,6 +288,8 @@ TEST(Scenarios, GoldenGreedyWithEveryChaosAxis) {
   EXPECT_EQ(fingerprint(r.merged), 0x94e825ffe2c3aad5ull);
   EXPECT_EQ(r.observed.distinct, 30951u);
   EXPECT_EQ(r.observed.bytes, 11310442560125u);
+  EXPECT_EQ(r.recovery.journal_entries, 1451u);
+  EXPECT_EQ(r.recovery.journal_bytes, 75533u);
   EXPECT_TRUE(r.audit.balanced()) << r.audit.breakdown();
 }
 
