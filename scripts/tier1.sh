@@ -16,9 +16,10 @@
 # sources whose rep.cpp is the config API's strictest caller — and checks
 # its pinned outputs at smoke scale.
 #
-# The deterministic codec fuzzer, the abuse/admission tests and the
+# The deterministic codec fuzzer, the abuse/admission tests, the
 # observed-file catalogue's differential test (it ingests attacker-sized
-# shared lists) are ordinary ctest entries, so both presets always run them;
+# shared lists) and the journal entry codec's tests (journal files reach
+# edhp_inspect from disk) are ordinary ctest entries, so both presets run them;
 # under the asan preset they double as memory-safety proofs. --fuzz is the
 # focused loop for codec work;
 # --chaosfuzz is the conservation-ledger smoke (see tools/edhp_chaosfuzz.cpp):
@@ -65,7 +66,7 @@ if [ "$want_asan" = 1 ]; then
   cmake --preset asan
   cmake --build --preset asan -j
   if [ "$fuzz_only" = 1 ]; then
-    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine|ObservedCatalogue'
+    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine|ObservedCatalogue|JournalEntries'
   else
     ctest --preset asan -j"$(nproc)"
   fi

@@ -55,6 +55,8 @@ struct ServerRef {
   net::NodeId node = 0;
   std::string name;
   std::uint16_t port = 4661;
+
+  bool operator==(const ServerRef&) const = default;
 };
 
 class Honeypot {

@@ -10,60 +10,98 @@
 
 #include "anonymize/name_anonymizer.hpp"
 #include "anonymize/renumber.hpp"
-#include "common/bytes.hpp"
 #include "logbook/log_io.hpp"
 #include "proto/udp_messages.hpp"
 
 namespace edhp::honeypot {
 namespace {
 
-using logbook::JournalEntryType;
-
-// --- Journal payload codecs ------------------------------------------------
-// Little-endian, built on the same bounds-checked ByteWriter/ByteReader as
-// the wire codecs. Payloads are versionless: the frame type IS the schema
-// version (new layouts get new types).
-
-void put_server(ByteWriter& w, const ServerRef& s) {
-  w.u64(s.node);
-  w.str16(s.name);
-  w.u16(s.port);
-}
-
-ServerRef get_server(ByteReader& r) {
-  ServerRef s;
-  s.node = static_cast<net::NodeId>(r.u64());
-  s.name = r.str16();
-  s.port = r.u16();
-  return s;
-}
-
-void put_files(ByteWriter& w, const std::vector<AdvertisedFile>& files) {
-  w.u32(static_cast<std::uint32_t>(files.size()));
-  for (const auto& f : files) {
-    w.bytes(f.id.bytes());
-    w.str16(f.name);
-    w.u32(f.size);
-  }
-}
-
-std::vector<AdvertisedFile> get_files(ByteReader& r) {
-  std::vector<AdvertisedFile> files(r.u32());
-  for (auto& f : files) {
-    FileId::Bytes id{};
-    const auto raw = r.bytes(id.size());
-    std::copy(raw.begin(), raw.end(), id.begin());
-    f.id = FileId(id);
-    f.name = r.str16();
-    f.size = r.u32();
-  }
-  return files;
-}
-
 /// Cap on displaced-slot references inside one quarantine journal frame
 /// (bounds the frame; a fleet larger than this keeps its overflow slots on
 /// the quarantined server, which still yields quarantined-record evidence).
 constexpr std::size_t kQuarantineRefCap = 64;
+
+/// The state change of each journaled transition, one overload per entry
+/// type, shared by the live commit and by replay. Replay reconstructs state
+/// and never re-decides: a probe verdict that crossed the quarantine
+/// threshold has its own quarantine entry.
+struct Apply {
+  journal::Checkpoint& s;
+  double probe_confirm_decay;
+
+  void operator()(const journal::Checkpoint& e) { s = e; }
+  void operator()(const journal::Launch& e) {
+    s.fleet.push_back({e.id, e.host, e.server, 0, {}});
+  }
+  void operator()(const journal::Reassign& e) {
+    if (e.index < s.fleet.size()) s.fleet[e.index].server = e.server;
+  }
+  void operator()(const journal::Advertise& e) {
+    if (e.index < s.fleet.size()) s.fleet[e.index].files = e.files;
+  }
+  void operator()(const journal::Backups& e) {
+    s.backups = e.servers;
+    s.next_backup = 0;
+  }
+  void operator()(const journal::Start&) { s.started = true; }
+  void operator()(const journal::Stop&) { s.started = false; }
+  void operator()(const journal::Relaunch& e) {
+    ++s.relaunches;
+    if (e.index < s.fleet.size()) ++s.fleet[e.index].consecutive_failures;
+  }
+  void operator()(const journal::Escalate& e) {
+    if (e.index < s.fleet.size()) s.fleet[e.index].consecutive_failures = 0;
+    if (e.reason == journal::EscalateReason::heartbeat) {
+      ++s.heartbeat_escalations;
+    }
+    if (e.used_backup) {
+      if (e.reason == journal::EscalateReason::failures) ++s.escalations;
+      ++s.next_backup;
+    }
+  }
+  void operator()(const journal::Repair&) { ++s.re_advertise_repairs; }
+  void operator()(const journal::ChunkStored& e) {
+    auto& frontier = s.ack_frontier[e.honeypot];
+    frontier = std::max(frontier, e.seq + 1);
+  }
+  void operator()(const journal::Recovered& e) {
+    s.manager_downtime += e.downtime;
+    s.orphans_readopted += e.adopted;
+    ++s.manager_recoveries;
+  }
+  // Audit only: the honeypot processes own the live degrade state and
+  // counters (they survive a manager crash).
+  void operator()(const journal::DegradeEnter&) {}
+  void operator()(const journal::DegradeExit&) {}
+  void operator()(const journal::ProbeVerdict& e) {
+    auto& health = s.health[e.server];
+    if (e.confirmed) {
+      ++health.confirms;
+      health.score = std::max(0.0, health.score - probe_confirm_decay);
+    } else {
+      ++health.misses;
+      health.score += 1.0;
+    }
+  }
+  void operator()(const journal::ServerQuarantine& e) {
+    ++s.servers_quarantined;
+    s.health[e.server_name].score = 0;  // fresh ledger when it comes back
+    std::erase_if(s.quarantines, [&](const journal::ServerQuarantine& q) {
+      return q.server_name == e.server_name;
+    });
+    s.quarantines.push_back(e);
+    s.next_backup += e.displaced.size();  // one backup per displaced slot
+  }
+  void operator()(const journal::ServerReinstate& e) {
+    ++s.servers_reinstated;
+    std::erase_if(s.quarantines, [&](const journal::ServerQuarantine& q) {
+      return q.server_name == e.server_name;
+    });
+  }
+  void operator()(const journal::ClockObservation& e) {
+    s.clock_obs.push_back(e.observation);
+  }
+};
 
 }  // namespace
 
@@ -75,34 +113,32 @@ Manager::Manager(net::Network& network, ManagerConfig config)
 
 Manager::~Manager() { stop(); }
 
-void Manager::journal_append(JournalEntryType type,
-                             std::span<const std::uint8_t> payload) {
+template <typename Entry>
+void Manager::commit(const Entry& entry) {
   if (config_.journal) {
-    config_.journal->append(type, payload);
+    config_.journal->append(Entry::kType, journal::encode(entry));
   }
+  Apply{state_, config_.probe_confirm_decay}(entry);
 }
 
-void Manager::wire_spool_sink(Slot& slot) {
+// --- Live transitions ----------------------------------------------------------
+
+void Manager::wire_spool_sink(Honeypot& honeypot) {
   if (!config_.spool.enabled) return;
   // Gathering channel: verify + ingest each chunk (deduping re-sends and
   // quarantining corrupted payloads) and acknowledge after the transfer
   // round-trip, so a crash inside the ack window exercises the
   // at-least-once path. Quarantined chunks are never acknowledged: the
   // honeypot keeps them spooled for a later re-send.
-  Honeypot* hp = slot.honeypot.get();
+  Honeypot* hp = &honeypot;
   hp->set_spool_sink([this, hp](const logbook::LogChunk& chunk, bool fresh) {
     spool_store_->set_header(chunk.honeypot, hp->log().header);
     const auto outcome = spool_store_->ingest(chunk);
     if (outcome == logbook::SpoolStore::Ingest::quarantined) return;
     if (outcome == logbook::SpoolStore::Ingest::stored) {
-      ByteWriter w;
-      w.u16(chunk.honeypot);
-      w.u32(chunk.epoch);
-      w.u64(chunk.seq);
-      w.u32(static_cast<std::uint32_t>(chunk.records.size()));
-      journal_append(JournalEntryType::chunk_stored, w.view());
-      auto& frontier = ack_frontier_[chunk.honeypot];
-      frontier = std::max(frontier, chunk.seq + 1);
+      commit(journal::ChunkStored{
+          chunk.honeypot, chunk.epoch, chunk.seq,
+          static_cast<std::uint32_t>(chunk.records.size())});
       if (fresh) {
         // A fresh cut is a bounded-delay exchange: the honeypot stamped the
         // cut with its local clock an instant ago, so (now, cut_at_local)
@@ -126,80 +162,50 @@ void Manager::wire_spool_sink(Slot& slot) {
 
 void Manager::record_clock_observation(std::uint16_t hp_id, Time local_time) {
   if (!config_.track_clocks) return;
-  logbook::ClockObservation obs;
-  obs.honeypot = hp_id;
-  obs.true_time = net_.simulation().now();
-  obs.local_time = local_time;
-  clock_obs_.push_back(obs);
-  ByteWriter w;
-  w.u16(obs.honeypot);
-  w.u64(std::bit_cast<std::uint64_t>(obs.true_time));
-  w.u64(std::bit_cast<std::uint64_t>(obs.local_time));
-  journal_append(JournalEntryType::clock_observation, w.view());
+  commit(journal::ClockObservation{
+      {hp_id, net_.simulation().now(), local_time}});
 }
 
-void Manager::wire_degrade_sink(Slot& slot) {
+void Manager::wire_degrade_sink(Honeypot& honeypot) {
   // Overload transitions are control-plane state like any other: journaled
   // when they happen, so a recovered manager (and edhp_inspect degrade) can
   // audit which honeypots were degraded and what they shed. Cleared by
   // crash() alongside the spool sink (the lambda captures `this`).
-  Honeypot* hp = slot.honeypot.get();
+  Honeypot* hp = &honeypot;
   hp->set_degrade_sink([this, hp](bool entered, budget::DegradeReason reason) {
-    const auto& stats = hp->degrade_stats();
-    ByteWriter w;
-    w.u16(hp->config().id);
+    const auto id = hp->config().id;
     if (entered) {
-      w.u8(static_cast<std::uint8_t>(reason));
-      w.u64(hp->spool_resident_bytes());
-      w.u64(hp->unspooled_tail());
-      journal_append(JournalEntryType::degrade_enter, w.view());
+      commit(journal::DegradeEnter{id, reason, hp->spool_resident_bytes(),
+                                   hp->unspooled_tail()});
     } else {
-      w.u64(stats.records_shed);
-      w.u64(stats.chunks_compacted);
-      w.u64(stats.backpressure_cuts);
-      journal_append(JournalEntryType::degrade_exit, w.view());
+      const auto& stats = hp->degrade_stats();
+      commit(journal::DegradeExit{id, stats.records_shed,
+                                  stats.chunks_compacted,
+                                  stats.backpressure_cuts});
     }
   });
 }
 
-void Manager::wire_probe_sink(Slot& slot) {
+void Manager::wire_probe_sink(Honeypot& honeypot) {
   // Probe verdicts are control-plane input: journaled and scored here. The
   // honeypot severs this sink in crash() (a verdict racing a relaunch must
   // not reach wiring that captures a possibly-dead incarnation), and
   // adoption re-installs it.
-  Honeypot* hp = slot.honeypot.get();
+  Honeypot* hp = &honeypot;
   hp->set_probe_sink([this, hp](bool confirmed) {
     on_probe_verdict(hp->config().id, confirmed);
   });
 }
 
 void Manager::on_probe_verdict(std::uint16_t hp_id, bool confirmed) {
-  const Slot* slot = nullptr;
-  for (const auto& s : fleet_) {
-    if (s.id == hp_id) {
-      slot = &s;
-      break;
-    }
-  }
-  if (slot == nullptr) return;
+  const auto slot = std::find_if(
+      state_.fleet.begin(), state_.fleet.end(),
+      [hp_id](const journal::Checkpoint::Slot& s) { return s.id == hp_id; });
+  if (slot == state_.fleet.end()) return;
   const std::string name = slot->server.name;
-  {
-    ByteWriter w;
-    w.u16(hp_id);
-    w.u8(confirmed ? 1 : 0);
-    w.str16(name);
-    journal_append(JournalEntryType::probe_verdict, w.view());
-  }
-  auto& health = health_[name];
-  if (confirmed) {
-    ++health.confirms;
-    health.score = std::max(0.0, health.score - config_.probe_confirm_decay);
-    return;
-  }
-  ++health.misses;
-  health.score += 1.0;
-  if (config_.quarantine_threshold > 0 &&
-      health.score >= config_.quarantine_threshold &&
+  commit(journal::ProbeVerdict{hp_id, confirmed, name});
+  if (!confirmed && config_.quarantine_threshold > 0 &&
+      state_.health[name].score >= config_.quarantine_threshold &&
       !server_quarantined(name)) {
     quarantine_server(name);
   }
@@ -210,59 +216,40 @@ void Manager::quarantine_server(const std::string& name) {
   // distinct backup the fleet keeps measuring (its defenses still taint
   // whatever the liar pollutes) and the score keeps accumulating.
   std::vector<const ServerRef*> targets;
-  for (const auto& b : backups_) {
+  for (const auto& b : state_.backups) {
     if (b.name != name) targets.push_back(&b);
   }
   if (targets.empty()) return;
-  Quarantine q;
+  journal::ServerQuarantine q;
   q.server_name = name;
   q.until = net_.simulation().now() + config_.quarantine_cooloff;
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    if (fleet_[i].server.name != name) continue;
-    if (q.displaced.empty()) q.original = fleet_[i].server;
+  for (std::size_t i = 0; i < state_.fleet.size(); ++i) {
+    if (state_.fleet[i].server.name != name) continue;
+    if (q.displaced.empty()) q.original = state_.fleet[i].server;
     if (q.displaced.size() < kQuarantineRefCap) {
       q.displaced.push_back(static_cast<std::uint32_t>(i));
     }
   }
   if (q.displaced.empty()) return;
-  ++integrity_.servers_quarantined;
-  health_[name].score = 0;  // fresh ledger when it comes back
-  {
-    ByteWriter w;
-    w.str16(q.server_name);
-    put_server(w, q.original);
-    w.u64(std::bit_cast<std::uint64_t>(q.until));
-    w.u32(static_cast<std::uint32_t>(q.displaced.size()));
-    for (const auto index : q.displaced) {
-      w.u32(index);
-    }
-    journal_append(JournalEntryType::server_quarantine, w.view());
-  }
-  const std::vector<std::uint32_t> displaced = q.displaced;
-  quarantines_.push_back(std::move(q));
-  for (const auto index : displaced) {
-    reassign(index, *targets[next_backup_++ % targets.size()]);
+  const auto first_backup = state_.next_backup;
+  commit(q);
+  for (std::size_t k = 0; k < q.displaced.size(); ++k) {
+    reassign(q.displaced[k], *targets[(first_backup + k) % targets.size()]);
   }
 }
 
 void Manager::service_quarantines(Time now) {
-  for (std::size_t qi = 0; qi < quarantines_.size();) {
-    if (quarantines_[qi].until > now) {
+  for (std::size_t qi = 0; qi < state_.quarantines.size();) {
+    if (state_.quarantines[qi].until > now) {
       ++qi;
       continue;
     }
-    const Quarantine q = std::move(quarantines_[qi]);
-    quarantines_.erase(quarantines_.begin() + static_cast<std::ptrdiff_t>(qi));
-    ++integrity_.servers_reinstated;
-    {
-      ByteWriter w;
-      w.str16(q.server_name);
-      journal_append(JournalEntryType::server_reinstate, w.view());
-    }
+    const journal::ServerQuarantine q = state_.quarantines[qi];
+    commit(journal::ServerReinstate{q.server_name});
     // Cooloff served: move exactly the displaced slots back where the
     // measurement plan had them (the backup was a stopgap, not a new home).
     for (const auto index : q.displaced) {
-      if (index < fleet_.size()) {
+      if (index < live_.size()) {
         reassign(index, q.original);
       }
     }
@@ -276,37 +263,23 @@ std::size_t Manager::launch(HoneypotConfig config, net::NodeId host,
   config.spool = config_.spool;
   config.defense = config_.defense;
   if (config.id == 0) {
-    config.id = static_cast<std::uint16_t>(fleet_.size());
+    config.id = static_cast<std::uint16_t>(live_.size());
   }
-  Slot slot;
-  slot.id = config.id;
-  slot.host = host;
+  const auto id = config.id;
+  LiveSlot slot;
   slot.honeypot = std::make_unique<Honeypot>(net_, host, std::move(config));
-  slot.server = server;
-  wire_spool_sink(slot);
-  wire_degrade_sink(slot);
-  wire_probe_sink(slot);
-  {
-    ByteWriter w;
-    w.u16(slot.id);
-    w.u64(host);
-    put_server(w, server);
-    journal_append(JournalEntryType::launch, w.view());
-  }
-  slot.honeypot->connect_to_server(server);
-  fleet_.push_back(std::move(slot));
-  return fleet_.size() - 1;
+  Honeypot& hp = *slot.honeypot;
+  wire_spool_sink(hp);
+  wire_degrade_sink(hp);
+  wire_probe_sink(hp);
+  commit(journal::Launch{id, host, server});
+  live_.push_back(std::move(slot));
+  hp.connect_to_server(server);
+  return live_.size() - 1;
 }
 
 void Manager::set_backup_servers(std::vector<ServerRef> backups) {
-  backups_ = std::move(backups);
-  next_backup_ = 0;
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(backups_.size()));
-  for (const auto& b : backups_) {
-    put_server(w, b);
-  }
-  journal_append(JournalEntryType::backups, w.view());
+  commit(journal::Backups{std::move(backups)});
 }
 
 void Manager::survey_servers(std::vector<ServerRef> candidates,
@@ -395,51 +368,36 @@ void Manager::survey_servers(std::vector<ServerRef> candidates,
 }
 
 void Manager::reassign(std::size_t index, const ServerRef& server) {
-  auto& slot = fleet_.at(index);
-  slot.server = server;
-  {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(index));
-    put_server(w, server);
-    journal_append(JournalEntryType::reassign, w.view());
-  }
-  slot.honeypot->disconnect();
-  slot.honeypot->connect_to_server(server);
-  if (!slot.honeypot->advertised().empty()) {
+  Honeypot& hp = *live_.at(index).honeypot;
+  commit(journal::Reassign{static_cast<std::uint32_t>(index), server});
+  hp.disconnect();
+  hp.connect_to_server(server);
+  if (!hp.advertised().empty()) {
     // Re-push the current list once the new login completes: advertise()
     // re-sends OFFER-FILES when connected, and the keep-alive covers the
     // race where login is still in flight.
-    slot.honeypot->advertise(
-        std::vector<AdvertisedFile>(slot.honeypot->advertised()));
-  } else if (!slot.files.empty()) {
-    slot.honeypot->advertise(slot.files);
+    hp.advertise(std::vector<AdvertisedFile>(hp.advertised()));
+  } else if (!state_.fleet[index].files.empty()) {
+    hp.advertise(state_.fleet[index].files);
   }
 }
 
 void Manager::advertise(std::size_t index, std::vector<AdvertisedFile> files) {
-  auto& slot = fleet_.at(index);
-  slot.files = files;
-  {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(index));
-    put_files(w, files);
-    journal_append(JournalEntryType::advertise, w.view());
-  }
-  slot.honeypot->advertise(std::move(files));
+  Honeypot& hp = *live_.at(index).honeypot;
+  journal::Advertise entry{static_cast<std::uint32_t>(index), std::move(files)};
+  commit(entry);
+  hp.advertise(std::move(entry.files));
 }
 
 void Manager::advertise_all(std::vector<AdvertisedFile> files) {
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
+  for (std::size_t i = 0; i < live_.size(); ++i) {
     advertise(i, files);
   }
 }
 
 void Manager::start() {
   if (poll_timer_) return;
-  if (!started_) {
-    started_ = true;
-    journal_append(JournalEntryType::start, {});
-  }
+  if (!state_.started) commit(journal::Start{});
   poll_timer_ = std::make_unique<sim::PeriodicTimer>(
       net_.simulation(), config_.status_poll, [this] { poll(); });
   poll_timer_->start();
@@ -447,11 +405,8 @@ void Manager::start() {
 
 void Manager::stop() {
   poll_timer_.reset();
-  if (started_) {
-    started_ = false;
-    journal_append(JournalEntryType::stop, {});
-  }
-  for (auto& slot : fleet_) {
+  if (state_.started) commit(journal::Stop{});
+  for (auto& slot : live_) {
     if (config_.spool.enabled) {
       // Final gathering: flush the unspooled tail so the store holds the
       // complete log of every honeypot that survived to the end.
@@ -469,24 +424,16 @@ std::size_t Manager::crash() {
   // chunks into their local on-disk spools, but the sink to the dead
   // manager is severed (deliveries and acks stop until re-adoption).
   poll_timer_.reset();
-  for (auto& slot : fleet_) {
+  for (auto& slot : live_) {
     slot.honeypot->set_spool_sink(nullptr);
     slot.honeypot->set_degrade_sink(nullptr);
     slot.honeypot->set_probe_sink(nullptr);
     orphans_.push_back(std::move(slot.honeypot));
   }
-  fleet_.clear();
-  backups_.clear();
-  next_backup_ = 0;
-  relaunches_ = 0;
-  started_ = false;
-  ack_frontier_.clear();
+  live_.clear();
+  state_ = journal::Checkpoint{};
   recovery_ = RecoveryStats{};
-  health_.clear();
-  quarantines_.clear();
-  integrity_ = IntegrityStats{};
   records_excluded_ = 0;
-  clock_obs_.clear();
   time_integrity_ = logbook::TimeIntegrityStats{};
   // The counters shared with in-flight survey closures survive the crash on
   // purpose (a pending retransmit round still fires and still counts); only
@@ -504,214 +451,16 @@ void Manager::replay_journal() {
   std::size_t begin = 0;
   for (std::size_t i = 0; i < scan.entries.size(); ++i) {
     if (scan.entries[i].type ==
-        static_cast<std::uint8_t>(JournalEntryType::checkpoint)) {
+        static_cast<std::uint8_t>(logbook::JournalEntryType::checkpoint)) {
       begin = i;
     }
   }
 
   std::uint64_t applied = 0;
   for (std::size_t i = begin; i < scan.entries.size(); ++i) {
-    const auto& entry = scan.entries[i];
-    ByteReader r(entry.payload);
     try {
-      switch (static_cast<JournalEntryType>(entry.type)) {
-        case JournalEntryType::checkpoint: {
-          relaunches_ = r.u64();
-          next_backup_ = r.u64();
-          recovery_.escalations = r.u64();
-          recovery_.heartbeat_escalations = r.u64();
-          recovery_.re_advertise_repairs = r.u64();
-          recovery_.manager_recoveries = r.u64();
-          recovery_.manager_downtime = std::bit_cast<double>(r.u64());
-          recovery_.orphans_readopted = r.u64();
-          started_ = r.u8() != 0;
-          backups_.clear();
-          for (std::uint32_t n = r.u32(); n > 0; --n) {
-            backups_.push_back(get_server(r));
-          }
-          fleet_.clear();
-          for (std::uint32_t n = r.u32(); n > 0; --n) {
-            Slot slot;
-            slot.id = r.u16();
-            slot.host = static_cast<net::NodeId>(r.u64());
-            slot.server = get_server(r);
-            slot.consecutive_failures = r.u32();
-            slot.files = get_files(r);
-            fleet_.push_back(std::move(slot));
-          }
-          ack_frontier_.clear();
-          for (std::uint32_t n = r.u32(); n > 0; --n) {
-            const auto hp = r.u16();
-            ack_frontier_[hp] = r.u64();
-          }
-          // Byzantine-defense sections, appended by newer checkpoints;
-          // absent (remaining() == 0) in pre-quarantine frames.
-          integrity_ = IntegrityStats{};
-          health_.clear();
-          quarantines_.clear();
-          clock_obs_.clear();
-          if (r.remaining() > 0) {
-            integrity_.servers_quarantined = r.u64();
-            integrity_.servers_reinstated = r.u64();
-            for (std::uint32_t n = r.u32(); n > 0; --n) {
-              auto name = r.str16();
-              ServerHealth health;
-              health.score = std::bit_cast<double>(r.u64());
-              health.misses = r.u64();
-              health.confirms = r.u64();
-              health_.emplace(std::move(name), health);
-            }
-            for (std::uint32_t n = r.u32(); n > 0; --n) {
-              Quarantine q;
-              q.server_name = r.str16();
-              q.original = get_server(r);
-              q.until = std::bit_cast<double>(r.u64());
-              for (std::uint32_t m = r.u32(); m > 0; --m) {
-                q.displaced.push_back(r.u32());
-              }
-              quarantines_.push_back(std::move(q));
-            }
-          }
-          // Clock-observation section (appended after the byzantine
-          // sections by newer checkpoints; absent in older frames).
-          if (r.remaining() > 0) {
-            for (std::uint32_t n = r.u32(); n > 0; --n) {
-              logbook::ClockObservation obs;
-              obs.honeypot = r.u16();
-              obs.true_time = std::bit_cast<double>(r.u64());
-              obs.local_time = std::bit_cast<double>(r.u64());
-              clock_obs_.push_back(obs);
-            }
-          }
-          break;
-        }
-        case JournalEntryType::launch: {
-          Slot slot;
-          slot.id = r.u16();
-          slot.host = static_cast<net::NodeId>(r.u64());
-          slot.server = get_server(r);
-          fleet_.push_back(std::move(slot));
-          break;
-        }
-        case JournalEntryType::reassign: {
-          const auto index = r.u32();
-          const auto server = get_server(r);
-          if (index < fleet_.size()) fleet_[index].server = server;
-          break;
-        }
-        case JournalEntryType::advertise: {
-          const auto index = r.u32();
-          auto files = get_files(r);
-          if (index < fleet_.size()) fleet_[index].files = std::move(files);
-          break;
-        }
-        case JournalEntryType::backups: {
-          backups_.clear();
-          for (std::uint32_t n = r.u32(); n > 0; --n) {
-            backups_.push_back(get_server(r));
-          }
-          next_backup_ = 0;
-          break;
-        }
-        case JournalEntryType::start:
-          started_ = true;
-          break;
-        case JournalEntryType::stop:
-          started_ = false;
-          break;
-        case JournalEntryType::relaunch: {
-          const auto index = r.u32();
-          ++relaunches_;
-          if (index < fleet_.size()) ++fleet_[index].consecutive_failures;
-          break;
-        }
-        case JournalEntryType::escalate: {
-          const auto index = r.u32();
-          const auto reason = static_cast<EscalateReason>(r.u8());
-          const bool used_backup = r.u8() != 0;
-          if (index < fleet_.size()) fleet_[index].consecutive_failures = 0;
-          if (reason == EscalateReason::heartbeat) {
-            ++recovery_.heartbeat_escalations;
-          }
-          if (used_backup) {
-            if (reason == EscalateReason::failures) ++recovery_.escalations;
-            ++next_backup_;
-          }
-          break;
-        }
-        case JournalEntryType::repair:
-          ++recovery_.re_advertise_repairs;
-          break;
-        case JournalEntryType::chunk_stored: {
-          const auto hp = r.u16();
-          [[maybe_unused]] const auto epoch = r.u32();  // audit only
-          const auto seq = r.u64();
-          auto& frontier = ack_frontier_[hp];
-          frontier = std::max(frontier, seq + 1);
-          break;
-        }
-        case JournalEntryType::recovered: {
-          recovery_.manager_downtime += std::bit_cast<double>(r.u64());
-          recovery_.orphans_readopted += r.u32();
-          ++recovery_.manager_recoveries;
-          break;
-        }
-        case JournalEntryType::degrade_enter:
-        case JournalEntryType::degrade_exit:
-          // Audit-only: the honeypot processes own the live degrade state
-          // and counters (they survive a manager crash); replaying these
-          // would double-count. They exist for edhp_inspect degrade.
-          break;
-        case JournalEntryType::probe_verdict: {
-          // Rebuild the health ledger with the live scoring math, but never
-          // act on it here: a threshold crossing has its own quarantine
-          // entry (replay reconstructs state, it does not re-decide).
-          [[maybe_unused]] const auto hp = r.u16();
-          const bool confirmed = r.u8() != 0;
-          auto& health = health_[r.str16()];
-          if (confirmed) {
-            ++health.confirms;
-            health.score =
-                std::max(0.0, health.score - config_.probe_confirm_decay);
-          } else {
-            ++health.misses;
-            health.score += 1.0;
-          }
-          break;
-        }
-        case JournalEntryType::server_quarantine: {
-          Quarantine q;
-          q.server_name = r.str16();
-          q.original = get_server(r);
-          q.until = std::bit_cast<double>(r.u64());
-          for (std::uint32_t n = r.u32(); n > 0; --n) {
-            q.displaced.push_back(r.u32());
-          }
-          ++integrity_.servers_quarantined;
-          health_[q.server_name].score = 0;
-          std::erase_if(quarantines_, [&](const Quarantine& other) {
-            return other.server_name == q.server_name;
-          });
-          quarantines_.push_back(std::move(q));
-          break;
-        }
-        case JournalEntryType::server_reinstate: {
-          const auto name = r.str16();
-          ++integrity_.servers_reinstated;
-          std::erase_if(quarantines_, [&](const Quarantine& other) {
-            return other.server_name == name;
-          });
-          break;
-        }
-        case JournalEntryType::clock_observation: {
-          logbook::ClockObservation obs;
-          obs.honeypot = r.u16();
-          obs.true_time = std::bit_cast<double>(r.u64());
-          obs.local_time = std::bit_cast<double>(r.u64());
-          clock_obs_.push_back(obs);
-          break;
-        }
-      }
+      journal::visit(scan.entries[i],
+                     Apply{state_, config_.probe_confirm_decay});
       ++applied;
     } catch (const DecodeError&) {
       // A frame that passed its checksum but fails to decode is a schema
@@ -728,50 +477,49 @@ std::size_t Manager::adopt_orphans() {
   }
   orphans_.clear();
 
-  std::vector<Slot> adopted;
-  adopted.reserve(fleet_.size());
+  live_.clear();
+  live_.resize(state_.fleet.size());
   std::size_t count = 0;
-  for (auto& slot : fleet_) {
-    const auto it = by_id.find(slot.id);
+  for (std::size_t i = 0; i < state_.fleet.size(); ++i) {
+    const auto id = state_.fleet[i].id;
+    const auto it = by_id.find(id);
     if (it == by_id.end()) {
       // The journal knows this honeypot but its process did not survive the
-      // outage (host wiped, never relaunched): strike it from the fleet.
-      // Its spooled records stay in the durable store.
+      // outage (host wiped, never relaunched).
       continue;
     }
-    slot.honeypot = std::move(it->second);
+    live_[i].honeypot = std::move(it->second);
     by_id.erase(it);
-    wire_spool_sink(slot);
-    wire_degrade_sink(slot);
-    wire_probe_sink(slot);
+    Honeypot& hp = *live_[i].honeypot;
+    wire_spool_sink(hp);
+    wire_degrade_sink(hp);
+    wire_probe_sink(hp);
     // Chunks the journal proves durable are acknowledged on the spot (no
     // round-trip needed: the recovery read its own store); the rest of the
     // local spool is re-sent and deduped by (honeypot, seq).
-    const auto frontier_it = ack_frontier_.find(slot.id);
-    if (frontier_it != ack_frontier_.end()) {
+    const auto frontier_it = state_.ack_frontier.find(id);
+    if (frontier_it != state_.ack_frontier.end()) {
       std::vector<std::uint64_t> proven;
-      for (const auto& chunk : slot.honeypot->pending_chunks()) {
+      for (const auto& chunk : hp.pending_chunks()) {
         if (chunk.seq < frontier_it->second) proven.push_back(chunk.seq);
       }
       for (const auto seq : proven) {
-        slot.honeypot->ack_spooled(seq);
+        hp.ack_spooled(seq);
       }
     }
     if (config_.resend_credit > 0) {
       // Credit-paced recovery: open the window; each ack tops it up by one
       // (see wire_spool_sink), so the backlog drains without re-creating
       // the overload spike that killed the previous incarnation.
-      slot.honeypot->resend_spool(std::size_t{config_.resend_credit});
+      hp.resend_spool(std::size_t{config_.resend_credit});
     } else {
-      slot.honeypot->resend_spool();
+      hp.resend_spool();
     }
-    adopted.push_back(std::move(slot));
     ++count;
   }
   // Orphans the journal never heard of (its tail was torn before their
   // launch entry survived) cannot be reattached to a slot: they are
   // retired; their spooled chunks are already in the store.
-  fleet_ = std::move(adopted);
   return count;
 }
 
@@ -781,20 +529,12 @@ void Manager::recover(Time crashed_at) {
   }
   replay_journal();
   const auto adopted = adopt_orphans();
-  recovery_.orphans_readopted += adopted;
-  ++recovery_.manager_recoveries;
-  const Time now = net_.simulation().now();
-  const double downtime = crashed_at >= 0 ? now - crashed_at : 0.0;
-  recovery_.manager_downtime += downtime;
-  {
-    ByteWriter w;
-    w.u64(std::bit_cast<std::uint64_t>(downtime));
-    w.u32(static_cast<std::uint32_t>(adopted));
-    journal_append(JournalEntryType::recovered, w.view());
-  }
+  const double downtime =
+      crashed_at >= 0 ? net_.simulation().now() - crashed_at : 0.0;
+  commit(journal::Recovered{downtime, static_cast<std::uint32_t>(adopted)});
   // Compact: the next replay starts from the state we just rebuilt.
   checkpoint();
-  if (started_) {
+  if (state_.started) {
     poll_timer_ = std::make_unique<sim::PeriodicTimer>(
         net_.simulation(), config_.status_poll, [this] { poll(); });
     poll_timer_->start();
@@ -812,63 +552,18 @@ std::unique_ptr<Manager> Manager::recover(
 
 void Manager::checkpoint() {
   if (!config_.journal) return;
-  ByteWriter w;
-  w.u64(relaunches_);
-  w.u64(next_backup_);
-  w.u64(recovery_.escalations);
-  w.u64(recovery_.heartbeat_escalations);
-  w.u64(recovery_.re_advertise_repairs);
-  w.u64(recovery_.manager_recoveries);
-  w.u64(std::bit_cast<std::uint64_t>(recovery_.manager_downtime));
-  w.u64(recovery_.orphans_readopted);
-  w.u8(started_ ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(backups_.size()));
-  for (const auto& b : backups_) {
-    put_server(w, b);
+  // The snapshot strikes the slots adoption left without a process: they
+  // leave the fleet here, and their spooled records stay in the store.
+  journal::Checkpoint snapshot = state_;
+  snapshot.fleet.clear();
+  std::vector<LiveSlot> live;
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    if (!live_[i].honeypot) continue;
+    snapshot.fleet.push_back(state_.fleet[i]);
+    live.push_back(std::move(live_[i]));
   }
-  w.u32(static_cast<std::uint32_t>(fleet_.size()));
-  for (const auto& slot : fleet_) {
-    w.u16(slot.id);
-    w.u64(slot.host);
-    put_server(w, slot.server);
-    w.u32(static_cast<std::uint32_t>(slot.consecutive_failures));
-    put_files(w, slot.files);
-  }
-  w.u32(static_cast<std::uint32_t>(ack_frontier_.size()));
-  for (const auto& [hp, next] : ack_frontier_) {
-    w.u16(hp);
-    w.u64(next);
-  }
-  // Byzantine-defense sections (appended last so older readers — and the
-  // hand-crafted checkpoint frames in test fixtures — keep replaying).
-  w.u64(integrity_.servers_quarantined);
-  w.u64(integrity_.servers_reinstated);
-  w.u32(static_cast<std::uint32_t>(health_.size()));
-  for (const auto& [name, health] : health_) {
-    w.str16(name);
-    w.u64(std::bit_cast<std::uint64_t>(health.score));
-    w.u64(health.misses);
-    w.u64(health.confirms);
-  }
-  w.u32(static_cast<std::uint32_t>(quarantines_.size()));
-  for (const auto& q : quarantines_) {
-    w.str16(q.server_name);
-    put_server(w, q.original);
-    w.u64(std::bit_cast<std::uint64_t>(q.until));
-    w.u32(static_cast<std::uint32_t>(q.displaced.size()));
-    for (const auto index : q.displaced) {
-      w.u32(index);
-    }
-  }
-  // Clock-observation section (appended after the byzantine sections, same
-  // backward-compatibility contract: older frames simply end earlier).
-  w.u32(static_cast<std::uint32_t>(clock_obs_.size()));
-  for (const auto& obs : clock_obs_) {
-    w.u16(obs.honeypot);
-    w.u64(std::bit_cast<std::uint64_t>(obs.true_time));
-    w.u64(std::bit_cast<std::uint64_t>(obs.local_time));
-  }
-  config_.journal->append(JournalEntryType::checkpoint, w.view());
+  live_ = std::move(live);
+  commit(snapshot);
 }
 
 // --- Watchdog --------------------------------------------------------------
@@ -896,82 +591,70 @@ bool Manager::covers(const std::vector<AdvertisedFile>& advertised,
 void Manager::repair_advertised(std::size_t index) {
   // Ordered files first, then everything the honeypot grew on its own
   // (greedy harvest) that the order does not already contain.
-  auto& slot = fleet_.at(index);
-  std::vector<AdvertisedFile> full = slot.files;
+  Honeypot& hp = *live_.at(index).honeypot;
+  std::vector<AdvertisedFile> full = state_.fleet[index].files;
   std::unordered_set<FileId> ordered_ids;
   ordered_ids.reserve(full.size());
   for (const auto& f : full) {
     ordered_ids.insert(f.id);
   }
-  for (const auto& f : slot.honeypot->advertised()) {
+  for (const auto& f : hp.advertised()) {
     if (!ordered_ids.contains(f.id)) {
       full.push_back(f);
     }
   }
-  ++recovery_.re_advertise_repairs;
-  {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(index));
-    journal_append(JournalEntryType::repair, w.view());
-  }
-  slot.honeypot->advertise(std::move(full));
+  commit(journal::Repair{static_cast<std::uint32_t>(index)});
+  hp.advertise(std::move(full));
 }
 
-void Manager::escalate(std::size_t index, EscalateReason reason) {
-  auto& slot = fleet_.at(index);
-  slot.consecutive_failures = 0;
-  slot.next_attempt_at = 0;
-  const bool used_backup = !backups_.empty();
-  if (reason == EscalateReason::heartbeat) {
-    ++recovery_.heartbeat_escalations;
-  }
-  if (used_backup && reason == EscalateReason::failures) {
-    ++recovery_.escalations;
-  }
-  {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(index));
-    w.u8(static_cast<std::uint8_t>(reason));
-    w.u8(used_backup ? 1 : 0);
-    journal_append(JournalEntryType::escalate, w.view());
-  }
-  if (!used_backup) {
-    reassign(index, slot.server);  // reconnect in place
-    return;
-  }
-  reassign(index, backups_[next_backup_++ % backups_.size()]);
+void Manager::escalate(std::size_t index, journal::EscalateReason reason) {
+  live_.at(index).next_attempt_at = 0;
+  const bool used_backup = !state_.backups.empty();
+  // Without backups the honeypot reconnects in place; with them it takes
+  // the next one in the rotation (the commit advances it).
+  const ServerRef target =
+      used_backup
+          ? state_.backups[state_.next_backup % state_.backups.size()]
+          : state_.fleet[index].server;
+  commit(journal::Escalate{static_cast<std::uint32_t>(index), reason,
+                           used_backup});
+  reassign(index, target);
 }
 
 void Manager::poll() {
   service_quarantines(net_.simulation().now());
   if (!config_.auto_relaunch) return;
   const Time now = net_.simulation().now();
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    auto& slot = fleet_[i];
-    auto& hp = *slot.honeypot;
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    auto& live = live_[i];
+    auto& hp = *live.honeypot;
     const Status status = hp.status();
 
     if (status == Status::connected) {
       // Every status poll of a live honeypot doubles as a clock sighting:
       // the exchange is bounded-delay, so "its local clock reads X while
       // true time reads now" anchors the skew reconstruction.
-      record_clock_observation(slot.id, hp.local_now());
-      if (slot.down_since >= 0) {
-        recovery_.total_downtime += now - slot.down_since;
-        slot.down_since = -1.0;
-        slot.consecutive_failures = 0;
-        slot.next_attempt_at = 0;
+      record_clock_observation(state_.fleet[i].id, hp.local_now());
+      if (live.down_since >= 0) {
+        recovery_.total_downtime += now - live.down_since;
+        live.down_since = -1.0;
+        live.next_attempt_at = 0;
+        // The one write to journaled state that is not journaled: replay
+        // keeps counting the failures of a honeypot that came back (ROADMAP
+        // open item 8, "Replay the watchdog's reconnect reset").
+        state_.fleet[i].consecutive_failures = 0;
       }
       if (config_.heartbeat_timeout > 0 &&
           now - hp.last_heartbeat() > config_.heartbeat_timeout) {
         // Zombie session: status says connected but nothing has happened
         // for longer than any keep-alive period allows.
-        escalate(i, EscalateReason::heartbeat);
+        escalate(i, journal::EscalateReason::heartbeat);
         continue;
       }
       // A honeypot that died mid-OFFER (or whose advertise order was lost
       // while it was dead) is missing part of its ordered list: repair it.
-      if (!slot.files.empty() && !covers(hp.advertised(), slot.files)) {
+      if (!state_.fleet[i].files.empty() &&
+          !covers(hp.advertised(), state_.fleet[i].files)) {
         repair_advertised(i);
       }
       continue;
@@ -982,33 +665,28 @@ void Manager::poll() {
       // or self-retrying); only interfere when its heartbeat went stale.
       if (config_.heartbeat_timeout > 0 && status == Status::connecting &&
           now - hp.last_heartbeat() > config_.heartbeat_timeout) {
-        escalate(i, EscalateReason::heartbeat);
+        escalate(i, journal::EscalateReason::heartbeat);
       }
       continue;
     }
 
     // Dead. Gate relaunch attempts behind the backoff so a honeypot whose
     // server is down does not get reconnected (and recounted) every tick.
-    if (slot.down_since < 0) {
-      slot.down_since = now;
+    if (live.down_since < 0) {
+      live.down_since = now;
     }
-    if (now < slot.next_attempt_at) {
+    if (now < live.next_attempt_at) {
       ++recovery_.deferred;
       continue;
     }
-    if (config_.escalate_after > 0 && !backups_.empty() &&
-        slot.consecutive_failures >= config_.escalate_after) {
-      escalate(i, EscalateReason::failures);
+    if (config_.escalate_after > 0 && !state_.backups.empty() &&
+        state_.fleet[i].consecutive_failures >= config_.escalate_after) {
+      escalate(i, journal::EscalateReason::failures);
       continue;
     }
-    ++relaunches_;
-    ++slot.consecutive_failures;
-    slot.next_attempt_at = now + relaunch_backoff(slot.consecutive_failures);
-    {
-      ByteWriter w;
-      w.u32(static_cast<std::uint32_t>(i));
-      journal_append(JournalEntryType::relaunch, w.view());
-    }
+    commit(journal::Relaunch{static_cast<std::uint32_t>(i)});
+    const auto& slot = state_.fleet[i];
+    live.next_attempt_at = now + relaunch_backoff(slot.consecutive_failures);
     // Relaunch: reconnect to the assigned server and re-advertise the file
     // list previously ordered (plus anything the honeypot grew itself in
     // greedy mode, which it kept).
@@ -1021,7 +699,13 @@ void Manager::poll() {
 
 RecoveryStats Manager::recovery_stats() const {
   RecoveryStats out = recovery_;
-  out.relaunches = relaunches_;
+  out.relaunches = state_.relaunches;
+  out.escalations = state_.escalations;
+  out.heartbeat_escalations = state_.heartbeat_escalations;
+  out.re_advertise_repairs = state_.re_advertise_repairs;
+  out.manager_recoveries = state_.manager_recoveries;
+  out.manager_downtime = state_.manager_downtime;
+  out.orphans_readopted = state_.orphans_readopted;
   out.chunks_accepted = spool_store_->chunks_accepted();
   out.chunks_duplicate = spool_store_->chunks_duplicate();
   out.chunks_quarantined = spool_store_->chunks_quarantined();
@@ -1041,7 +725,7 @@ RecoveryStats Manager::recovery_stats() const {
     out.probe_dups_suppressed += hp.probe_dup_replies();
     kept += hp.log().records.size();
   };
-  for (const auto& slot : fleet_) {
+  for (const auto& slot : live_) {
     tally(*slot.honeypot);
     if (slot.down_since >= 0) {
       out.total_downtime += now - slot.down_since;
@@ -1061,7 +745,9 @@ RecoveryStats Manager::recovery_stats() const {
 }
 
 IntegrityStats Manager::integrity_stats() const {
-  IntegrityStats out = integrity_;
+  IntegrityStats out;
+  out.servers_quarantined = state_.servers_quarantined;
+  out.servers_reinstated = state_.servers_reinstated;
   out.records_excluded = records_excluded_;
   for_each_honeypot(
       [&out](const Honeypot& hp) { out += hp.integrity_stats(); });
@@ -1069,14 +755,16 @@ IntegrityStats Manager::integrity_stats() const {
 }
 
 double Manager::server_health(const std::string& name) const {
-  const auto it = health_.find(name);
-  return it == health_.end() ? 0.0 : it->second.score;
+  const auto it = state_.health.find(name);
+  return it == state_.health.end() ? 0.0 : it->second.score;
 }
 
 bool Manager::server_quarantined(const std::string& name) const {
   return std::any_of(
-      quarantines_.begin(), quarantines_.end(),
-      [&name](const Quarantine& q) { return q.server_name == name; });
+      state_.quarantines.begin(), state_.quarantines.end(),
+      [&name](const journal::ServerQuarantine& q) {
+        return q.server_name == name;
+      });
 }
 
 net::DefenseStats Manager::defense_stats() const {
@@ -1086,17 +774,17 @@ net::DefenseStats Manager::defense_stats() const {
 }
 
 Honeypot& Manager::honeypot(std::size_t index) {
-  return *fleet_.at(index).honeypot;
+  return *live_.at(index).honeypot;
 }
 
 const Honeypot& Manager::honeypot(std::size_t index) const {
-  return *fleet_.at(index).honeypot;
+  return *live_.at(index).honeypot;
 }
 
 std::vector<logbook::LogFile> Manager::collect_logs() const {
   std::vector<logbook::LogFile> logs;
-  logs.reserve(fleet_.size());
-  for (const auto& slot : fleet_) {
+  logs.reserve(live_.size());
+  for (const auto& slot : live_) {
     logs.push_back(slot.honeypot->log());
   }
   return logs;
@@ -1104,8 +792,8 @@ std::vector<logbook::LogFile> Manager::collect_logs() const {
 
 std::vector<std::string> Manager::persist_logs(const std::string& directory) const {
   std::vector<std::string> paths;
-  paths.reserve(fleet_.size());
-  for (const auto& slot : fleet_) {
+  paths.reserve(live_.size());
+  for (const auto& slot : live_) {
     const auto path = directory + "/hp-" +
                       std::to_string(slot.honeypot->config().id) + ".edhplog";
     logbook::save(path, slot.honeypot->log());
@@ -1140,10 +828,10 @@ logbook::LogFile Manager::merge_with_clock_correction(
   // accumulated sightings and audited into time_integrity_. Without it the
   // historical merge runs untouched (merge_logs_skew with zero observations
   // is equivalent, but keeping the old path makes the no-op visible).
-  if (!config_.track_clocks || clock_obs_.empty()) {
+  if (!config_.track_clocks || state_.clock_obs.empty()) {
     return logbook::merge_logs(logs);
   }
-  return logbook::merge_logs_skew(logs, clock_obs_, &time_integrity_);
+  return logbook::merge_logs_skew(logs, state_.clock_obs, &time_integrity_);
 }
 
 logbook::LogFile Manager::merged_anonymized_durable(

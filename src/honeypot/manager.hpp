@@ -8,12 +8,12 @@
 // PlanetLab hosts); here it is direct method calls on the honeypot objects,
 // which preserves the observable eDonkey-side behaviour exactly.
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "honeypot/honeypot.hpp"
+#include "honeypot/journal_entries.hpp"
 #include "logbook/journal.hpp"
 #include "logbook/merge.hpp"
 #include "logbook/spool.hpp"
@@ -217,19 +217,21 @@ class Manager {
   /// here instead of at the beginning (recover() checkpoints automatically).
   void checkpoint();
 
-  [[nodiscard]] std::size_t fleet_size() const noexcept { return fleet_.size(); }
+  [[nodiscard]] std::size_t fleet_size() const noexcept { return live_.size(); }
   [[nodiscard]] Honeypot& honeypot(std::size_t index);
   [[nodiscard]] const Honeypot& honeypot(std::size_t index) const;
   /// Current server assignment / ordered file list of a slot (restored by
   /// recovery; exposed for operators and tests).
   [[nodiscard]] const ServerRef& server_of(std::size_t index) const {
-    return fleet_.at(index).server;
+    return state_.fleet.at(index).server;
   }
   [[nodiscard]] const std::vector<AdvertisedFile>& ordered_files(
       std::size_t index) const {
-    return fleet_.at(index).files;
+    return state_.fleet.at(index).files;
   }
-  [[nodiscard]] std::uint64_t relaunches() const noexcept { return relaunches_; }
+  [[nodiscard]] std::uint64_t relaunches() const noexcept {
+    return state_.relaunches;
+  }
 
   /// Snapshot of fault-recovery accounting across the fleet, including
   /// still-open downtime windows at call time.
@@ -252,7 +254,7 @@ class Manager {
   /// Clock sightings harvested so far (journaled; survives crash/recover).
   [[nodiscard]] const std::vector<logbook::ClockObservation>&
   clock_observations() const noexcept {
-    return clock_obs_;
+    return state_.clock_obs;
   }
 
   /// Current health score of a server (by name); 0 when never scored.
@@ -316,20 +318,13 @@ class Manager {
       std::uint64_t threshold) const;
 
  private:
-  struct Slot {
+  /// The live-only half of a fleet slot; the journaled half is
+  /// state_.fleet at the same index.
+  struct LiveSlot {
     std::unique_ptr<Honeypot> honeypot;
-    std::uint16_t id = 0;       ///< honeypot id (journal identity)
-    net::NodeId host = 0;       ///< host node (journal/audit record)
-    ServerRef server;
-    std::vector<AdvertisedFile> files;
-    // Watchdog state.
-    std::size_t consecutive_failures = 0;  ///< failed relaunches in a row
-    Time next_attempt_at = 0;              ///< relaunch backoff gate
-    Time down_since = -1.0;                ///< first poll that saw it dead
+    Time next_attempt_at = 0;  ///< relaunch backoff gate
+    Time down_since = -1.0;    ///< first poll that saw it dead
   };
-
-  /// Why the watchdog escalated (journaled for exact counter replay).
-  enum class EscalateReason : std::uint8_t { failures = 0, heartbeat = 1 };
 
   void poll();
   /// Relaunch backoff for the given consecutive-failure count (1-based).
@@ -341,14 +336,13 @@ class Manager {
   void repair_advertised(std::size_t index);
   /// Move the slot to the next backup server (or reconnect in place when
   /// no backups are configured).
-  void escalate(std::size_t index, EscalateReason reason);
-  /// Install the spool-chunk sink (ingest + journal + delayed ack) on the
-  /// slot's honeypot.
-  void wire_spool_sink(Slot& slot);
+  void escalate(std::size_t index, journal::EscalateReason reason);
+  /// Install the spool-chunk sink (ingest + journal + delayed ack).
+  void wire_spool_sink(Honeypot& hp);
   /// Install the degraded-mode observer (journals every transition).
-  void wire_degrade_sink(Slot& slot);
+  void wire_degrade_sink(Honeypot& hp);
   /// Install the self-probe verdict observer (health scoring + journal).
-  void wire_probe_sink(Slot& slot);
+  void wire_probe_sink(Honeypot& hp);
   /// Score one probe verdict; may quarantine the reporting server.
   void on_probe_verdict(std::uint16_t hp_id, bool confirmed);
   /// Bench a server: journal the verdict, move its slots to backups.
@@ -363,57 +357,44 @@ class Manager {
   /// observations when clock tracking is on (plain merge_logs otherwise).
   [[nodiscard]] logbook::LogFile merge_with_clock_correction(
       std::span<const logbook::LogFile> logs) const;
-  /// Append one framed entry to the journal (no-op without one).
-  void journal_append(logbook::JournalEntryType type,
-                      std::span<const std::uint8_t> payload);
-  /// Rebuild fleet/backups/counters/frontier from the journal.
+
+  /// Take one journaled transition: append the encoded entry (when there is
+  /// a journal), then apply its state change.
+  template <typename Entry>
+  void commit(const Entry& entry);
+  /// Rebuild the journaled state: apply every entry from the last
+  /// checkpoint on.
   void replay_journal();
   /// Match orphans to replayed slots by honeypot id, rewire their sinks,
-  /// ack journal-proven chunks and re-send the rest. Returns adopted count.
+  /// ack journal-proven chunks and re-send the rest. A slot no orphan
+  /// answers for keeps a null honeypot until the next checkpoint strikes
+  /// it. Returns the adopted count.
   std::size_t adopt_orphans();
 
   net::Network& net_;
   ManagerConfig config_;
-  std::vector<Slot> fleet_;
-  std::vector<ServerRef> backups_;
-  std::size_t next_backup_ = 0;
+  /// Everything the journal rebuilds (fleet table, backups, watchdog and
+  /// recovery counters, ack frontier, health ledger, quarantines, clock
+  /// sightings). Changed only by commit() and replay, and wiped by crash(),
+  /// with one exception in poll().
+  journal::Checkpoint state_;
+  std::vector<LiveSlot> live_;  ///< parallel to state_.fleet
   std::unique_ptr<sim::PeriodicTimer> poll_timer_;
-  bool started_ = false;  ///< polling requested (journaled; survives replay)
-  std::uint64_t relaunches_ = 0;
   std::shared_ptr<logbook::SpoolStore> spool_store_;  ///< durable chunk store
-  /// Per-honeypot next-unstored sequence number, proven by journaled
-  /// chunk_stored entries; recovery acks below it without a re-send.
-  std::map<std::uint16_t, std::uint64_t> ack_frontier_;
   /// Honeypots surviving a control-plane crash, awaiting re-adoption.
   std::vector<std::unique_ptr<Honeypot>> orphans_;
-  RecoveryStats recovery_;  ///< counters accumulated by the watchdog
+  /// Live-only counters (deferrals, observed downtime, replay accounting);
+  /// the journaled counters are in state_.
+  RecoveryStats recovery_;
 
   /// Visit every live honeypot: the fleet in order, then the orphans of a
   /// dead control plane (after an unrecovered crash they are the fleet).
   template <typename Visit>
   void for_each_honeypot(Visit&& visit) const {
-    for (const auto& slot : fleet_) visit(*slot.honeypot);
+    for (const auto& slot : live_) visit(*slot.honeypot);
     for (const auto& hp : orphans_) visit(*hp);
   }
 
-  // --- Server-health / quarantine state (Byzantine defense) ---------------
-  struct ServerHealth {
-    double score = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t confirms = 0;
-  };
-  /// One benched server and the slots displaced away from it, so the
-  /// reinstate can move exactly those honeypots back (journaled, so a
-  /// recovered manager honors the pending cooloff).
-  struct Quarantine {
-    std::string server_name;
-    ServerRef original;
-    Time until = 0;
-    std::vector<std::uint32_t> displaced;
-  };
-  std::map<std::string, ServerHealth> health_;
-  std::vector<Quarantine> quarantines_;
-  IntegrityStats integrity_;  ///< manager-side verdict counters
   /// Tainted records dropped by the most recent merged_anonymized[_durable]
   /// pass (mutable: merging is logically const, the audit trail is not).
   mutable std::uint64_t records_excluded_ = 0;
@@ -421,11 +402,6 @@ class Manager {
   /// salvage merge (mutable for the same reason).
   mutable std::uint64_t durable_quarantine_records_ = 0;
 
-  // --- Virtual-clock state (empty unless config_.track_clocks) -------------
-  /// Clock sightings in arrival order; journaled (type clock_observation)
-  /// and checkpointed, so a recovered manager keeps its reconstruction
-  /// anchors. Cleared by crash(), restored by replay.
-  std::vector<logbook::ClockObservation> clock_obs_;
   /// Ledger of the last skew-corrected merge (mutable for the same reason
   /// as records_excluded_).
   mutable logbook::TimeIntegrityStats time_integrity_;

@@ -550,13 +550,18 @@ TEST_F(ByzantineDefenseTest, LyingServerQuarantinedThenReinstated) {
 }
 
 TEST_F(ByzantineDefenseTest, QuarantineStateSurvivesCrashRecover) {
+  const auto backup2_node = net.add_node(true);
+  server::Server backup2{net, backup2_node, {}};
+  backup2.start();
+  const ServerRef backup2_ref{backup2_node, "honest-backup-2", 4661};
   ManagerConfig mc;
   mc.journal = journal;
   mc.quarantine_threshold = 2.0;
   mc.probe_confirm_decay = 0.0;
   mc.quarantine_cooloff = hours(6);
+  mc.escalate_after = 1;
   Manager m(net, mc);
-  m.set_backup_servers({backup_ref});
+  m.set_backup_servers({backup_ref, backup2_ref});
   const auto idx = m.launch(defended_config("hp-cq"), net.add_node(true), ref);
   m.start();
   settle();
@@ -577,6 +582,15 @@ TEST_F(ByzantineDefenseTest, QuarantineStateSurvivesCrashRecover) {
   EXPECT_EQ(after.servers_quarantined, before.servers_quarantined);
   EXPECT_GT(m.server_health("srv") + 1.0, 0.0);  // health map rebuilt
   EXPECT_EQ(m.server_of(idx).name, "honest-backup");
+
+  // The quarantine took the first backup in the rotation, so the next
+  // escalation takes the second, as it would without the crash. Two polls
+  // after the death: one failed relaunch, then exactly one escalation.
+  backup.stop();
+  m.honeypot(idx).crash();
+  settle(minutes(25));
+  EXPECT_EQ(m.recovery_stats().escalations, 1u);
+  EXPECT_EQ(m.server_of(idx).name, "honest-backup-2");
   m.stop();
 }
 

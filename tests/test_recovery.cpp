@@ -6,8 +6,11 @@
 
 #include <map>
 #include <memory>
+#include <set>
 
 #include "audit/audit.hpp"
+#include "common/bytes.hpp"
+#include "honeypot/journal_entries.hpp"
 #include "honeypot/manager.hpp"
 #include "proto/messages.hpp"
 #include "server/server.hpp"
@@ -61,6 +64,26 @@ class RecoveryTest : public ::testing::Test {
     c.name = "hp-" + std::to_string(m.fleet_size());
     c.strategy = ContentStrategy::no_content;
     return m.launch(std::move(c), net.add_node(true), where);
+  }
+
+  using Frames =
+      std::vector<std::pair<logbook::JournalEntryType, std::vector<std::uint8_t>>>;
+
+  /// Cold-recover the orphan of a one-honeypot fleet (honeypot id 0) from a
+  /// journal holding exactly `frames`.
+  std::unique_ptr<Manager> recover_orphan_from(const Frames& frames) {
+    auto first = std::make_unique<Manager>(net, durable_config());
+    launch_one(*first, ref);
+    settle();
+    first->crash();
+    auto orphans = first->take_orphans();
+    first.reset();
+    ManagerConfig mc = durable_config();
+    mc.journal = std::make_shared<logbook::Journal>();
+    for (const auto& [type, payload] : frames) {
+      mc.journal->append(type, payload);
+    }
+    return Manager::recover(net, mc, std::move(orphans), s.now());
   }
 
   sim::Simulation s{97};
@@ -511,6 +534,172 @@ TEST_F(RecoveryTest, ScriptedSessionJournalIsPinned) {
   }
   EXPECT_EQ(journal->size_bytes(), 1610u);
   EXPECT_EQ(logbook::fnv1a(journal->bytes()), 0xb4c1925ab7c855d4ull);
+}
+
+// --- Crafted frames ------------------------------------------------------------
+// Hand-encoded, so they check the replay path independently of the codec.
+
+void put_server(ByteWriter& w, const ServerRef& server) {
+  w.u64(server.node);
+  w.str16(server.name);
+  w.u16(server.port);
+}
+
+std::vector<std::uint8_t> launch_payload(const ServerRef& where) {
+  ByteWriter w;
+  w.u16(0);  // honeypot id
+  w.u64(0);  // host
+  put_server(w, where);
+  return std::move(w).take();
+}
+
+std::vector<std::uint8_t> reassign_payload(const ServerRef& where) {
+  ByteWriter w;
+  w.u32(0);  // slot index
+  put_server(w, where);
+  return std::move(w).take();
+}
+
+TEST_F(RecoveryTest, AdvertiseClaimingImpossibleFileCountIsSkipped) {
+  ByteWriter advertise;
+  advertise.u32(0);            // slot index
+  advertise.u32(0xFFFFFFFFu);  // file count
+  for (int i = 0; i < 14; ++i) advertise.u8(0);
+  using T = logbook::JournalEntryType;
+  const auto m = recover_orphan_from({{T::launch, launch_payload(ref)},
+                                      {T::advertise, advertise.view()},
+                                      {T::reassign, reassign_payload(backup_ref)}});
+  ASSERT_EQ(m->fleet_size(), 1u);
+  EXPECT_EQ(m->server_of(0).name, "backup");
+  EXPECT_TRUE(m->ordered_files(0).empty());
+  EXPECT_EQ(m->recovery_stats().journal_replayed, 2u);
+}
+
+TEST_F(RecoveryTest, CheckpointClaimingImpossibleFileCountIsSkipped) {
+  ByteWriter checkpoint;
+  for (int i = 0; i < 8; ++i) checkpoint.u64(0);  // counters
+  checkpoint.u8(1);                               // started
+  checkpoint.u32(0);                              // backups
+  checkpoint.u32(1);                              // fleet: one slot
+  checkpoint.u16(0);                              //   honeypot id
+  checkpoint.u64(0);                              //   host
+  put_server(checkpoint, ref);                    //   server
+  checkpoint.u32(0);                              //   consecutive failures
+  checkpoint.u32(0xFFFFFFFFu);                    //   file count
+  using T = logbook::JournalEntryType;
+  const auto m = recover_orphan_from({{T::checkpoint, checkpoint.view()},
+                                      {T::launch, launch_payload(ref)},
+                                      {T::reassign, reassign_payload(backup_ref)}});
+  ASSERT_EQ(m->fleet_size(), 1u);
+  EXPECT_EQ(m->server_of(0).name, "backup");
+  EXPECT_EQ(m->recovery_stats().journal_replayed, 2u);
+}
+
+// Replay rebuilds the state the live manager held. The session commits
+// every state-bearing entry type, including a relaunch that reconnects and
+// a quarantine with its reinstate; the live checkpoint is then compared
+// with the one a cold recovery writes after replaying the whole journal.
+TEST_F(RecoveryTest, ReplayRebuildsLiveState) {
+  const net::NodeId backup2_node = net.add_node(true);
+  server::Server backup2{net, backup2_node, {}};
+  backup2.start();
+  const ServerRef backup2_ref{backup2_node, "backup-2", 4661};
+
+  ManagerConfig mc = durable_config();
+  mc.track_clocks = true;
+  mc.escalate_after = 1;
+  mc.quarantine_threshold = 2.0;
+  mc.probe_confirm_decay = 0.5;
+  mc.quarantine_cooloff = hours(1);
+  Manager m(net, mc);
+  m.set_backup_servers({backup_ref, backup2_ref});
+  HoneypotConfig probed;
+  probed.name = "hp-probed";
+  probed.strategy = ContentStrategy::no_content;
+  probed.integrity_defense = true;
+  probed.self_probe_period = minutes(5);
+  probed.self_probe_timeout = minutes(1);
+  m.launch(probed, net.add_node(true), ref);
+  launch_one(m, ref);
+  m.start();
+  settle();
+  m.advertise(0, {AdvertisedFile{FileId::from_words(0xA, 0xA), "a.avi", 10}});
+  m.advertise(1, {AdvertisedFile{FileId::from_words(0xB, 0xB), "b.avi", 20}});
+  feed_hellos(m.honeypot(1), 3);
+  s.run_until(s.now() + minutes(30));
+
+  // A relaunch that reconnects, then an advertise repair.
+  m.honeypot(1).crash();
+  s.run_until(s.now() + minutes(30));
+  m.honeypot(1).advertise({});
+  s.run_until(s.now() + minutes(15));
+  // An escalation: the honeypot dies with its server down.
+  m.reassign(1, backup2_ref);
+  settle();
+  backup2.stop();
+  m.honeypot(1).crash();
+  s.run_until(s.now() + hours(1));
+  backup2.start();
+  // A quarantine and its reinstate: srv lies until probes bench it.
+  server.set_fabricate_sources(true, 3, 7);
+  s.run_until(s.now() + hours(1));
+  ASSERT_GE(m.integrity_stats().servers_quarantined, 1u);
+  server.set_fabricate_sources(false, 0, 0);
+  s.run_until(s.now() + hours(2));
+  ASSERT_GE(m.integrity_stats().servers_reinstated, 1u);
+  m.stop();
+  m.start();
+  settle();
+
+  const std::vector<std::uint8_t> history = journal->bytes();
+  std::set<logbook::JournalEntryType> seen;
+  for (const auto& e : logbook::scan_journal(history).entries) {
+    const auto type = static_cast<logbook::JournalEntryType>(e.type);
+    seen.insert(type);
+    journal::visit(e, [&](const auto& entry) {
+      EXPECT_EQ(journal::encode(entry), e.payload) << logbook::to_string(type);
+    });
+  }
+  using T = logbook::JournalEntryType;
+  for (const auto type :
+       {T::launch, T::reassign, T::advertise, T::backups, T::start, T::stop,
+        T::relaunch, T::escalate, T::repair, T::chunk_stored,
+        T::probe_verdict, T::server_quarantine, T::server_reinstate,
+        T::clock_observation}) {
+    EXPECT_TRUE(seen.contains(type)) << logbook::to_string(type);
+  }
+
+  m.checkpoint();
+  auto live = journal::decode<journal::Checkpoint>(
+      journal->scan().entries.back().payload);
+  m.crash();
+  ManagerConfig cold_config = mc;
+  cold_config.journal = std::make_shared<logbook::Journal>(
+      logbook::Journal::from_bytes(history));
+  const auto cold =
+      Manager::recover(net, cold_config, m.take_orphans(), s.now());
+  auto replayed = journal::decode<journal::Checkpoint>(
+      cold_config.journal->scan().entries.back().payload);
+
+  // The counters recover() itself bumps.
+  EXPECT_EQ(replayed.manager_recoveries, live.manager_recoveries + 1);
+  EXPECT_EQ(replayed.orphans_readopted, live.orphans_readopted + 2);
+  replayed.manager_recoveries = live.manager_recoveries;
+  replayed.manager_downtime = live.manager_downtime;
+  replayed.orphans_readopted = live.orphans_readopted;
+  // poll() zeroes consecutive_failures when a relaunched honeypot
+  // reconnects without journaling it, so replay keeps counting (ROADMAP
+  // open item 8, "Replay the watchdog's reconnect reset").
+  for (auto* state : {&live, &replayed}) {
+    for (auto& slot : state->fleet) slot.consecutive_failures = 0;
+  }
+  EXPECT_EQ(replayed.fleet, live.fleet);
+  EXPECT_EQ(replayed.next_backup, live.next_backup);
+  EXPECT_EQ(replayed.ack_frontier, live.ack_frontier);
+  EXPECT_EQ(replayed.health, live.health);
+  EXPECT_EQ(replayed.quarantines, live.quarantines);
+  EXPECT_EQ(replayed.clock_obs.size(), live.clock_obs.size());
+  EXPECT_TRUE(replayed == live);
 }
 
 // A self-probe is in flight (verdict or timeout pending) when the manager

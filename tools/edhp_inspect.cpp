@@ -42,7 +42,6 @@
 // bug class the auditor exists to catch).
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <iostream>
 #include <map>
@@ -60,8 +59,8 @@
 #include "audit/audit.hpp"
 #include "audit/chaos_point.hpp"
 #include "common/budget.hpp"
-#include "common/bytes.hpp"
 #include "fault/abuse.hpp"
+#include "honeypot/journal_entries.hpp"
 #include "logbook/journal.hpp"
 #include "logbook/log_io.hpp"
 #include "logbook/merge.hpp"
@@ -72,6 +71,8 @@
 using namespace edhp;
 
 namespace {
+
+namespace entry = honeypot::journal;
 
 int usage() {
   std::cerr << "usage: edhp_inspect [--json] <stats|csv|merge|anonymize|clients|defense|journal|degrade|integrity|clock|audit> ...\n"
@@ -135,6 +136,23 @@ void emit(const std::string& path,
   }
   line += "}";
   std::cout << line << "\n";
+}
+
+/// Pass each entry of types `Only...` to `visitor`, decoded; returns how many
+/// of them failed to decode (skipped: the tool must never crash on a field
+/// journal, and damaged frames were already set aside by scan()).
+template <typename... Only, typename Visitor>
+std::uint64_t visit_entries(const logbook::Journal& journal,
+                            Visitor&& visitor) {
+  std::uint64_t undecodable = 0;
+  for (const auto& e : journal.scan().entries) {
+    try {
+      entry::visit<Only...>(e, visitor);
+    } catch (const DecodeError&) {
+      ++undecodable;
+    }
+  }
+  return undecodable;
 }
 
 /// Manager write-ahead-journal audit: frame counts per entry type, the
@@ -208,47 +226,25 @@ int print_integrity(const std::string& path, const logbook::Journal& journal,
   };
   std::map<std::string, PerServer> servers;
   std::uint64_t verdicts = 0;
-  std::uint64_t undecodable = 0;
-  const auto scan = journal.scan();
-  for (const auto& e : scan.entries) {
-    const auto type = static_cast<logbook::JournalEntryType>(e.type);
-    if (type != logbook::JournalEntryType::probe_verdict &&
-        type != logbook::JournalEntryType::server_quarantine &&
-        type != logbook::JournalEntryType::server_reinstate) {
-      continue;
-    }
-    try {
-      ByteReader r(e.payload);
-      if (type == logbook::JournalEntryType::probe_verdict) {
-        (void)r.u16();  // honeypot id
-        const bool confirmed = r.u8() != 0;
-        auto& s = servers[r.str16()];
-        ++verdicts;
-        if (confirmed) {
-          ++s.confirmed;
-        } else {
-          ++s.missed;
-        }
-      } else if (type == logbook::JournalEntryType::server_quarantine) {
-        auto& s = servers[r.str16()];
-        ++s.quarantines;
-        s.quarantined = true;
-        // Skip the original ServerRef (node id, name, port) + deadline,
-        // then count the displaced slot list.
-        (void)r.u64();
-        (void)r.str16();
-        (void)r.u16();
-        (void)r.u64();
-        s.displaced += r.u32();
-      } else {
-        auto& s = servers[r.str16()];
-        ++s.reinstates;
-        s.quarantined = false;
-      }
-    } catch (const DecodeError&) {
-      ++undecodable;
-    }
-  }
+  const auto undecodable = visit_entries<
+      entry::ProbeVerdict, entry::ServerQuarantine, entry::ServerReinstate>(
+      journal, entry::Overloaded{
+                   [&](const entry::ProbeVerdict& v) {
+                     auto& s = servers[v.server];
+                     ++verdicts;
+                     ++(v.confirmed ? s.confirmed : s.missed);
+                   },
+                   [&](const entry::ServerQuarantine& q) {
+                     auto& s = servers[q.server_name];
+                     ++s.quarantines;
+                     s.quarantined = true;
+                     s.displaced += q.displaced.size();
+                   },
+                   [&](const entry::ServerReinstate& r) {
+                     auto& s = servers[r.server_name];
+                     ++s.reinstates;
+                     s.quarantined = false;
+                   }});
 
   std::vector<std::pair<std::string, std::string>> rows;
   rows.emplace_back("probe verdicts", analysis::with_commas(verdicts));
@@ -297,40 +293,25 @@ int print_clock(const std::string& path, const logbook::Journal& journal,
                 bool json) {
   struct PerHoneypot {
     std::uint64_t observations = 0;
-    double first_true = 0, first_local = 0;
-    double last_true = 0, last_local = 0;
+    logbook::ClockObservation first, last;
     double max_abs_offset = 0;
     std::uint64_t backwards = 0;  ///< local regressions between sightings
   };
   std::map<std::uint16_t, PerHoneypot> fleet;
-  std::uint64_t undecodable = 0;
-  const auto scan = journal.scan();
-  for (const auto& e : scan.entries) {
-    if (static_cast<logbook::JournalEntryType>(e.type) !=
-        logbook::JournalEntryType::clock_observation) {
-      continue;
-    }
-    try {
-      ByteReader r(e.payload);
-      const auto id = r.u16();
-      const double true_time = std::bit_cast<double>(r.u64());
-      const double local_time = std::bit_cast<double>(r.u64());
-      auto& hp = fleet[id];
-      if (hp.observations == 0) {
-        hp.first_true = true_time;
-        hp.first_local = local_time;
-      } else if (local_time < hp.last_local) {
-        ++hp.backwards;
-      }
-      hp.last_true = true_time;
-      hp.last_local = local_time;
-      hp.max_abs_offset =
-          std::max(hp.max_abs_offset, std::abs(local_time - true_time));
-      ++hp.observations;
-    } catch (const DecodeError&) {
-      ++undecodable;
-    }
-  }
+  const auto undecodable = visit_entries<entry::ClockObservation>(
+      journal, [&](const entry::ClockObservation& c) {
+        const auto& o = c.observation;
+        auto& hp = fleet[o.honeypot];
+        if (hp.observations == 0) {
+          hp.first = o;
+        } else if (o.local_time < hp.last.local_time) {
+          ++hp.backwards;
+        }
+        hp.last = o;
+        hp.max_abs_offset =
+            std::max(hp.max_abs_offset, std::abs(o.local_time - o.true_time));
+        ++hp.observations;
+      });
 
   std::vector<std::pair<std::string, std::string>> rows;
   std::uint64_t observations = 0;
@@ -338,11 +319,11 @@ int print_clock(const std::string& path, const logbook::Journal& journal,
   for (const auto& [id, hp] : fleet) {
     observations += hp.observations;
     backwards += hp.backwards;
-    const double span = hp.last_true - hp.first_true;
+    const double span = hp.last.true_time - hp.first.true_time;
     const double drift_ppm =
-        span > 0
-            ? ((hp.last_local - hp.first_local) - span) / span * 1e6
-            : 0.0;
+        span > 0 ? ((hp.last.local_time - hp.first.local_time) - span) /
+                       span * 1e6
+                 : 0.0;
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "%s obs, drift %+.1f ppm, max offset %.3f s%s",
@@ -376,44 +357,27 @@ int print_degrade(const std::string& path, const logbook::Journal& journal,
                   bool json) {
   struct PerHoneypot {
     std::uint64_t enters = 0;
-    std::uint64_t exits = 0;
-    std::map<std::uint8_t, std::uint64_t> reasons;
-    std::uint64_t last_resident = 0;   ///< spool bytes at the latest enter
-    std::uint64_t last_tail = 0;       ///< unspooled records at latest enter
-    std::uint64_t shed = 0;            ///< cumulative, from the latest exit
-    std::uint64_t compacted = 0;
-    std::uint64_t backpressure = 0;
+    std::map<budget::DegradeReason, std::uint64_t> reasons;
+    entry::DegradeEnter last_enter;  ///< spool state at the latest enter
+    entry::DegradeExit last_exit;    ///< cumulative totals at the latest exit
     bool open = false;  ///< entered degraded mode and never left
   };
   std::map<std::uint16_t, PerHoneypot> fleet;
-  std::uint64_t undecodable = 0;
-  const auto scan = journal.scan();
-  for (const auto& e : scan.entries) {
-    const auto type = static_cast<logbook::JournalEntryType>(e.type);
-    if (type != logbook::JournalEntryType::degrade_enter &&
-        type != logbook::JournalEntryType::degrade_exit) {
-      continue;
-    }
-    try {
-      ByteReader r(e.payload);
-      auto& hp = fleet[r.u16()];
-      if (type == logbook::JournalEntryType::degrade_enter) {
-        ++hp.enters;
-        ++hp.reasons[r.u8()];
-        hp.last_resident = r.u64();
-        hp.last_tail = r.u64();
-        hp.open = true;
-      } else {
-        ++hp.exits;
-        hp.shed = r.u64();
-        hp.compacted = r.u64();
-        hp.backpressure = r.u64();
-        hp.open = false;
-      }
-    } catch (const DecodeError&) {
-      ++undecodable;
-    }
-  }
+  const auto undecodable =
+      visit_entries<entry::DegradeEnter, entry::DegradeExit>(
+          journal, entry::Overloaded{
+                       [&](const entry::DegradeEnter& d) {
+                         auto& hp = fleet[d.honeypot];
+                         ++hp.enters;
+                         ++hp.reasons[d.reason];
+                         hp.last_enter = d;
+                         hp.open = true;
+                       },
+                       [&](const entry::DegradeExit& d) {
+                         auto& hp = fleet[d.honeypot];
+                         hp.last_exit = d;
+                         hp.open = false;
+                       }});
 
   std::vector<std::pair<std::string, std::string>> rows;
   rows.emplace_back("degraded honeypots", analysis::with_commas(fleet.size()));
@@ -421,21 +385,22 @@ int print_degrade(const std::string& path, const logbook::Journal& journal,
   bool any_open = false;
   for (const auto& [id, hp] : fleet) {
     any_open = any_open || hp.open;
-    total_shed += hp.shed;
+    total_shed += hp.last_exit.records_shed;
     std::string detail = analysis::with_commas(hp.enters) + " episodes";
     for (const auto& [reason, count] : hp.reasons) {
-      detail += ", " +
-                std::string(budget::to_string(
-                    static_cast<budget::DegradeReason>(reason))) +
-                " x" + analysis::with_commas(count);
+      detail += ", " + std::string(budget::to_string(reason)) + " x" +
+                analysis::with_commas(count);
     }
-    detail += "; shed " + analysis::with_commas(hp.shed) + ", compacted " +
-              analysis::with_commas(hp.compacted) + " chunks, backpressure " +
-              analysis::with_commas(hp.backpressure) + " cuts";
+    const auto& totals = hp.last_exit;
+    detail += "; shed " + analysis::with_commas(totals.records_shed) +
+              ", compacted " + analysis::with_commas(totals.chunks_compacted) +
+              " chunks, backpressure " +
+              analysis::with_commas(totals.backpressure_cuts) + " cuts";
     if (hp.open) {
       detail += "; STILL DEGRADED (resident " +
-                analysis::with_commas(hp.last_resident) + " B, tail " +
-                analysis::with_commas(hp.last_tail) + ")";
+                analysis::with_commas(hp.last_enter.resident_bytes) +
+                " B, tail " +
+                analysis::with_commas(hp.last_enter.unspooled_tail) + ")";
     }
     rows.emplace_back("  hp " + std::to_string(id), detail);
   }
