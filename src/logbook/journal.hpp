@@ -23,9 +23,9 @@
 //     with the next frame.
 //
 // The journal itself is format-agnostic (type + payload bytes); the typed
-// manager entries and their codecs live with honeypot::Manager. The type
-// registry below exists here so audit tooling (edhp_inspect journal) can
-// name entries without linking the control plane.
+// manager entries and their codec live in honeypot/journal_entries.hpp. The
+// type registry below exists here so audit tooling (edhp_inspect journal)
+// can name entries without linking the control plane.
 
 #include <cstdint>
 #include <span>
