@@ -38,8 +38,8 @@ namespace edhp::honeypot::journal {
 
 using logbook::JournalEntryType;
 
-/// `Self` is `T`, possibly const: one `fields` function serves the encoder
-/// (const entry) and the decoder (mutable entry).
+/// `Self` is `T`, possibly const, so one field list of a type declared
+/// elsewhere serves the encoder (const value) and the decoder (mutable one).
 template <typename Self, typename T>
 concept Is = std::same_as<std::remove_const_t<Self>, T>;
 
