@@ -97,7 +97,6 @@ void Honeypot::attempt_connect() {
 
   net_.connect(self_, server_->node, [this](net::EndpointPtr ep) {
     if (!ep) {
-      counters_.add("server_connect_failures");
       if (config_.retry.enabled) {
         schedule_retry();
       } else {
@@ -125,7 +124,6 @@ void Honeypot::on_server_message(net::Bytes packet) {
   try {
     msg = proto::decode_view(proto::Channel::client_server, packet, arena_);
   } catch (const DecodeError&) {
-    counters_.add("server_decode_errors");
     defense_.malformed += 1;
     net_.note_malformed(self_);
     return;
@@ -150,7 +148,6 @@ void Honeypot::on_server_message(net::Bytes packet) {
       // resolved: recognized and suppressed, never re-scored.
       ++probe_dup_replies_;
       --probe_dups_expected_;
-      counters_.add("probe_dup_replies");
       return;
     }
     std::size_t adopted = 0;
@@ -161,7 +158,7 @@ void Honeypot::on_server_message(net::Bytes packet) {
       ++adopted;
     }
     pending_search_adopt_ = 0;
-    counters_.add("search_adopted", adopted);
+    counters_.search_adopted += adopted;
     return;
   }
   if (const auto* found = std::get_if<proto::FoundSourcesView>(&msg)) {
@@ -170,7 +167,6 @@ void Honeypot::on_server_message(net::Bytes packet) {
       // server returns for it is fabricated.
       if (found->sources.count > 0) {
         ++integrity_.fabricated_sources_detected;
-        counters_.add("fabricated_sources_detected");
         probe_result(false);
       } else {
         probe_result(true);
@@ -180,7 +176,6 @@ void Honeypot::on_server_message(net::Bytes packet) {
       // probes ever ask about the canary hash).
       ++probe_dup_replies_;
       --probe_dups_expected_;
-      counters_.add("probe_dup_replies");
     }
     return;
   }
@@ -194,7 +189,6 @@ void Honeypot::on_server_message(net::Bytes packet) {
     retries_episode_ = 0;
     heartbeat_ = net_.simulation().now();
     begin_coverage();
-    counters_.add("logins");
     send_offer();
     offer_timer_ = std::make_unique<sim::PeriodicTimer>(
         net_.simulation(), config_.offer_keepalive, [this] { send_offer(); });
@@ -210,7 +204,6 @@ void Honeypot::on_server_message(net::Bytes packet) {
 }
 
 void Honeypot::on_server_closed() {
-  counters_.add("server_connection_lost");
   offer_timer_.reset();
   probe_timer_.reset();
   net_.simulation().cancel(probe_timeout_event_);
@@ -233,14 +226,13 @@ void Honeypot::on_server_closed() {
 
 void Honeypot::schedule_retry() {
   if (retries_episode_ >= config_.retry.max_retries) {
-    counters_.add("retry_budget_exhausted");
+    ++counters_.retry_budget_exhausted;
     status_ = Status::dead;
     return;
   }
   const Duration delay = retry_delay(retries_episode_);
   ++retries_episode_;
   ++retries_total_;
-  counters_.add("server_retries");
   status_ = Status::connecting;
   retry_event_ =
       net_.simulation().schedule_in(delay, [this] { attempt_connect(); });
@@ -296,7 +288,6 @@ void Honeypot::periodic_spool() {
     const Duration min_gap = config_.spool.period * disk_slow_factor_;
     if (net_.simulation().now() - last_spool_cut_ < min_gap) {
       ++degrade_.spool_cuts_deferred;
-      counters_.add("spool_cuts_deferred");
       return;
     }
   }
@@ -324,7 +315,6 @@ void Honeypot::spool_now() {
   // receive time to observe this host's clock offset.
   chunk.cut_at_local = local_now();
   chunk.checksum = logbook::chunk_checksum(chunk);
-  counters_.add("chunks_spooled");
   last_spool_cut_ = net_.simulation().now();
   spool_resident_bytes_ += logbook::chunk_cost_bytes(chunk);
   degrade_.spool_peak_bytes =
@@ -342,7 +332,7 @@ void Honeypot::resend_spool() {
   // including chunks already in flight — the previous send may have died
   // with the crashed process.
   for (std::size_t i = 0; i < pending_chunks_.size(); ++i) {
-    counters_.add("chunks_resent");
+    ++counters_.chunks_resent;
     if (spool_sink_) {
       pending_meta_[i].delivered = true;
       pending_meta_[i].in_flight = true;
@@ -360,7 +350,7 @@ std::size_t Honeypot::resend_spool(std::size_t limit) {
       ++deferred;
       continue;
     }
-    counters_.add("chunks_resent");
+    ++counters_.chunks_resent;
     if (spool_sink_) {
       pending_meta_[i].delivered = true;
       pending_meta_[i].in_flight = true;
@@ -368,10 +358,7 @@ std::size_t Honeypot::resend_spool(std::size_t limit) {
     }
     ++sent;
   }
-  if (deferred > 0) {
-    degrade_.resends_paced += deferred;
-    counters_.add("resends_paced", deferred);
-  }
+  degrade_.resends_paced += deferred;
   return deferred;
 }
 
@@ -384,7 +371,6 @@ void Honeypot::ack_spooled(std::uint64_t seq) {
     pending_chunks_.erase(pending_chunks_.begin() +
                           static_cast<std::ptrdiff_t>(i));
     pending_meta_.erase(pending_meta_.begin() + static_cast<std::ptrdiff_t>(i));
-    counters_.add("chunks_acked");
     update_degrade_state();
     return;
   }
@@ -406,14 +392,14 @@ void Honeypot::send_offer() {
   server_ep_->send(proto::encode(proto::AnyMessage{std::move(offer)}));
   offer_dirty_ = false;
   heartbeat_ = net_.simulation().now();
-  counters_.add("offers_sent");
+  ++counters_.offers_sent;
 }
 
 void Honeypot::advertise(std::vector<AdvertisedFile> files) {
   if (status_ == Status::dead) {
     // The out-of-band order never reaches a dead host; the manager must
     // re-issue it after relaunch (it checks ordered-vs-advertised in poll).
-    counters_.add("advertise_orders_lost");
+    ++counters_.advertise_orders_lost;
     return;
   }
   advertised_ = std::move(files);
@@ -443,7 +429,7 @@ void Honeypot::search_and_adopt(const std::string& query, std::size_t limit) {
   if (!server_ep_ || !server_ep_->open() || limit == 0) return;
   pending_search_adopt_ = limit;
   server_ep_->send(proto::encode(proto::AnyMessage{proto::SearchRequest{query}}));
-  counters_.add("searches_sent");
+  ++counters_.searches_sent;
 }
 
 void Honeypot::disconnect() {
@@ -472,7 +458,6 @@ void Honeypot::disconnect() {
 }
 
 void Honeypot::crash() {
-  counters_.add("crashes");
   offer_timer_.reset();
   probe_timer_.reset();
   spool_timer_.reset();
@@ -491,7 +476,6 @@ void Honeypot::crash() {
     const auto lost = log_.records.size() - spooled_mark_;
     if (lost > 0) {
       lost_tail_ += lost;
-      counters_.add("records_lost_tail", lost);
       log_.records.resize(spooled_mark_);
     }
   }
@@ -535,7 +519,6 @@ void Honeypot::on_peer_accept(net::EndpointPtr ep) {
   if (peers_.size() >= config_.hard_peer_cap) {
     // The fd-limit analog: even an undefended honeypot cannot hold
     // unbounded peer connections.
-    counters_.add("hard_cap_refused");
     ep->close();
     return;
   }
@@ -544,7 +527,6 @@ void Honeypot::on_peer_accept(net::EndpointPtr ep) {
     // Declared degradation: under memory pressure the episode's session
     // ceiling refuses new peers before they can cost a buffer.
     ++degrade_.sessions_refused;
-    counters_.add("sessions_refused");
     ep->close();
     return;
   }
@@ -554,7 +536,6 @@ void Honeypot::on_peer_accept(net::EndpointPtr ep) {
     // LIFO shedding: at the cap the NEWEST arrival is shed; peers already
     // talking to us keep producing log records.
     if (peers_.size() >= defense.max_sessions) {
-      counters_.add("peers_shed");
       defense_.shed += 1;
       ep->close();
       return;
@@ -564,7 +545,6 @@ void Honeypot::on_peer_accept(net::EndpointPtr ep) {
                                    defense.connect_burst, now)
                       .first;
     if (!bucket->second.try_take(now)) {
-      counters_.add("peer_connect_rate_limited");
       defense_.rate_limited += 1;
       ep->close();
       return;
@@ -594,7 +574,6 @@ void Honeypot::on_peer_accept(net::EndpointPtr ep) {
                                          net_.simulation().now());
     arm_reap(it->second, key, defense.handshake_timeout);
   }
-  counters_.add("peer_connections");
 }
 
 void Honeypot::arm_reap(PeerConn& conn, ConnKey key, Duration timeout) {
@@ -607,7 +586,6 @@ void Honeypot::arm_reap(PeerConn& conn, ConnKey key, Duration timeout) {
 void Honeypot::reap_peer(ConnKey key) {
   auto it = peers_.find(key);
   if (it == peers_.end()) return;
-  counters_.add("peers_reaped");
   defense_.reaped += 1;
   drop_peer(key);
 }
@@ -630,14 +608,12 @@ void Honeypot::on_peer_message(ConnKey key, net::Bytes packet) {
   auto it = peers_.find(key);
   if (it == peers_.end()) return;
   if (!it->second.bucket.try_take(net_.simulation().now())) {
-    counters_.add("peer_rate_limited");
     defense_.rate_limited += 1;
     return;  // dropped, not fatal
   }
   inbox_.emplace_back(key, std::move(packet));
   if (inbox_.size() > defense.max_queue) {
     inbox_.pop_front();  // overload: shed oldest-first
-    counters_.add("peer_queue_dropped");
     defense_.queue_dropped += 1;
   }
   if (!inbox_armed_) {
@@ -671,7 +647,6 @@ void Honeypot::process_peer(ConnKey key, net::Bytes packet) {
   try {
     msg = proto::decode_view(proto::Channel::client_client, packet, arena_);
   } catch (const DecodeError&) {
-    counters_.add("peer_decode_errors");
     defense_.malformed += 1;
     net_.note_malformed(self_);
     drop_peer(key);
@@ -710,10 +685,6 @@ void Honeypot::process_peer(ConnKey key, net::Bytes packet) {
             answer.files.push_back(std::move(pf));
           }
           conn.endpoint->send(proto::encode(proto::AnyMessage{std::move(answer)}));
-        } else if constexpr (std::is_same_v<T, proto::CancelTransfer>) {
-          counters_.add("cancels");
-        } else {
-          counters_.add("unexpected_peer_messages");
         }
       },
       msg);
@@ -728,7 +699,6 @@ void Honeypot::handle_hello(PeerConn& conn, const proto::HelloView& msg) {
     // any cross-connection IP heuristic unsafe — this rule has zero false
     // positives). Record the attempt tainted and answer nothing.
     ++integrity_.replayed_hellos_rejected;
-    counters_.add("replayed_hellos_rejected");
     conn.taint |= logbook::kFlagProvReplayed;
     // The first HELLO of the episode looked benign when it arrived; now
     // that the rotation proves a replayer, taint everything this
@@ -773,9 +743,6 @@ void Honeypot::handle_hello(PeerConn& conn, const proto::HelloView& msg) {
 
 void Honeypot::handle_start_upload(ConnKey key, PeerConn& conn,
                                    const proto::StartUpload& msg) {
-  if (!conn.hello_seen) {
-    counters_.add("start_upload_without_hello");
-  }
   std::uint8_t taint = 0;
   if (config_.integrity_defense && !advertised_ids_.contains(msg.file)) {
     // We never advertised this hash, so no honest index can have steered
@@ -783,7 +750,6 @@ void Honeypot::handle_start_upload(ConnKey key, PeerConn& conn,
     // source record. Log it (the operator audits quarantined evidence) but
     // taint it out of the published dataset.
     ++integrity_.fabricated_sources_detected;
-    counters_.add("fabricated_upload_queries");
     taint = logbook::kFlagProvFabricated;
   }
   append_record(conn, logbook::QueryType::start_upload, &msg.file, taint);
@@ -805,7 +771,7 @@ void Honeypot::handle_start_upload(ConnKey key, PeerConn& conn,
   }
   const auto rank = static_cast<std::uint32_t>(upload_queue_.size());
   conn.endpoint->send(proto::encode(proto::AnyMessage{proto::QueueRank{rank}}));
-  counters_.add("queued_peers");
+  ++counters_.queued_peers;
 }
 
 void Honeypot::grant_slot(ConnKey key, PeerConn& conn) {
@@ -830,7 +796,7 @@ void Honeypot::release_slot(ConnKey key, PeerConn& conn) {
       continue;
     }
     grant_slot(next, it->second);
-    counters_.add("promoted_from_queue");
+    ++counters_.promoted_from_queue;
     break;
   }
 }
@@ -857,13 +823,13 @@ void Honeypot::handle_request_parts(PeerConn& conn, const proto::RequestParts& m
     }
     conn.endpoint->send_sized(proto::encode(proto::AnyMessage{std::move(part)}),
                               block + kSendingPartOverhead);
-    counters_.add("blocks_sent");
+    ++counters_.blocks_sent;
   }
 }
 
 void Honeypot::handle_shared_list(PeerConn& conn,
                                   const proto::AskSharedFilesAnswerView& msg) {
-  counters_.add("shared_lists_received");
+  ++counters_.shared_lists_received;
   if (config_.integrity_defense) {
     // Our advertised files are fakes the manager invented: no honest peer
     // can really hold them, so a shared list claiming several of them is
@@ -874,7 +840,6 @@ void Honeypot::handle_shared_list(PeerConn& conn,
     }
     if (matches >= std::max<std::size_t>(1, config_.forged_list_min_matches)) {
       ++integrity_.forged_lists_rejected;
-      counters_.add("forged_lists_rejected");
       conn.taint |= logbook::kFlagProvForged;
       // The HELLO that opened this exchange looked benign; the forged list
       // proves the whole connection adversarial.
@@ -915,14 +880,10 @@ void Honeypot::append_record(const PeerConn& conn, logbook::QueryType type,
     r.file = *file;
     r.flags |= logbook::kFlagHasFile;
   }
-  if (r.tainted()) {
-    ++integrity_.records_quarantined;
-    counters_.add("records_quarantined");
-  }
-  // The query happened either way: heartbeat and per-type counters reflect
-  // observed traffic; only the LOG is subject to the budget gate.
+  if (r.tainted()) ++integrity_.records_quarantined;
+  // The query happened either way: the heartbeat reflects observed
+  // traffic; only the LOG is subject to the budget gate.
   heartbeat_ = net_.simulation().now();
-  counters_.add(std::string(logbook::to_string(type)));
   // Birth certificate for the conservation ledger: every stamped record
   // counts, whatever disposition it meets below. Unconditional (one add,
   // no RNG, no events), so audited and unaudited runs are bit-identical.
@@ -986,7 +947,6 @@ void Honeypot::run_self_probe() {
   probe_pending_ = true;
   probe_retries_left_ = config_.self_probe_retries;
   ++integrity_.probes_sent;
-  counters_.add("self_probes_sent");
   probe_timeout_event_ = net_.simulation().schedule_in(
       config_.self_probe_timeout, [this] { on_probe_timeout(); });
 }
@@ -1001,7 +961,6 @@ void Honeypot::on_probe_timeout() {
     --probe_retries_left_;
     ++probe_retransmits_;
     ++probe_dups_expected_;
-    counters_.add("probe_retransmits");
     server_ep_->send(probe_payload_);
     probe_timeout_event_ = net_.simulation().schedule_in(
         config_.self_probe_timeout, [this] { on_probe_timeout(); });
@@ -1016,10 +975,8 @@ void Honeypot::probe_result(bool confirmed) {
   net_.simulation().cancel(probe_timeout_event_);
   if (confirmed) {
     ++integrity_.probes_confirmed;
-    counters_.add("self_probes_confirmed");
   } else {
     ++integrity_.probes_missed;
-    counters_.add("self_probes_missed");
     // Self-heal: the server lost (or lied away) our advertisement; push the
     // full list again immediately instead of waiting for the keep-alive.
     if (status_ == Status::connected) send_offer();
@@ -1036,10 +993,7 @@ void Honeypot::taint_tail(const PeerConn& conn, std::uint8_t taint) {
     if ((it->flags & taint) != 0) continue;
     const bool fresh = !it->tainted();
     it->flags |= taint;
-    if (fresh) {
-      ++integrity_.records_quarantined;
-      counters_.add("records_quarantined");
-    }
+    if (fresh) ++integrity_.records_quarantined;
   }
 }
 
@@ -1093,7 +1047,6 @@ bool Honeypot::admit_record(std::uint64_t user) {
     enter_degraded(disk_over ? budget::DegradeReason::disk_quota
                              : budget::DegradeReason::mem_budget);
     ++degrade_.records_shed;
-    counters_.add("records_shed");
     return false;
   }
   // Evidence record: always kept. A full record buffer emits backpressure —
@@ -1102,7 +1055,6 @@ bool Honeypot::admit_record(std::uint64_t user) {
   if (mem_over) {
     enter_degraded(budget::DegradeReason::mem_budget);
     ++degrade_.backpressure_cuts;
-    counters_.add("backpressure_cuts");
     spool_now();
   }
   if (disk_over) {
@@ -1150,10 +1102,7 @@ void Honeypot::maybe_compact() {
   }
   if (n < 2 && removed == 0) return;  // nothing to coalesce, nothing shed
   spooled_mark_ -= removed;
-  if (removed > 0) {
-    degrade_.records_shed += removed;
-    counters_.add("records_shed", removed);
-  }
+  degrade_.records_shed += removed;
   logbook::LogChunk merged;
   merged.honeypot = config_.id;
   merged.epoch = epoch;
@@ -1187,7 +1136,6 @@ void Honeypot::maybe_compact() {
   if (old_cost > new_cost) {
     degrade_.compaction_bytes_reclaimed += old_cost - new_cost;
   }
-  counters_.add("compaction_runs");
 }
 
 void Honeypot::set_resource_fault(budget::ResourceFault which, bool active,
@@ -1238,7 +1186,6 @@ void Honeypot::enter_degraded(budget::DegradeReason reason) {
   if (degraded_) return;
   degraded_ = true;
   ++degrade_.degrade_enters;
-  counters_.add("degrade_enters");
   if (degrade_sink_) degrade_sink_(true, reason);
 }
 
@@ -1251,7 +1198,6 @@ void Honeypot::update_degrade_state() {
   if (mem != 0 && unspooled_tail() >= mem) return;
   degraded_ = false;
   ++degrade_.degrade_exits;
-  counters_.add("degrade_exits");
   if (degrade_sink_) degrade_sink_(false, budget::DegradeReason::none);
 }
 

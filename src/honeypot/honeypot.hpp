@@ -18,10 +18,10 @@
 // capped exponential backoff before reporting Status::dead to the manager;
 // with a SpoolConfig it periodically cuts its log tail into sequence-
 // numbered chunks handed to the manager, so a crash destroys at most the
-// unspooled tail (accounted in counters()["records_lost_tail"]). Each
-// (re)launch increments an epoch; chunks spooled but unacknowledged at
-// crash time are re-sent on relaunch with their original sequence numbers
-// and deduplicated manager-side.
+// unspooled tail (accounted in records_lost_tail()). Each (re)launch
+// increments an epoch; chunks spooled but unacknowledged at crash time are
+// re-sent on relaunch with their original sequence numbers and
+// deduplicated manager-side.
 
 #include <deque>
 #include <memory>
@@ -36,7 +36,6 @@
 #include "logbook/record.hpp"
 #include "net/network.hpp"
 #include "proto/messages.hpp"
-#include "sim/metrics.hpp"
 
 namespace edhp::honeypot {
 
@@ -83,7 +82,7 @@ class Honeypot {
   /// `limit` results into the advertised list — the paper's suggested way
   /// of capturing "all the activity regarding ... a specific keyword".
   /// Results arrive asynchronously; adopted count is visible via
-  /// counters()["search_adopted"].
+  /// counters().search_adopted.
   void search_and_adopt(const std::string& query, std::size_t limit);
 
   /// Drop the server connection and stop accepting peers.
@@ -243,9 +242,20 @@ class Honeypot {
     return observed_;
   }
 
-  [[nodiscard]] const sim::CounterSet& counters() const noexcept {
-    return counters_;
-  }
+  /// Events with no home in the typed stats above (each counted once).
+  struct Counters {
+    std::uint64_t offers_sent = 0;
+    std::uint64_t searches_sent = 0;
+    std::uint64_t search_adopted = 0;         ///< files adopted from results
+    std::uint64_t advertise_orders_lost = 0;  ///< advertise() while dead
+    std::uint64_t retry_budget_exhausted = 0;
+    std::uint64_t chunks_resent = 0;
+    std::uint64_t shared_lists_received = 0;
+    std::uint64_t queued_peers = 0;           ///< QUEUE-RANK answers sent
+    std::uint64_t promoted_from_queue = 0;
+    std::uint64_t blocks_sent = 0;            ///< random-content blocks
+  };
+  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
   [[nodiscard]] const net::DefenseStats& defense_stats() const noexcept {
     return defense_;
   }
@@ -459,7 +469,7 @@ class Honeypot {
   /// per retransmit of the resolved probe) — the dedup window.
   std::uint64_t probe_dups_expected_ = 0;
 
-  sim::CounterSet counters_;
+  Counters counters_;
 };
 
 }  // namespace edhp::honeypot

@@ -58,7 +58,6 @@ void Server::on_accept(net::EndpointPtr endpoint) {
   if (sessions_.size() >= config_.hard_session_cap) {
     // The fd-limit analog: even an undefended server cannot hold unbounded
     // sessions, it just sheds indiscriminately once the kernel says no.
-    counters_.add("hard_cap_refused");
     endpoint->close();
     return;
   }
@@ -68,7 +67,6 @@ void Server::on_accept(net::EndpointPtr endpoint) {
     // LIFO shedding: at the cap the NEWEST arrival — this one — is shed;
     // established sessions carry the measurement and are never sacrificed.
     if (sessions_.size() >= defense.max_sessions) {
-      counters_.add("shed");
       defense_.shed += 1;
       endpoint->close();
       return;
@@ -78,7 +76,6 @@ void Server::on_accept(net::EndpointPtr endpoint) {
                                    defense.connect_burst, now)
                       .first;
     if (!bucket->second.try_take(now)) {
-      counters_.add("connect_rate_limited");
       defense_.rate_limited += 1;
       endpoint->close();
       return;
@@ -91,7 +88,7 @@ void Server::on_accept(net::EndpointPtr endpoint) {
   auto [it, inserted] = sessions_.emplace(key, std::move(session));
   net::Endpoint& ep = *it->second.endpoint;
   ep.on_message([this, key](net::Bytes packet) { on_message(key, std::move(packet)); });
-  ep.on_close([this, key] { on_close(key); });
+  ep.on_close([this, key] { drop(key); });
   if (defense.enabled) {
     defense_.accepted += 1;
     it->second.bucket = net::TokenBucket(defense.message_rate,
@@ -99,7 +96,6 @@ void Server::on_accept(net::EndpointPtr endpoint) {
                                          net_.simulation().now());
     arm_reap(it->second, defense.handshake_timeout);
   }
-  counters_.add("accepted");
 }
 
 void Server::arm_reap(Session& session, Duration timeout) {
@@ -113,7 +109,6 @@ void Server::arm_reap(Session& session, Duration timeout) {
 void Server::reap(SessionKey key) {
   auto it = sessions_.find(key);
   if (it == sessions_.end()) return;
-  counters_.add("reaped");
   defense_.reaped += 1;
   it->second.endpoint->close();
   drop(key);
@@ -124,13 +119,12 @@ void Server::on_datagram(net::NodeId from, net::Bytes datagram) {
   try {
     msg = proto::decode_udp(datagram);
   } catch (const DecodeError&) {
-    counters_.add("udp_decode_errors");
     defense_.malformed += 1;
     net_.note_malformed(self_);
     return;
   }
   if (const auto* req = std::get_if<proto::ServStatRequest>(&msg)) {
-    counters_.add("udp_status_requests");
+    ++counters_.udp_status_requests;
     proto::ServStatResponse res;
     res.challenge = req->challenge;
     res.users = static_cast<std::uint32_t>(sessions_.size());
@@ -139,19 +133,11 @@ void Server::on_datagram(net::NodeId from, net::Bytes datagram) {
     return;
   }
   if (std::holds_alternative<proto::ServDescRequest>(msg)) {
-    counters_.add("udp_desc_requests");
     proto::ServDescResponse res;
     res.name = config_.name;
     res.description = config_.description;
     net_.send_datagram(self_, from, proto::encode_udp(std::move(res)));
-    return;
   }
-  counters_.add("udp_unexpected");
-}
-
-void Server::on_close(SessionKey key) {
-  counters_.add("closed");
-  drop(key);
 }
 
 void Server::drop(SessionKey key) {
@@ -172,7 +158,6 @@ void Server::on_message(SessionKey key, net::Bytes packet) {
   auto it = sessions_.find(key);
   if (it == sessions_.end()) return;
   if (!it->second.bucket.try_take(net_.simulation().now())) {
-    counters_.add("rate_limited");
     defense_.rate_limited += 1;
     return;  // dropped, not fatal: a later in-budget message still works
   }
@@ -181,7 +166,6 @@ void Server::on_message(SessionKey key, net::Bytes packet) {
     // Overload: shed oldest-first so the queue stays bounded and fresh
     // traffic (which the sender will retry least) survives.
     inbox_.pop_front();
-    counters_.add("queue_dropped");
     defense_.queue_dropped += 1;
   }
   if (!inbox_armed_) {
@@ -217,7 +201,6 @@ void Server::process(SessionKey key, net::Bytes packet) {
   } catch (const DecodeError&) {
     // Malformed traffic: count it, then close the connection, as lugdunum
     // servers do.
-    counters_.add("decode_errors");
     defense_.malformed += 1;
     net_.note_malformed(self_);
     session.endpoint->close();
@@ -237,15 +220,13 @@ void Server::process(SessionKey key, net::Bytes packet) {
                       std::is_same_v<T, proto::GetSources> ||
                       std::is_same_v<T, proto::SearchRequestView>) {
           handle(session, m);
-        } else {
-          counters_.add("unexpected_messages");
         }
       },
       msg);
 }
 
 void Server::handle(Session& session, const proto::LoginRequestView& msg) {
-  counters_.add("logins");
+  ++counters_.logins;
   session.user = msg.user;
   session.port = msg.port;
   session.logged_in = true;
@@ -259,7 +240,6 @@ void Server::handle(Session& session, const proto::LoginRequestView& msg) {
   } else {
     session.client_id = ClientId(next_low_id_++);
     if (next_low_id_ >= ClientId::kLowIdThreshold) next_low_id_ = 1;
-    counters_.add("low_ids");
   }
   session.endpoint->send(
       proto::encode(proto::IdChange{session.client_id.value(), 0}));
@@ -267,16 +247,15 @@ void Server::handle(Session& session, const proto::LoginRequestView& msg) {
 
 void Server::handle(Session& session, const proto::OfferFilesView& msg) {
   if (!session.logged_in) {
-    counters_.add("offer_before_login");
+    ++counters_.offer_before_login;
     return;
   }
-  counters_.add("offers");
-  counters_.add("offered_files", msg.files.count);
+  ++counters_.offers;
   const auto views = arena_.of(msg.files);
   if (lies_.drop_offers) {
     // No protocol-level ack exists for OFFER-FILES, so the client cannot
     // tell: only an advertise-and-verify self-probe surfaces this.
-    counters_.add("byz_offers_dropped");
+    ++counters_.byz_offers_dropped;
     return;
   }
   std::size_t keep = views.size();
@@ -284,7 +263,7 @@ void Server::handle(Session& session, const proto::OfferFilesView& msg) {
     keep = static_cast<std::size_t>(
         static_cast<double>(keep) *
         std::clamp(lies_.truncate_keep, 0.0, 1.0));
-    counters_.add("byz_offers_truncated");
+    ++counters_.byz_offers_truncated;
   }
   if (lies_.stale_index) {
     // Evict early (the session's previous ad vanishes now), index late
@@ -309,7 +288,7 @@ void Server::handle(Session& session, const proto::OfferFilesView& msg) {
     } else {
       stale_pending_.push_back(std::move(pending));
     }
-    counters_.add("byz_offers_deferred");
+    ++counters_.byz_offers_deferred;
     return;
   }
   index_.set_shared_list(session.key, session.client_id.value(), session.port,
@@ -318,7 +297,6 @@ void Server::handle(Session& session, const proto::OfferFilesView& msg) {
 
 void Server::handle(Session& session, const proto::GetSources& msg) {
   if (!session.logged_in) return;
-  counters_.add("get_sources");
   auto sources =
       index_.sources(msg.file, std::min<std::size_t>(config_.max_sources_per_reply, 255));
   if (lies_.fabricate_count > 0) {
@@ -334,7 +312,7 @@ void Server::handle(Session& session, const proto::GetSources& msg) {
       sources.push_back(entry);
       ++forged;
     }
-    counters_.add("byz_sources_fabricated", forged);
+    counters_.byz_sources_fabricated += forged;
   }
   session.endpoint->send(
       proto::encode(proto::FoundSources{msg.file, std::move(sources)}));
@@ -342,7 +320,6 @@ void Server::handle(Session& session, const proto::GetSources& msg) {
 
 void Server::handle(Session& session, const proto::SearchRequestView& msg) {
   if (!session.logged_in) return;
-  counters_.add("searches");
   auto files = index_.search(msg.query, config_.max_search_results);
   if (lies_.corrupt_search && !files.empty()) {
     // Garble every returned hash: the names still look right, the ids are
@@ -351,7 +328,7 @@ void Server::handle(Session& session, const proto::SearchRequestView& msg) {
       const std::uint64_t h = mix64(lies_.corrupt_seed + ++corrupt_counter_);
       f.file = FileId::from_words(h, mix64(h));
     }
-    counters_.add("byz_searches_corrupted");
+    ++counters_.byz_searches_corrupted;
   }
   session.endpoint->send(proto::encode(proto::SearchResult{std::move(files)}));
 }
@@ -393,7 +370,7 @@ void Server::apply_stale_pending() {
     if (it == sessions_.end() || !it->second.logged_in) continue;
     index_.set_shared_list(pending.key, pending.client_id, pending.port,
                            pending.files);
-    counters_.add("byz_offers_late_indexed");
+    ++counters_.byz_offers_late_indexed;
   }
   stale_pending_.clear();
 }

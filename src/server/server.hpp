@@ -17,7 +17,6 @@
 #include "net/network.hpp"
 #include "proto/messages.hpp"
 #include "server/index.hpp"
-#include "sim/metrics.hpp"
 
 namespace edhp::server {
 
@@ -75,9 +74,21 @@ class Server {
   [[nodiscard]] std::size_t session_count() const noexcept {
     return sessions_.size();
   }
-  [[nodiscard]] const sim::CounterSet& counters() const noexcept {
-    return counters_;
-  }
+  /// Events with no home in the defense stats (each counted once).
+  struct Counters {
+    std::uint64_t logins = 0;
+    std::uint64_t offers = 0;
+    std::uint64_t offer_before_login = 0;
+    std::uint64_t udp_status_requests = 0;
+    // Injected lies actually told (see ServerLies).
+    std::uint64_t byz_offers_dropped = 0;
+    std::uint64_t byz_offers_truncated = 0;
+    std::uint64_t byz_offers_deferred = 0;
+    std::uint64_t byz_offers_late_indexed = 0;
+    std::uint64_t byz_sources_fabricated = 0;  ///< forged source entries
+    std::uint64_t byz_searches_corrupted = 0;
+  };
+  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
   [[nodiscard]] const net::DefenseStats& defense_stats() const noexcept {
     return defense_;
   }
@@ -110,7 +121,6 @@ class Server {
   void on_accept(net::EndpointPtr endpoint);
   void on_message(SessionKey key, net::Bytes packet);
   void on_datagram(net::NodeId from, net::Bytes datagram);
-  void on_close(SessionKey key);
   void drop(SessionKey key);
   /// Decode and dispatch one inbound packet (post-admission).
   void process(SessionKey key, net::Bytes packet);
@@ -150,7 +160,7 @@ class Server {
   std::unordered_map<SessionKey, Session> sessions_;
   SessionKey next_key_ = 1;
   std::uint32_t next_low_id_ = 1;
-  sim::CounterSet counters_;
+  Counters counters_;
   net::DefenseStats defense_;
   /// Per-remote-node connect buckets (created lazily; defense only).
   std::unordered_map<net::NodeId, net::TokenBucket> connect_buckets_;

@@ -215,14 +215,76 @@ struct ServerRig {
   net::NodeId server_node;
   std::unique_ptr<server::Server> server;
 
-  explicit ServerRig(const net::DefenseConfig& defense) {
+  explicit ServerRig(
+      const net::DefenseConfig& defense,
+      std::size_t hard_session_cap = server::ServerConfig{}.hard_session_cap) {
     server_node = network.add_node(true);
     server::ServerConfig sc;
     sc.defense = defense;
+    sc.hard_session_cap = hard_session_cap;
     server = std::make_unique<server::Server>(network, server_node, sc);
     server->start();
   }
 };
+
+/// One client connection that logs in and counts the server's ID-CHANGE
+/// answers.
+struct LoginClient {
+  net::EndpointPtr ep;
+  int id_changes = 0;
+};
+
+void connect_and_login(ServerRig& rig, LoginClient& client) {
+  const auto node = rig.network.add_node(true);
+  rig.network.connect(node, rig.server_node, [&client](net::EndpointPtr e) {
+    ASSERT_TRUE(e);
+    client.ep = std::move(e);
+    client.ep->on_message([&client](net::Bytes bytes) {
+      const auto msg = proto::decode(proto::Channel::client_server, bytes);
+      if (std::holds_alternative<proto::IdChange>(msg)) ++client.id_changes;
+    });
+    proto::LoginRequest login;
+    login.user = UserId::from_words(7, 7);
+    login.port = 4662;
+    client.ep->send(proto::encode(proto::AnyMessage{login}));
+  });
+}
+
+// The fd-limit analog holds with the defense layer off: the connection
+// past the cap is closed at accept, the admitted sessions are still served,
+// and a session that closes frees its place for a new one.
+TEST(ServerDefense, HardSessionCapHoldsWithDefenseOff) {
+  const net::DefenseConfig defense{};  // disabled
+  ASSERT_FALSE(defense.enabled);
+  ServerRig rig(defense, /*hard_session_cap=*/2);
+
+  LoginClient first, second, third;
+  connect_and_login(rig, first);
+  connect_and_login(rig, second);
+  connect_and_login(rig, third);
+  rig.simulation.run_until(10.0);
+
+  EXPECT_EQ(rig.server->session_count(), 2u);
+  EXPECT_TRUE(first.ep->open());
+  EXPECT_TRUE(second.ep->open());
+  EXPECT_FALSE(third.ep->open());
+  EXPECT_EQ(first.id_changes, 1);
+  EXPECT_EQ(second.id_changes, 1);
+  EXPECT_EQ(third.id_changes, 0);
+  EXPECT_EQ(rig.server->counters().logins, 2u);
+
+  first.ep->close();
+  rig.simulation.run_until(20.0);
+  EXPECT_EQ(rig.server->session_count(), 1u);
+
+  LoginClient fourth;
+  connect_and_login(rig, fourth);
+  rig.simulation.run_until(30.0);
+  EXPECT_TRUE(fourth.ep->open());
+  EXPECT_EQ(fourth.id_changes, 1);
+  EXPECT_EQ(rig.server->session_count(), 2u);
+  EXPECT_EQ(rig.server->defense_stats().accepted, 0u);  // defense dormant
+}
 
 TEST(ServerDefense, SessionCapShedsNewestConnections) {
   net::DefenseConfig defense;

@@ -159,7 +159,7 @@ TEST_F(ByzantineServerTest, DropOffersWindowIgnoresListsAndAuditsClean) {
       proto::encode(AnyMessage{proto::OfferFiles{{pub(5, "a.avi")}}}));
   s.run();
   EXPECT_EQ(server.index().file_count(), 0u);
-  EXPECT_GT(server.counters().get("byz_offers_dropped"), 0u);
+  EXPECT_GT(server.counters().byz_offers_dropped, 0u);
   EXPECT_EQ(server.index_audit(), 0u);  // the lie never corrupts the index
 
   server.set_drop_offers(false);
@@ -176,7 +176,7 @@ TEST_F(ByzantineServerTest, TruncateOffersKeepsOnlyPrefix) {
       {pub(1, "a.avi"), pub(2, "b.avi"), pub(3, "c.avi"), pub(4, "d.avi")}}}));
   s.run();
   EXPECT_EQ(server.index().file_count(), 2u);
-  EXPECT_GT(server.counters().get("byz_offers_truncated"), 0u);
+  EXPECT_GT(server.counters().byz_offers_truncated, 0u);
   EXPECT_EQ(server.index_audit(), 0u);
 }
 
@@ -187,12 +187,12 @@ TEST_F(ByzantineServerTest, StaleIndexDefersOffersUntilWindowEnds) {
       proto::encode(AnyMessage{proto::OfferFiles{{pub(9, "late.avi")}}}));
   s.run();
   EXPECT_EQ(server.index().file_count(), 0u);  // deferred, not indexed
-  EXPECT_GT(server.counters().get("byz_offers_deferred"), 0u);
+  EXPECT_GT(server.counters().byz_offers_deferred, 0u);
 
   server.set_stale_index(false);  // window ends: deferred offers land
   s.run();
   EXPECT_EQ(server.index().file_count(), 1u);
-  EXPECT_GT(server.counters().get("byz_offers_late_indexed"), 0u);
+  EXPECT_GT(server.counters().byz_offers_late_indexed, 0u);
   EXPECT_EQ(server.index_audit(), 0u);
 }
 
@@ -230,7 +230,7 @@ TEST_F(ByzantineServerTest, FabricatedSourcesPadRepliesOnlyDuringWindow) {
     }
   }
   EXPECT_EQ(forged, 3u);  // forged entries are nonexistent HighID peers
-  EXPECT_GT(server.counters().get("byz_sources_fabricated"), 0u);
+  EXPECT_GT(server.counters().byz_sources_fabricated, 0u);
   EXPECT_EQ(server.index_audit(), 0u);  // forgeries never enter the index
 
   // Even a file nobody offered gains sources — the canary the honeypot
@@ -279,7 +279,7 @@ TEST_F(ByzantineServerTest, CorruptSearchGarblesFileIdsOnlyDuringWindow) {
   const auto lied = search();
   ASSERT_EQ(lied.size(), 1u);
   EXPECT_NE(lied[0].file, FileId::from_words(5, 5));
-  EXPECT_GT(server.counters().get("byz_searches_corrupted"), 0u);
+  EXPECT_GT(server.counters().byz_searches_corrupted, 0u);
   EXPECT_EQ(server.index_audit(), 0u);
 
   server.set_corrupt_search(false, 0);

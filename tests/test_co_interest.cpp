@@ -174,13 +174,13 @@ TEST_F(QueueTest, SlotCapQueuesExtraPeers) {
   EXPECT_TRUE(got<proto::AcceptUpload>(first));
   EXPECT_FALSE(got<proto::AcceptUpload>(second));
   EXPECT_TRUE(got<proto::QueueRank>(second));
-  EXPECT_EQ(hp.counters().get("queued_peers"), 1u);
+  EXPECT_EQ(hp.counters().queued_peers, 1u);
 
   // The slot holder leaves: the queued peer gets promoted.
   first.ep->close();
   settle();
   EXPECT_TRUE(got<proto::AcceptUpload>(second));
-  EXPECT_EQ(hp.counters().get("promoted_from_queue"), 1u);
+  EXPECT_EQ(hp.counters().promoted_from_queue, 1u);
 }
 
 TEST_F(QueueTest, UnlimitedSlotsByDefault) {
@@ -196,7 +196,7 @@ TEST_F(QueueTest, UnlimitedSlotsByDefault) {
   EXPECT_TRUE(got<proto::AcceptUpload>(first));
   EXPECT_TRUE(got<proto::AcceptUpload>(second));
   EXPECT_TRUE(got<proto::AcceptUpload>(third));
-  EXPECT_EQ(hp.counters().get("queued_peers"), 0u);
+  EXPECT_EQ(hp.counters().queued_peers, 0u);
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST_F(DownloaderTest, RandomContentPathCompletesPartAndDetects) {
   EXPECT_GE(peer->stats().parts_completed, 1u);
   EXPECT_GE(peer->stats().request_parts_sent, 17u);
   EXPECT_EQ(peer->stats().detections, 1u);
-  EXPECT_GE(hp.counters().get("blocks_sent"), 3u * 17u);
+  EXPECT_GE(hp.counters().blocks_sent, 3u * 17u);
 }
 
 TEST_F(DownloaderTest, SilenceDetectedFasterThanRandomContent) {

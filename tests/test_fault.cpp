@@ -255,7 +255,7 @@ TEST(Recovery, RetryBudgetExhaustionReportsDead) {
   server.stop();  // permanent: every retry fails
   s.run_until(s.now() + minutes(10));
   EXPECT_EQ(hp.status(), honeypot::Status::dead);
-  EXPECT_EQ(hp.counters().get("retry_budget_exhausted"), 1u);
+  EXPECT_EQ(hp.counters().retry_budget_exhausted, 1u);
   EXPECT_GE(hp.retries(), 3u);
 }
 
@@ -386,7 +386,7 @@ TEST_F(SpoolTest, CrashInsideAckWindowResendsAndDedups) {
   // with its original sequence number and deduplicated by the store.
   hp.connect_to_server(ref);
   settle();
-  EXPECT_GE(hp.counters().get("chunks_resent"), 1u);
+  EXPECT_GE(hp.counters().chunks_resent, 1u);
   EXPECT_EQ(manager.spool_store().chunks_accepted(), 1u);
   EXPECT_GE(manager.spool_store().chunks_duplicate(), 1u);
   EXPECT_EQ(manager.spool_store().reassemble(hp.config().id).records.size(),

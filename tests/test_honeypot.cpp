@@ -98,7 +98,7 @@ TEST_F(HoneypotTest, OfferKeepAliveRefreshesServer) {
   settle();
   hp.advertise({fake});
   s.run_until(s.now() + hours(2));
-  EXPECT_GE(hp.counters().get("offers_sent"), 4u);  // initial + keepalives
+  EXPECT_GE(hp.counters().offers_sent, 4u);  // initial + keepalives
   EXPECT_TRUE(server.index().has_file(fake.id));
 }
 
@@ -252,7 +252,7 @@ TEST_F(HoneypotTest, HarvestsSharedListsAndAggregates) {
 
   EXPECT_EQ(hp.observed().size(), 3u);
   EXPECT_EQ(hp.observed().bytes(), 1000u + 2000u + 3000u);
-  EXPECT_EQ(hp.counters().get("shared_lists_received"), 2u);
+  EXPECT_EQ(hp.counters().shared_lists_received, 2u);
   EXPECT_EQ(hp.observed().name(0), "shared-0.avi");
   EXPECT_EQ(hp.observed().name(2), "shared-2.avi");
 }
@@ -357,8 +357,41 @@ TEST_F(HoneypotTest, MalformedPeerTrafficDropsConnection) {
   auto peer = contact(hp, /*send_hello=*/false);
   peer.ep->send(net::Bytes{0xFF, 0xFF});
   settle();
-  EXPECT_EQ(hp.counters().get("peer_decode_errors"), 1u);
+  EXPECT_EQ(hp.defense_stats().malformed, 1u);
   EXPECT_TRUE(hp.log().records.empty());
+}
+
+// The fd-limit analog holds with the defense layer off: the peer past the
+// cap is closed at accept, the admitted peers are still logged, and a peer
+// that closes frees its place for a new one.
+class HoneypotDefense : public HoneypotTest {};
+
+TEST_F(HoneypotDefense, HardPeerCapHoldsWithDefenseOff) {
+  auto c = config(ContentStrategy::no_content);
+  c.hard_peer_cap = 2;
+  ASSERT_FALSE(c.defense.enabled);
+  Honeypot hp(net, net.add_node(true), c);
+  hp.connect_to_server(ref);
+  settle();
+
+  auto first = contact(hp);
+  auto second = contact(hp);
+  auto third = contact(hp);
+  EXPECT_TRUE(first.ep->open());
+  EXPECT_TRUE(second.ep->open());
+  EXPECT_FALSE(third.ep->open());
+  EXPECT_FALSE(first.inbox.empty());  // HELLO answered
+  EXPECT_FALSE(second.inbox.empty());
+  EXPECT_TRUE(third.inbox.empty());
+  EXPECT_EQ(hp.log().records.size(), 2u);
+
+  first.ep->close();
+  settle();
+  auto fourth = contact(hp);
+  EXPECT_TRUE(fourth.ep->open());
+  EXPECT_FALSE(fourth.inbox.empty());
+  EXPECT_EQ(hp.log().records.size(), 3u);
+  EXPECT_EQ(hp.defense_stats().accepted, 0u);  // defense dormant
 }
 
 TEST_F(HoneypotTest, LowIdPeerFlaggedInLog) {
@@ -409,7 +442,7 @@ TEST_F(HoneypotTest, SearchAndAdoptPullsKeywordMatches) {
   settle();
 
   EXPECT_EQ(hp.advertised().size(), 3u);
-  EXPECT_EQ(hp.counters().get("search_adopted"), 3u);
+  EXPECT_EQ(hp.counters().search_adopted, 3u);
   for (const auto& f : hp.advertised()) {
     EXPECT_NE(f.name.find("crimson"), std::string::npos);
   }
@@ -453,7 +486,7 @@ TEST_F(HoneypotTest, SearchWhileDisconnectedIsNoOp) {
   hp.search_and_adopt("anything", 5);
   settle();
   EXPECT_TRUE(hp.advertised().empty());
-  EXPECT_EQ(hp.counters().get("searches_sent"), 0u);
+  EXPECT_EQ(hp.counters().searches_sent, 0u);
 }
 
 }  // namespace

@@ -253,7 +253,7 @@ TEST_F(ManagerTest, RepairsAdvertiseOrderLostWhileDead) {
   manager.honeypot(0).crash();
   AdvertisedFile f{FileId::from_words(21, 22), "late.avi", 7};
   manager.advertise(0, {f});  // order arrives while dead: honeypot drops it
-  EXPECT_EQ(manager.honeypot(0).counters().get("advertise_orders_lost"), 1u);
+  EXPECT_EQ(manager.honeypot(0).counters().advertise_orders_lost, 1u);
   EXPECT_TRUE(manager.honeypot(0).advertised().empty());
 
   s.run_until(s.now() + minutes(30));

@@ -1,48 +1,11 @@
-// Metric recorders and text helpers.
+// Text helpers: keyword tokenization and ASCII lowercasing.
 
 #include <gtest/gtest.h>
 
 #include "common/text.hpp"
-#include "sim/metrics.hpp"
 
 namespace edhp {
 namespace {
-
-TEST(BucketSeries, BucketsByWidth) {
-  sim::BucketSeries series(10.0);
-  series.add(0.0);
-  series.add(9.999);
-  series.add(10.0);
-  series.add(35.0, 5);
-  EXPECT_EQ(series.num_buckets(), 4u);
-  EXPECT_EQ(series.at(0), 2u);
-  EXPECT_EQ(series.at(1), 1u);
-  EXPECT_EQ(series.at(2), 0u);
-  EXPECT_EQ(series.at(3), 5u);
-  EXPECT_EQ(series.at(99), 0u);  // untouched bucket reads as 0
-  EXPECT_EQ(series.total(), 8u);
-}
-
-TEST(BucketSeries, RejectsBadInput) {
-  EXPECT_THROW(sim::BucketSeries(0.0), std::invalid_argument);
-  EXPECT_THROW(sim::BucketSeries(-1.0), std::invalid_argument);
-  sim::BucketSeries series(1.0);
-  EXPECT_THROW(series.add(-0.5), std::invalid_argument);
-}
-
-TEST(CounterSet, AccumulatesAndSorts) {
-  sim::CounterSet counters;
-  counters.add("b");
-  counters.add("a", 3);
-  counters.add("b", 2);
-  EXPECT_EQ(counters.get("a"), 3u);
-  EXPECT_EQ(counters.get("b"), 3u);
-  EXPECT_EQ(counters.get("missing"), 0u);
-  const auto sorted = counters.sorted();
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_EQ(sorted[0].first, "a");
-  EXPECT_EQ(sorted[1].first, "b");
-}
 
 class TokenizeCase : public ::testing::TestWithParam<
                          std::pair<const char*, std::vector<std::string>>> {};

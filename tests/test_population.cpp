@@ -257,7 +257,7 @@ TEST_F(PopulationTest, PexPeersSkipTheServer) {
   s.run_until(days(1));
   // The cache starts empty, so the first peers hit the server and seed it;
   // once seeded, PEX peers bypass the server entirely.
-  const auto logins = server.counters().get("logins");
+  const auto logins = server.counters().logins;
   EXPECT_GT(pop.arrivals(), 100u);
   EXPECT_LT(logins, pop.arrivals() / 2)
       << "most peers should have used peer exchange";

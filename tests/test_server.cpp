@@ -147,7 +147,7 @@ TEST_F(ServerTest, QueriesBeforeLoginIgnored) {
   s.run();
   EXPECT_EQ(server.index().file_count(), 0u);
   EXPECT_EQ(replies, 0u);
-  EXPECT_EQ(server.counters().get("offer_before_login"), 1u);
+  EXPECT_EQ(server.counters().offer_before_login, 1u);
 }
 
 TEST_F(ServerTest, MalformedPacketClosesSession) {
@@ -158,7 +158,7 @@ TEST_F(ServerTest, MalformedPacketClosesSession) {
   });
   s.run();
   EXPECT_EQ(server.session_count(), 0u);
-  EXPECT_EQ(server.counters().get("decode_errors"), 1u);
+  EXPECT_EQ(server.defense_stats().malformed, 1u);
 }
 
 TEST_F(ServerTest, StopDropsEverything) {
@@ -183,7 +183,7 @@ TEST_F(ServerTest, ReofferUpdatesKeepAliveSemantics) {
       AnyMessage{proto::OfferFiles{{pub(1, "a"), pub(2, "b")}}}));
   s.run();
   EXPECT_EQ(server.index().file_count(), 2u);
-  EXPECT_EQ(server.counters().get("offers"), 2u);
+  EXPECT_EQ(server.counters().offers, 2u);
 }
 
 }  // namespace

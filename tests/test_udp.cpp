@@ -129,7 +129,7 @@ TEST_F(ServerUdpTest, AnswersStatusPing) {
   ASSERT_TRUE(answer.has_value());
   EXPECT_EQ(answer->challenge, 0xBEEFu);
   EXPECT_EQ(answer->users, 0u);
-  EXPECT_EQ(server.counters().get("udp_status_requests"), 1u);
+  EXPECT_EQ(server.counters().udp_status_requests, 1u);
 }
 
 TEST_F(ServerUdpTest, AnswersDescription) {
@@ -152,7 +152,7 @@ TEST_F(ServerUdpTest, MalformedDatagramCounted) {
   const auto probe = net.add_node(true);
   net.send_datagram(probe, server_node, net::Bytes{0xFF, 0xFF});
   s.run();
-  EXPECT_EQ(server.counters().get("udp_decode_errors"), 1u);
+  EXPECT_EQ(server.defense_stats().malformed, 1u);
 }
 
 class SurveyTest : public ::testing::Test {
