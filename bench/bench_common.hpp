@@ -13,13 +13,13 @@
 // Any other argument, or a value that is not a complete number, prints the
 // usage to stderr and exits with status 2.
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string_view>
 
+#include "common/parse.hpp"
 #include "scenario/scenario.hpp"
 
 namespace edhp::bench {
@@ -44,14 +44,9 @@ inline constexpr std::string_view kUsage =
 /// usage error.
 template <class T>
 T parse_value(std::string_view arg) {
-  const auto text = arg.substr(arg.find('=') + 1);
-  T value{};
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || ec != std::errc{} || end != text.data() + text.size()) {
-    usage_error("not a number", arg);
-  }
-  return value;
+  const auto value = parse_number<T>(arg.substr(arg.find('=') + 1));
+  if (!value) usage_error("not a number", arg);
+  return *value;
 }
 
 inline Options parse_options(int argc, char** argv, double default_scale = 0.2) {

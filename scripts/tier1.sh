@@ -18,10 +18,11 @@
 #
 # The deterministic codec fuzzer, the abuse/admission tests, the
 # observed-file catalogue's differential test (it ingests attacker-sized
-# shared lists) and the journal entry codec's tests (journal files reach
-# edhp_inspect from disk) are ordinary ctest entries, so both presets run them;
-# under the asan preset they double as memory-safety proofs. --fuzz is the
-# focused loop for codec work;
+# shared lists), the journal entry codec's tests (journal files reach
+# edhp_inspect from disk) and the chaos repro parser's tests (repro files
+# reach edhp_inspect and edhp_chaosfuzz --replay from disk) are ordinary
+# ctest entries, so both presets run them; under the asan preset they double
+# as memory-safety proofs. --fuzz is the focused loop for codec work;
 # --chaosfuzz is the conservation-ledger smoke (see tools/edhp_chaosfuzz.cpp):
 # a fixed-seed batch means a failure here is reproducible verbatim, and any
 # shrunk repro lands in tests/chaos_corpus/ ready to commit.
@@ -66,7 +67,7 @@ if [ "$want_asan" = 1 ]; then
   cmake --preset asan
   cmake --build --preset asan -j
   if [ "$fuzz_only" = 1 ]; then
-    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine|ObservedCatalogue|JournalEntries'
+    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine|ObservedCatalogue|JournalEntries|ReproParse'
   else
     ctest --preset asan -j"$(nproc)"
   fi

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/clock.hpp"
+#include "common/parse.hpp"
 
 namespace edhp::audit {
 namespace {
@@ -185,13 +186,16 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-double parse_value(std::string_view text, std::string_view line) {
-  try {
-    return std::stod(std::string(text));
-  } catch (const std::exception&) {
+/// `text` as a complete number (no sign when T is unsigned); anything else
+/// throws naming the offending line.
+template <class T>
+T parse_value(std::string_view text, std::string_view line) {
+  const auto value = parse_number<T>(text);
+  if (!value) {
     throw std::runtime_error("chaos repro: bad value in line: " +
                              std::string(line));
   }
+  return *value;
 }
 
 }  // namespace
@@ -295,8 +299,9 @@ ReproConfig parse_repro(std::string_view text) {
         throw std::runtime_error("chaos repro: unknown knob: " +
                                  std::string(name));
       }
-      repro.point.knobs.emplace_back(static_cast<std::size_t>(index),
-                                     parse_value(body.substr(eq + 1), line));
+      repro.point.knobs.emplace_back(
+          static_cast<std::size_t>(index),
+          parse_value<double>(trim(body.substr(eq + 1)), line));
       continue;
     }
     const std::size_t eq = line.find('=');
@@ -307,13 +312,13 @@ ReproConfig parse_repro(std::string_view text) {
     const std::string_view key = trim(line.substr(0, eq));
     const std::string_view value = trim(line.substr(eq + 1));
     if (key == "seed") {
-      repro.seed = std::stoull(std::string(value));
+      repro.seed = parse_value<std::uint64_t>(value, line);
     } else if (key == "scale") {
-      repro.scale = parse_value(value, line);
+      repro.scale = parse_value<double>(value, line);
     } else if (key == "days") {
-      repro.days = parse_value(value, line);
+      repro.days = parse_value<double>(value, line);
     } else if (key == "honeypots") {
-      repro.honeypots = static_cast<std::size_t>(std::stoull(std::string(value)));
+      repro.honeypots = parse_value<std::size_t>(value, line);
     } else if (key == "expect") {
       if (value == "imbalance") {
         repro.expect_imbalance = true;

@@ -101,8 +101,10 @@ struct ReproConfig {
 /// Render a repro file (stable ordering; round-trips through parse_repro).
 [[nodiscard]] std::string serialize(const ReproConfig& repro);
 
-/// Parse a repro file. Throws std::runtime_error naming the offending line
-/// on malformed input or unknown knob names.
+/// Parse a repro file. Every number must be complete ("2x" is malformed)
+/// and unsigned fields (seed, honeypots) take no sign. Throws
+/// std::runtime_error naming the offending line on malformed input or
+/// unknown knob names.
 [[nodiscard]] ReproConfig parse_repro(std::string_view text);
 
 }  // namespace edhp::audit

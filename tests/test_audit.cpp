@@ -1,14 +1,16 @@
 // Record-conservation audit ledger: the balance equation holds under any
 // composition of chaos axes, an injected silent loss is a hard failure,
 // the off-path is a bit-identical no-op, the SpoolStore classification
-// seams count every record exactly once, and every committed chaos repro
-// in tests/chaos_corpus/ replays to its recorded verdict forever.
+// seams count every record exactly once, the repro parser rejects any
+// incomplete number by naming its line, and every committed chaos repro in
+// tests/chaos_corpus/ replays to its recorded verdict forever.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include "audit/audit.hpp"
@@ -271,6 +273,44 @@ TEST(ChaosPoint, SampledKnobsRespectTheirBounds) {
       EXPECT_LE(value, registry[index].hi) << registry[index].name;
     }
   }
+}
+
+// --- Repro parser: complete numbers only -----------------------------------
+
+// Repro files reach edhp_inspect and edhp_chaosfuzz --replay from disk, so a
+// malformed number must be an error naming its line, never a silent prefix
+// ("2x" as 2) or a wrapped sign ("-1" as 2^64 - 1).
+class ReproParse : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReproParse, MalformedNumberThrowsNamingTheLine) {
+  const std::string line = GetParam();
+  const std::string text = "# repro\nexpect=balanced\n" + line + "\n";
+  try {
+    (void)parse_repro(text);
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+        << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lines, ReproParse,
+                         ::testing::Values("seed=abc", "honeypots=abc",
+                                           "seed=-1", "honeypots=-1",
+                                           "days=2x", "scale=0.02junk",
+                                           "knob host_mtbf=5x"));
+
+TEST(ReproParseAccepts, EveryCompleteNumberForm) {
+  const auto repro = parse_repro(
+      "seed=18446744073709551615\nscale=2e-2\ndays=1.5\nhoneypots=6\n"
+      "knob host_mtbf=21600\nknob link_dup=1e-3\n");
+  EXPECT_EQ(repro.seed, 18446744073709551615ull);
+  EXPECT_EQ(repro.scale, 0.02);
+  EXPECT_EQ(repro.days, 1.5);
+  EXPECT_EQ(repro.honeypots, 6u);
+  ASSERT_EQ(repro.point.knobs.size(), 2u);
+  EXPECT_EQ(repro.point.knobs[0].second, 21600.0);
+  EXPECT_EQ(repro.point.knobs[1].second, 0.001);
 }
 
 // --- Committed corpus replay ------------------------------------------------

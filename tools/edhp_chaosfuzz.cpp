@@ -26,9 +26,12 @@
 //                                     caught and the repro is <= 3 knobs)
 //
 // Exit codes: 0 every point/replay passed; 1 an invariant failed (repro
-// written in batch mode); 2 usage.
+// written in batch mode); 2 usage: an unknown flag, or a numeric flag whose
+// value is not a complete number (unsigned flags take no sign), rejected
+// before any campaign runs.
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -38,6 +41,7 @@
 
 #include "audit/audit.hpp"
 #include "audit/chaos_point.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 #include "chaos_run.hpp"
@@ -59,12 +63,22 @@ struct Options {
   std::vector<std::string> replays;
 };
 
-int usage() {
-  std::cerr << "usage: edhp_chaosfuzz [--points=N] [--seed=S] [--scale=F] "
+[[noreturn]] void usage_error(std::string_view reason, std::string_view arg) {
+  std::cerr << reason << ": " << arg << "\n"
+            << "usage: edhp_chaosfuzz [--points=N] [--seed=S] [--scale=F] "
                "[--days=D] [--honeypots=H] [--twin=K] [--out=DIR] [--quiet]\n"
                "       edhp_chaosfuzz --replay=FILE...\n"
                "       edhp_chaosfuzz --selftest\n";
-  return 2;
+  std::exit(2);
+}
+
+/// The number after the `=` of `arg`; anything but a complete number is a
+/// usage error.
+template <class T>
+T flag_value(std::string_view arg) {
+  const auto value = parse_number<T>(arg.substr(arg.find('=') + 1));
+  if (!value) usage_error("not a number", arg);
+  return *value;
 }
 
 /// What one run of a point observed (a thrown exception counts as failed).
@@ -258,32 +272,29 @@ int run_selftest(const Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&arg](std::string_view prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (arg.rfind("--points=", 0) == 0) {
-      opt.points = std::stoul(value("--points="));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::stoull(value("--seed="));
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = std::stod(value("--scale="));
-    } else if (arg.rfind("--days=", 0) == 0) {
-      opt.days = std::stod(value("--days="));
-    } else if (arg.rfind("--honeypots=", 0) == 0) {
-      opt.honeypots = std::stoul(value("--honeypots="));
-    } else if (arg.rfind("--twin=", 0) == 0) {
-      opt.twin = std::stoul(value("--twin="));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      opt.out = value("--out=");
-    } else if (arg.rfind("--replay=", 0) == 0) {
-      opt.replays.push_back(value("--replay="));
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--points=")) {
+      opt.points = flag_value<std::size_t>(arg);
+    } else if (arg.starts_with("--seed=")) {
+      opt.seed = flag_value<std::uint64_t>(arg);
+    } else if (arg.starts_with("--scale=")) {
+      opt.scale = flag_value<double>(arg);
+    } else if (arg.starts_with("--days=")) {
+      opt.days = flag_value<double>(arg);
+    } else if (arg.starts_with("--honeypots=")) {
+      opt.honeypots = flag_value<std::size_t>(arg);
+    } else if (arg.starts_with("--twin=")) {
+      opt.twin = flag_value<std::size_t>(arg);
+    } else if (arg.starts_with("--out=")) {
+      opt.out = arg.substr(arg.find('=') + 1);
+    } else if (arg.starts_with("--replay=")) {
+      opt.replays.emplace_back(arg.substr(arg.find('=') + 1));
     } else if (arg == "--selftest") {
       opt.selftest = true;
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else {
-      return usage();
+      usage_error("unknown argument", arg);
     }
   }
   try {
