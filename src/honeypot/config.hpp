@@ -94,6 +94,12 @@ struct HoneypotConfig {
   /// these from ChaosConfig; the manager's launch path leaves them alone.
   budget::BudgetConfig budget;
 
+  /// Audit self-test fault (0 = off, always off outside the conservation
+  /// auditor's negative tests): silently destroy every Nth admitted record
+  /// AFTER the shed/stream accounting points, a deliberate unaccounted loss
+  /// the audit ledger must flag. Copied from ChaosConfig by the scenarios.
+  std::uint32_t audit_selftest_drop = 0;
+
   /// Advertise-and-verify self-probes (0 = off, the default). Every period
   /// the honeypot alternates between (a) searching the server for one of its
   /// own advertised files — the reply must contain that file id — and (b) a
@@ -101,12 +107,6 @@ struct HoneypotConfig {
   /// proves the server fabricates sources. A probe miss triggers an
   /// immediate re-advertise (self-heal) and is reported to the manager
   /// through the probe sink for server health scoring.
-  /// Audit self-test fault (0 = off, always off outside the conservation
-  /// auditor's negative tests): silently destroy every Nth admitted record
-  /// AFTER the shed/stream accounting points, a deliberate unaccounted loss
-  /// the audit ledger must flag. Copied from ChaosConfig by the scenarios.
-  std::uint32_t audit_selftest_drop = 0;
-
   Duration self_probe_period = 0;
   Duration self_probe_timeout = minutes(2);
   /// Timeout retransmits allowed per probe before a miss is scored (0 = the

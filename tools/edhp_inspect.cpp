@@ -15,8 +15,9 @@
 //                             record-conservation ledger
 //
 // A `--json` flag anywhere on the command line switches the reporting modes
-// (stats, defense, journal, degrade, integrity, clients) to one JSON object
-// per input file on stdout — machine-readable for CI gates and dashboards.
+// (stats, defense, journal, degrade, integrity, clock, audit, clients) to one
+// JSON object per input file on stdout — machine-readable for CI gates and
+// dashboards.
 //
 // Logs are the binary format honeypots write (logbook::save/load). The
 // pipeline an operator runs after a campaign:
