@@ -7,8 +7,12 @@
 namespace edhp {
 namespace {
 
-class TokenizeCase : public ::testing::TestWithParam<
-                         std::pair<const char*, std::vector<std::string>>> {};
+// The input is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, and the address would then differ from run to
+// run in each case's printed name.
+using Case = std::pair<std::string, std::vector<std::string>>;
+
+class TokenizeCase : public ::testing::TestWithParam<Case> {};
 
 TEST_P(TokenizeCase, SplitsAsExpected) {
   const auto& [input, expected] = GetParam();
@@ -18,15 +22,14 @@ TEST_P(TokenizeCase, SplitsAsExpected) {
 INSTANTIATE_TEST_SUITE_P(
     Corpus, TokenizeCase,
     ::testing::Values(
-        std::pair{"The.Best_Movie(2008)",
-                  std::vector<std::string>{"the", "best", "movie", "2008"}},
-        std::pair{"", std::vector<std::string>{}},
-        std::pair{"...", std::vector<std::string>{}},
-        std::pair{"single", std::vector<std::string>{"single"}},
-        std::pair{"UPPER lower", std::vector<std::string>{"upper", "lower"}},
-        std::pair{"a-b_c d", std::vector<std::string>{"a", "b", "c", "d"}},
-        std::pair{"trailing.", std::vector<std::string>{"trailing"}},
-        std::pair{".leading", std::vector<std::string>{"leading"}}));
+        Case{"The.Best_Movie(2008)", {"the", "best", "movie", "2008"}},
+        Case{"", {}},
+        Case{"...", {}},
+        Case{"single", {"single"}},
+        Case{"UPPER lower", {"upper", "lower"}},
+        Case{"a-b_c d", {"a", "b", "c", "d"}},
+        Case{"trailing.", {"trailing"}},
+        Case{".leading", {"leading"}}));
 
 TEST(ToLower, Ascii) {
   EXPECT_EQ(to_lower("MiXeD 123!"), "mixed 123!");
