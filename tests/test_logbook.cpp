@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/bytes.hpp"
+#include "logbook/journal.hpp"
 #include "logbook/log_io.hpp"
 #include "logbook/merge.hpp"
 #include "scratch_dir.hpp"
@@ -80,6 +81,28 @@ TEST(LogIo, BinaryRoundTripEmptyLog) {
   std::stringstream buffer;
   write_binary(buffer, log);
   EXPECT_EQ(read_binary(buffer), log);
+}
+
+TEST(LogIo, BinaryBytesArePinned) {
+  // The on-disk format is frozen: a log of 3000 records, more than one
+  // write block, must serialize to exactly these bytes.
+  LogFile log = sample_log(7);
+  const auto ref = log.intern("aMule 2.1.3");
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    LogRecord r = rec(0.25 * i + 1e-3, static_cast<std::uint16_t>(i % 5),
+                      static_cast<QueryType>(i % 3), 0x9E3779B97F4A7C15ull * i,
+                      i % 2 == 0 ? ref : 0, i % 4 != 0);
+    r.peer_port = static_cast<std::uint16_t>(4000 + i);
+    r.client_version = i * 7919;
+    log.records.push_back(r);
+  }
+  std::stringstream buffer;
+  write_binary(buffer, log);
+  const std::string bytes = buffer.str();
+  EXPECT_EQ(bytes.size(), 168'314u);
+  EXPECT_EQ(fnv1a({reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                   bytes.size()}),
+            0x2e42db2944524dcfull);
 }
 
 TEST(LogIo, BadMagicRejected) {
