@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <fstream>
 #include <sstream>
 
 #include "common/bytes.hpp"
@@ -132,6 +134,42 @@ TEST(LogIo, CsvHasHeaderAndRows) {
   while (std::getline(out, line)) ++rows;
   EXPECT_EQ(rows, log.records.size());
 }
+
+/// An empty log whose record-count field (its last eight bytes) claims
+/// `count` records.
+std::string empty_log_claiming(std::uint64_t count) {
+  std::stringstream buffer;
+  write_binary(buffer, LogFile{});
+  std::string bytes = buffer.str();
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = static_cast<char>(count >> (8 * i));
+  }
+  return bytes;
+}
+
+class CraftedRecordCount : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CraftedRecordCount, FailsAsDecodeError) {
+  // A count the input cannot hold must not reach the allocator: it fails
+  // as DecodeError from a stream and from a file alike.
+  const std::string bytes = empty_log_claiming(GetParam());
+  std::stringstream in(bytes);
+  EXPECT_THROW((void)read_binary(in), DecodeError);
+
+  const ScratchDir scratch;
+  const std::string path = scratch.file("crafted.edhplog");
+  std::ofstream(path, std::ios::binary) << bytes;
+  EXPECT_THROW((void)load(path), DecodeError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Counts, CraftedRecordCount,
+    ::testing::Values(~0ull, 1ull << 40, 1ull << 26),
+    [](const ::testing::TestParamInfo<std::uint64_t>& count) {
+      return count.param == ~0ull
+                 ? std::string("u64_max")
+                 : "two_pow_" + std::to_string(std::bit_width(count.param) - 1);
+    });
 
 TEST(LogIo, SaveAndLoadFile) {
   const auto log = sample_log(5);
