@@ -76,7 +76,7 @@ int main() {
   for (const auto& path : paths) {
     logs.push_back(logbook::load(path));
   }
-  auto merged = logbook::merge_logs(logs);
+  auto merged = logbook::merge_logs(logbook::borrow(logs));
   std::cout << "\nmerged: " << merged.records.size()
             << " records across 3 honeypots\n";
 

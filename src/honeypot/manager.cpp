@@ -781,15 +781,6 @@ const Honeypot& Manager::honeypot(std::size_t index) const {
   return *live_.at(index).honeypot;
 }
 
-std::vector<logbook::LogFile> Manager::collect_logs() const {
-  std::vector<logbook::LogFile> logs;
-  logs.reserve(live_.size());
-  for (const auto& slot : live_) {
-    logs.push_back(slot.honeypot->log());
-  }
-  return logs;
-}
-
 std::vector<std::string> Manager::persist_logs(const std::string& directory) const {
   std::vector<std::string> paths;
   paths.reserve(live_.size());
@@ -803,35 +794,12 @@ std::vector<std::string> Manager::persist_logs(const std::string& directory) con
 }
 
 logbook::LogFile Manager::merged_anonymized(std::uint64_t* distinct_peers_out) const {
-  auto logs = collect_logs();
-  std::uint64_t excluded = 0;
-  for (auto& log : logs) {
-    const auto before = log.records.size();
-    std::erase_if(log.records,
-                  [](const logbook::LogRecord& r) { return r.tainted(); });
-    excluded += before - log.records.size();
-  }
-  records_excluded_ = excluded;
+  std::vector<const logbook::LogFile*> logs;
+  logs.reserve(live_.size());
+  for (const auto& slot : live_) logs.push_back(&slot.honeypot->log());
   // Live merges read in-memory logs: nothing can sit in chunk quarantine.
   durable_quarantine_records_ = 0;
-  auto merged = merge_with_clock_correction(logs);
-  const auto distinct = anonymize::renumber_peers(merged);
-  if (distinct_peers_out != nullptr) {
-    *distinct_peers_out = distinct;
-  }
-  return merged;
-}
-
-logbook::LogFile Manager::merge_with_clock_correction(
-    std::span<const logbook::LogFile> logs) const {
-  // With clock tracking on, every merge is skew-corrected against the
-  // accumulated sightings and audited into time_integrity_. Without it the
-  // historical merge runs untouched (merge_logs_skew with zero observations
-  // is equivalent, but keeping the old path makes the no-op visible).
-  if (!config_.track_clocks || state_.clock_obs.empty()) {
-    return logbook::merge_logs(logs);
-  }
-  return logbook::merge_logs_skew(logs, state_.clock_obs, &time_integrity_);
+  return publish(logs, distinct_peers_out);
 }
 
 logbook::LogFile Manager::merged_anonymized_durable(
@@ -846,20 +814,27 @@ logbook::LogFile Manager::merged_anonymized_durable(
       salvage.ingest(chunk);
     }
   });
-  auto logs = salvage.reassemble_all();
+  const auto logs = salvage.reassemble_all();
   // Records still resident in corrupt chunks after the salvage pass keep
   // the `quarantined` disposition in the conservation ledger (a winning
   // re-send would have reclassified them as stored during ingestion).
   durable_quarantine_records_ = salvage.records_quarantined_resident();
-  std::uint64_t excluded = 0;
-  for (auto& log : logs) {
-    const auto before = log.records.size();
-    std::erase_if(log.records,
-                  [](const logbook::LogRecord& r) { return r.tainted(); });
-    excluded += before - log.records.size();
-  }
-  records_excluded_ = excluded;
-  auto merged = merge_with_clock_correction(logs);
+  return publish(logbook::borrow(logs), distinct_peers_out);
+}
+
+logbook::LogFile Manager::publish(std::span<const logbook::LogFile* const> logs,
+                                  std::uint64_t* distinct_peers_out) const {
+  // Tainted records never reach the published dataset: the merge skips
+  // them and counts them into records_excluded_. With clock tracking on,
+  // every merge is skew-corrected against the accumulated sightings and
+  // audited into time_integrity_. Without it the historical merge runs
+  // untouched (merge_logs_skew with zero observations is equivalent, but
+  // keeping the old path makes the no-op visible).
+  auto merged =
+      !config_.track_clocks || state_.clock_obs.empty()
+          ? logbook::merge_logs(logs, &records_excluded_)
+          : logbook::merge_logs_skew(logs, state_.clock_obs, &time_integrity_,
+                                     &records_excluded_);
   const auto distinct = anonymize::renumber_peers(merged);
   if (distinct_peers_out != nullptr) {
     *distinct_peers_out = distinct;

@@ -283,17 +283,15 @@ class Manager {
     return durable_quarantine_records_;
   }
 
-  /// Snapshot every honeypot's current log (without draining).
-  [[nodiscard]] std::vector<logbook::LogFile> collect_logs() const;
-
   /// Write every honeypot's current (stage-1) log to
   /// `<directory>/hp-<id>.edhplog` in the binary format; returns the paths.
   /// This is the periodic gathering the paper's manager performs.
   std::vector<std::string> persist_logs(const std::string& directory) const;
 
-  /// Merge all logs and apply stage-2 anonymisation: the published dataset.
-  /// Returns the merged log; `distinct_peers_out` (optional) receives the
-  /// number of distinct peers assigned by renumbering.
+  /// Merge every fleet honeypot's log, read where it lives (no copy), and
+  /// apply stage-2 anonymisation: the published dataset. Returns the merged
+  /// log; `distinct_peers_out` (optional) receives the number of distinct
+  /// peers assigned by renumbering.
   [[nodiscard]] logbook::LogFile merged_anonymized(
       std::uint64_t* distinct_peers_out = nullptr) const;
 
@@ -353,10 +351,13 @@ class Manager {
   /// current instant: journaled, retained for the skew-corrected merge.
   /// No-op unless config_.track_clocks.
   void record_clock_observation(std::uint16_t hp_id, Time local_time);
-  /// Merge per-honeypot logs, skew-correcting against accumulated clock
-  /// observations when clock tracking is on (plain merge_logs otherwise).
-  [[nodiscard]] logbook::LogFile merge_with_clock_correction(
-      std::span<const logbook::LogFile> logs) const;
+  /// Merge the borrowed logs into the published dataset: tainted records
+  /// left out (counted in records_excluded_), skew-corrected against the
+  /// accumulated clock observations when clock tracking is on (plain
+  /// merge_logs otherwise), then stage-2 anonymised.
+  [[nodiscard]] logbook::LogFile publish(
+      std::span<const logbook::LogFile* const> logs,
+      std::uint64_t* distinct_peers_out) const;
 
   /// Take one journaled transition: append the encoded entry (when there is
   /// a journal), then apply its state change.

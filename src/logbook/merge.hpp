@@ -11,9 +11,19 @@
 //                      timeline before ordering. Every correction, fallback
 //                      and local-monotonicity violation is counted in
 //                      TimeIntegrityStats: no silent reordering, ever.
+//
+// Both borrow their inputs: the logs stay where they live (a honeypot's
+// in-memory log, a reassembled spool) and each merged record is written
+// once, into an output reserved to its exact size. The order is the one a
+// stable sort of the concatenated inputs by (timestamp, honeypot) gives,
+// for any input: the merge splits the inputs into natural runs (maximal
+// stretches whose key never decreases) and repeatedly takes the smallest
+// run head, the earlier run on a tie. A clean campaign has one run per
+// honeypot.
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "logbook/record.hpp"
@@ -53,11 +63,22 @@ struct TimeIntegrityStats {
   bool operator==(const TimeIntegrityStats&) const = default;
 };
 
-/// Merge per-honeypot logs into one log ordered by (timestamp, honeypot).
-/// All inputs must carry the same PeerIdKind; record honeypot ids are
+/// Borrow every log of a contiguous array, in order, for the merges below.
+[[nodiscard]] std::vector<const LogFile*> borrow(std::span<const LogFile> logs);
+
+/// Merge per-honeypot logs into one log ordered by (timestamp, honeypot);
+/// records with equal keys keep their input order (the logs in the given
+/// order, each log in record order). All inputs must carry the same
+/// PeerIdKind (std::invalid_argument otherwise); record honeypot ids are
 /// preserved. The merged header keeps the shared server identity when all
 /// inputs agree, and marks the honeypot field with 0xFFFF ("merged").
-[[nodiscard]] LogFile merge_logs(std::span<const LogFile> logs);
+///
+/// `excluded`: when non-null, records carrying a provenance taint
+/// (LogRecord::tainted) are left out of the merge and their number is
+/// stored there — the manager's publish path. When null, every record is
+/// merged, as a stored log is merged offline.
+[[nodiscard]] LogFile merge_logs(std::span<const LogFile* const> logs,
+                                 std::uint64_t* excluded = nullptr);
 
 /// merge_logs with a skew-correction pass. Per honeypot, the observations
 /// define a piecewise-linear local→true clock map (anchored on the monotone
@@ -66,12 +87,17 @@ struct TimeIntegrityStats {
 /// fit). Records are rewritten through that map — honeypots with fewer than
 /// two sightings fall back to a constant offset (one sighting) or identity
 /// (none) — then ordered by (corrected timestamp, honeypot). Within a
-/// honeypot, append order (the chunk (epoch, seq) order) is authoritative
-/// and is preserved no matter what the local clock claimed. With no
-/// observations and monotone inputs the result is bit-identical to
-/// merge_logs. `stats`, when non-null, receives the full ledger.
-[[nodiscard]] LogFile merge_logs_skew(std::span<const LogFile> logs,
+/// honeypot, append order (the chunk (epoch, seq) order, continuing from
+/// one input log to the next when a honeypot spans several) is
+/// authoritative and is preserved no matter what the local clock claimed.
+/// The corrected times live in a side array of one Time per input record
+/// until the merge writes them into the output. With no observations and
+/// monotone inputs the result is bit-identical to merge_logs. `stats`, when
+/// non-null, receives the full ledger, which covers only the records the
+/// merge keeps; `excluded` is as for merge_logs.
+[[nodiscard]] LogFile merge_logs_skew(std::span<const LogFile* const> logs,
                                       std::span<const ClockObservation> observations,
-                                      TimeIntegrityStats* stats = nullptr);
+                                      TimeIntegrityStats* stats = nullptr,
+                                      std::uint64_t* excluded = nullptr);
 
 }  // namespace edhp::logbook

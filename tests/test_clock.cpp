@@ -162,8 +162,8 @@ TEST(MergeSkew, NoObservationsMonotoneInputMatchesPlainMerge) {
   logs.push_back(log_for(0, {record_at(10, 0, 1), record_at(30, 0, 2)}));
   logs.push_back(log_for(1, {record_at(5, 1, 3), record_at(20, 1, 4)}));
   TimeIntegrityStats stats;
-  const auto skew = merge_logs_skew(logs, {}, &stats);
-  const auto plain = merge_logs(logs);
+  const auto skew = merge_logs_skew(borrow(logs), {}, &stats);
+  const auto plain = merge_logs(borrow(logs));
   EXPECT_EQ(skew.records, plain.records);
   EXPECT_EQ(stats, TimeIntegrityStats{});
 }
@@ -190,7 +190,7 @@ TEST(MergeSkew, CrossingDriftsRestoreTrueInterleaving) {
   std::vector<LogFile> logs{log_for(0, r0), log_for(1, r1)};
 
   // Sanity: the raw merge gets the interleaving wrong somewhere.
-  const auto raw = merge_logs(logs);
+  const auto raw = merge_logs(borrow(logs));
   bool raw_alternates = true;
   for (std::size_t i = 0; i + 1 < raw.records.size(); ++i) {
     raw_alternates =
@@ -199,7 +199,7 @@ TEST(MergeSkew, CrossingDriftsRestoreTrueInterleaving) {
   EXPECT_FALSE(raw_alternates);
 
   TimeIntegrityStats stats;
-  const auto merged = merge_logs_skew(logs, obs, &stats);
+  const auto merged = merge_logs_skew(borrow(logs), obs, &stats);
   ASSERT_EQ(merged.records.size(), 400u);
   for (std::size_t i = 0; i < merged.records.size(); ++i) {
     EXPECT_EQ(merged.records[i].user, i) << "at position " << i;
@@ -228,7 +228,7 @@ TEST(MergeSkew, BackwardsStepRacingASpoolCutIsRepairedAndFlagged) {
   };
   std::vector<LogFile> logs{log_for(0, r0)};
   TimeIntegrityStats stats;
-  const auto merged = merge_logs_skew(logs, obs, &stats);
+  const auto merged = merge_logs_skew(borrow(logs), obs, &stats);
   ASSERT_EQ(merged.records.size(), 6u);
   for (std::size_t i = 0; i < merged.records.size(); ++i) {
     EXPECT_EQ(merged.records[i].user, i) << "same-hp order must hold";
@@ -249,7 +249,7 @@ TEST(MergeSkew, SingleObservationSupportsConstantOffset) {
       log_for(0, {record_at(1000, 0, 0), record_at(1100, 0, 1)})};
   std::vector<ClockObservation> obs = {{0, 500, 1000}};  // clock +500 s fast
   TimeIntegrityStats stats;
-  const auto merged = merge_logs_skew(logs, obs, &stats);
+  const auto merged = merge_logs_skew(borrow(logs), obs, &stats);
   EXPECT_DOUBLE_EQ(merged.records[0].timestamp, 500.0);
   EXPECT_DOUBLE_EQ(merged.records[1].timestamp, 600.0);
   EXPECT_EQ(stats.records_extrapolated, 2u);
@@ -264,10 +264,53 @@ TEST(MergeSkew, ExtrapolatesBeyondObservedRangeWithMeasuredDrift) {
   std::vector<LogFile> logs{
       log_for(0, {record_at(800, 0, 0), record_at(2400, 0, 1)})};
   TimeIntegrityStats stats;
-  const auto merged = merge_logs_skew(logs, obs, &stats);
+  const auto merged = merge_logs_skew(borrow(logs), obs, &stats);
   EXPECT_DOUBLE_EQ(merged.records[0].timestamp, 500.0 - 200.0 * 0.5);
   EXPECT_DOUBLE_EQ(merged.records[1].timestamp, 1000.0 + 400.0 * 0.5);
   EXPECT_EQ(stats.records_extrapolated, 2u);
+}
+
+TEST(MergeSkew, HoneypotSpanningTwoLogsCarriesItsAppendOrder) {
+  // hp0's records arrive in two logs with hp1's in between; the second
+  // hp0 log opens 50 s behind where the first one ended. Append order runs
+  // on across the logs, so that stamp is a clock artifact: it is lifted
+  // (and counted) once, and hp0's records publish in append order.
+  std::vector<LogFile> logs{
+      log_for(0, {record_at(100, 0, 0), record_at(200, 0, 1),
+                  record_at(300, 0, 2)}),
+      log_for(1, {record_at(260, 1, 3)}),
+      log_for(0, {record_at(250, 0, 4), record_at(400, 0, 5)})};
+  const std::vector<ClockObservation> obs = {{0, 0, 0}, {0, 1000, 1000}};
+  TimeIntegrityStats stats;
+  const auto merged = merge_logs_skew(borrow(logs), obs, &stats);
+  std::vector<std::uint64_t> users;
+  for (const auto& r : merged.records) users.push_back(r.user);
+  EXPECT_EQ(users, (std::vector<std::uint64_t>{0, 1, 3, 2, 4, 5}));
+  EXPECT_EQ(merged.records[4].timestamp, 300.0);  // lifted from 250
+  EXPECT_EQ(stats.monotonicity_violations, 1u);
+  EXPECT_EQ(stats.order_restorations, 1u);
+}
+
+TEST(MergeSkew, ExcludedRecordsStayOutOfTheLedger) {
+  // A tainted record whose stamp runs backwards: excluded, it is neither
+  // published nor seen by the correction pass; kept, it is lifted.
+  LogRecord tainted = record_at(50, 0, 1);
+  tainted.flags = kFlagProvFabricated;
+  const std::vector<LogFile> logs{
+      log_for(0, {record_at(100, 0, 0), tainted, record_at(200, 0, 2)})};
+  const std::vector<ClockObservation> obs = {{0, 0, 0}, {0, 1000, 1000}};
+
+  TimeIntegrityStats stats;
+  std::uint64_t excluded = 0;
+  const auto published = merge_logs_skew(borrow(logs), obs, &stats, &excluded);
+  EXPECT_EQ(excluded, 1u);
+  ASSERT_EQ(published.records.size(), 2u);
+  EXPECT_EQ(published.records[1].user, 2u);
+  EXPECT_EQ(stats.monotonicity_violations, 0u);
+
+  const auto all = merge_logs_skew(borrow(logs), obs, &stats);
+  ASSERT_EQ(all.records.size(), 3u);
+  EXPECT_EQ(stats.monotonicity_violations, 1u);
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <fstream>
 #include <sstream>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "logbook/journal.hpp"
 #include "logbook/log_io.hpp"
 #include "logbook/merge.hpp"
@@ -183,7 +185,7 @@ TEST(LogIo, SaveAndLoadFile) {
 TEST(Merge, OrdersByTimestampAcrossLogs) {
   std::vector<LogFile> logs{sample_log(0), sample_log(1)};
   logs[1].records[0].timestamp = 0.5;  // earliest overall
-  const auto merged = merge_logs(logs);
+  const auto merged = merge_logs(borrow(logs));
   ASSERT_EQ(merged.records.size(), 6u);
   for (std::size_t i = 1; i < merged.records.size(); ++i) {
     EXPECT_LE(merged.records[i - 1].timestamp, merged.records[i].timestamp);
@@ -194,7 +196,7 @@ TEST(Merge, OrdersByTimestampAcrossLogs) {
 
 TEST(Merge, TieBreaksByHoneypot) {
   std::vector<LogFile> logs{sample_log(1), sample_log(0)};
-  const auto merged = merge_logs(logs);
+  const auto merged = merge_logs(borrow(logs));
   // Records at t=1.5 from hp 0 and hp 1: hp 0 must come first.
   EXPECT_EQ(merged.records[0].honeypot, 0);
   EXPECT_EQ(merged.records[1].honeypot, 1);
@@ -209,7 +211,7 @@ TEST(Merge, UnifiesNameTables) {
   b.records.push_back(rec(0.1, 1, QueryType::hello, 9, ref));
 
   std::vector<LogFile> logs{a, b};
-  const auto merged = merge_logs(logs);
+  const auto merged = merge_logs(borrow(logs));
   // Every record's name resolves to the right string.
   const auto& first = merged.records.front();
   EXPECT_EQ(merged.names[first.name_ref], "Shareaza 2.3");
@@ -222,7 +224,7 @@ TEST(Merge, UnifiesNameTables) {
 
 TEST(Merge, PreservesServerIdentityWhenShared) {
   std::vector<LogFile> logs{sample_log(0), sample_log(1)};
-  const auto merged = merge_logs(logs);
+  const auto merged = merge_logs(borrow(logs));
   EXPECT_EQ(merged.header.server_ip, 0xC0A80001u);
   EXPECT_EQ(merged.header.server_name, "server");
 }
@@ -230,7 +232,7 @@ TEST(Merge, PreservesServerIdentityWhenShared) {
 TEST(Merge, ClearsServerIdentityWhenMixed) {
   std::vector<LogFile> logs{sample_log(0), sample_log(1)};
   logs[1].header.server_ip = 0x08080808;
-  const auto merged = merge_logs(logs);
+  const auto merged = merge_logs(borrow(logs));
   EXPECT_EQ(merged.header.server_ip, 0u);
   EXPECT_TRUE(merged.header.server_name.empty());
 }
@@ -238,13 +240,104 @@ TEST(Merge, ClearsServerIdentityWhenMixed) {
 TEST(Merge, RejectsMixedAnonymisationStages) {
   std::vector<LogFile> logs{sample_log(0), sample_log(1)};
   logs[1].header.peer_kind = PeerIdKind::stage2_index;
-  EXPECT_THROW((void)merge_logs(logs), std::invalid_argument);
+  EXPECT_THROW((void)merge_logs(borrow(logs)), std::invalid_argument);
 }
 
 TEST(Merge, EmptyInputYieldsEmptyLog) {
   const auto merged = merge_logs({});
   EXPECT_TRUE(merged.records.empty());
   EXPECT_EQ(merged.header.honeypot, 0xFFFF);
+}
+
+// --- The merge against the sort it replaced --------------------------------
+
+/// The published order by definition: the kept records of every log,
+/// concatenated in input order with their names re-interned, then
+/// stable-sorted by (timestamp, honeypot).
+LogFile reference_merge(const std::vector<LogFile>& logs, bool exclude,
+                        std::uint64_t& excluded) {
+  LogFile merged;
+  merged.header.honeypot = 0xFFFF;
+  merged.header.honeypot_name = "merged";
+  if (!logs.empty()) {
+    merged.header.server_name = logs.front().header.server_name;
+    merged.header.server_ip = logs.front().header.server_ip;
+    merged.header.server_port = logs.front().header.server_port;
+  }
+  excluded = 0;
+  for (const auto& log : logs) {
+    std::vector<std::uint16_t> remap;
+    for (const auto& name : log.names) remap.push_back(merged.intern(name));
+    for (LogRecord r : log.records) {
+      if (exclude && r.tainted()) {
+        ++excluded;
+        continue;
+      }
+      r.name_ref = remap[r.name_ref];
+      merged.records.push_back(r);
+    }
+  }
+  std::stable_sort(merged.records.begin(), merged.records.end(),
+                   [](const LogRecord& a, const LogRecord& b) {
+                     if (a.timestamp != b.timestamp) {
+                       return a.timestamp < b.timestamp;
+                     }
+                     return a.honeypot < b.honeypot;
+                   });
+  return merged;
+}
+
+/// A log shaped to trip a k-way merge: few distinct timestamps (ties within
+/// and across logs), stretches that run backwards, tainted records in
+/// between, a honeypot id drawn from three (so logs share one), sometimes
+/// no records, and a name table interned in its own order.
+LogFile adversarial_log(Rng& rng, std::uint64_t& serial) {
+  static const char* const kNames[] = {"eMule 0.49b", "aMule 2.1.3",
+                                       "Shareaza 2.3", "MLDonkey", "lphant"};
+  LogFile log;
+  log.header.honeypot = static_cast<std::uint16_t>(rng.below(3));
+  log.header.server_name = "server";
+  log.header.server_ip = 0xC0A80001;
+  for (std::uint64_t i = rng.below(4); i < 5; ++i) {
+    log.intern(kNames[(i + log.header.honeypot) % 5]);
+  }
+  const auto n = rng.below(4) == 0 ? 0 : rng.below(60);
+  double t = static_cast<double>(rng.below(5));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    switch (rng.below(3)) {
+      case 0: break;                                           // tie
+      case 1: t += static_cast<double>(rng.below(3)); break;   // forward
+      default: t -= static_cast<double>(rng.below(4)); break;  // backwards
+    }
+    LogRecord r = rec(t, log.header.honeypot,
+                      static_cast<QueryType>(rng.below(3)), rng.below(20),
+                      static_cast<std::uint16_t>(rng.below(log.names.size())));
+    r.user = serial++;  // makes every record distinguishable
+    if (rng.below(5) == 0) r.flags |= kFlagProvForged;
+    log.records.push_back(r);
+  }
+  return log;
+}
+
+TEST(Merge, MatchesStableSortOfTheConcatenation) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::uint64_t serial = 0;
+    std::vector<LogFile> logs(1 + rng.below(6));
+    for (auto& log : logs) log = adversarial_log(rng, serial);
+
+    std::uint64_t expected_excluded = 0;
+    const auto all = reference_merge(logs, false, expected_excluded);
+    const auto merged = merge_logs(borrow(logs));
+    EXPECT_EQ(merged, all);
+
+    const auto kept = reference_merge(logs, true, expected_excluded);
+    std::uint64_t excluded = 99;
+    const auto published = merge_logs(borrow(logs), &excluded);
+    EXPECT_EQ(published, kept);
+    EXPECT_EQ(excluded, expected_excluded);
+  }
 }
 
 }  // namespace

@@ -105,14 +105,13 @@ TEST_F(ManagerTest, RepeatedCrashesKeepGettingRelaunched) {
   EXPECT_GE(manager.relaunches(), 3u);
 }
 
-TEST_F(ManagerTest, CollectLogsSnapshotsEveryHoneypot) {
+TEST_F(ManagerTest, EveryHoneypotLogCarriesItsStrategy) {
   launch_one();
   launch_one(ContentStrategy::random_content);
   settle();
-  const auto logs = manager.collect_logs();
-  ASSERT_EQ(logs.size(), 2u);
-  EXPECT_EQ(logs[0].header.strategy, "no-content");
-  EXPECT_EQ(logs[1].header.strategy, "random-content");
+  ASSERT_EQ(manager.fleet_size(), 2u);
+  EXPECT_EQ(manager.honeypot(0).log().header.strategy, "no-content");
+  EXPECT_EQ(manager.honeypot(1).log().header.strategy, "random-content");
 }
 
 TEST_F(ManagerTest, MergedAnonymizedIsStage2) {

@@ -103,7 +103,7 @@ TEST_P(SeededProperty, MergePreservesEveryRecord) {
     logs.push_back(random_log(rng, static_cast<std::uint16_t>(i)));
     total += logs.back().records.size();
   }
-  const auto merged = logbook::merge_logs(logs);
+  const auto merged = logbook::merge_logs(logbook::borrow(logs));
   EXPECT_EQ(merged.records.size(), total);
   // Ordered by (timestamp, honeypot).
   for (std::size_t i = 1; i < merged.records.size(); ++i) {

@@ -583,7 +583,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 2; i < args.size(); ++i) {
         logs.push_back(logbook::load(args[i]));
       }
-      const auto merged = logbook::merge_logs(logs);
+      const auto merged = logbook::merge_logs(logbook::borrow(logs));
       logbook::save(args[1], merged);
       std::cout << "merged " << logs.size() << " logs ("
                 << analysis::with_commas(merged.records.size())
