@@ -19,13 +19,15 @@
 # The deterministic codec fuzzer, the abuse/admission tests, the
 # observed-file catalogue's differential test (it ingests attacker-sized
 # shared lists), the journal entry codec's tests (journal files reach
-# edhp_inspect from disk) and the chaos repro parser's tests (repro files
-# reach edhp_inspect and edhp_chaosfuzz --replay from disk) are ordinary
-# ctest entries, so both presets run them; under the asan preset they double
-# as memory-safety proofs. --fuzz is the focused loop for codec work;
-# --chaosfuzz is the conservation-ledger smoke (see tools/edhp_chaosfuzz.cpp):
-# a fixed-seed batch means a failure here is reproducible verbatim, and any
-# shrunk repro lands in tests/chaos_corpus/ ready to commit.
+# edhp_inspect from disk), the chaos repro parser's tests (repro files
+# reach edhp_inspect and edhp_chaosfuzz --replay from disk) and the log
+# reader's crafted record counts (log files reach edhp_inspect from disk)
+# are ordinary ctest entries, so both presets run them; under the asan
+# preset they double as memory-safety proofs. --fuzz is the focused loop for
+# codec work; --chaosfuzz is the conservation-ledger smoke (see
+# tools/edhp_chaosfuzz.cpp): a fixed-seed batch means a failure here is
+# reproducible verbatim, and any shrunk repro lands in tests/chaos_corpus/
+# ready to commit.
 #
 # Requires cmake >= 3.21 (presets v3). Run from anywhere; paths resolve
 # relative to the repo root.
@@ -67,7 +69,7 @@ if [ "$want_asan" = 1 ]; then
   cmake --preset asan
   cmake --build --preset asan -j
   if [ "$fuzz_only" = 1 ]; then
-    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine|ObservedCatalogue|JournalEntries|ReproParse'
+    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine|ObservedCatalogue|JournalEntries|ReproParse|CraftedRecordCount'
   else
     ctest --preset asan -j"$(nproc)"
   fi
