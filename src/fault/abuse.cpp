@@ -1,31 +1,15 @@
 #include "fault/abuse.hpp"
 
-#include "fault/rng_splits.hpp"
-
-#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "fault/rng_splits.hpp"
 #include "proto/messages.hpp"
-#include "proto/opcodes.hpp"
 
 namespace edhp::fault {
 namespace {
-
-/// Append one (class, target) exponential arrival process to `out`.
-void arrivals(std::vector<AbuseEvent>& out, Rng& rng, Duration mtba,
-              double intensity, Duration horizon, AbuseKind kind,
-              std::uint32_t target) {
-  if (mtba <= 0 || intensity <= 0) return;
-  const Duration mean = mtba / intensity;
-  Time t = 0;
-  while (true) {
-    t += rng.exponential(mean);
-    if (t >= horizon) return;
-    out.push_back({t, kind, target});
-  }
-}
 
 /// A plausible 2008 client name for a hostile peer.
 std::string attacker_name(std::uint32_t target) {
@@ -34,34 +18,16 @@ std::string attacker_name(std::uint32_t target) {
 
 }  // namespace
 
-std::string_view to_string(AbuseKind k) {
-  switch (k) {
-    case AbuseKind::corrupt_episode: return "corrupt_episode";
-    case AbuseKind::connection_flood: return "connection_flood";
-    case AbuseKind::slowloris: return "slowloris";
-    case AbuseKind::oversize_messages: return "oversize_messages";
-  }
-  return "unknown";
-}
-
-AbusePlan::AbusePlan(std::vector<AbuseEvent> events)
-    : events_(std::move(events)) {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const AbuseEvent& a, const AbuseEvent& b) {
-                     return a.at < b.at;
-                   });
-}
-
-AbusePlan AbusePlan::generate(const AbuseConfig& config, std::size_t honeypots,
-                              std::size_t servers, Duration horizon, Rng rng) {
-  AbusePlan plan;
-  if (!config.enabled || horizon <= 0) return plan;
-  auto& out = plan.events_;
+AbusePlan make_plan(const AbuseConfig& config, std::size_t honeypots,
+                    std::size_t servers, Duration horizon, Rng rng) {
+  if (!config.enabled || horizon <= 0 || config.intensity <= 0) return {};
+  std::vector<AbuseEvent> out;
   const std::size_t targets = honeypots + servers;
 
-  // Mirror FaultPlan::generate: each (class, target) pair owns a split
-  // stream (registry: fault/rng_splits.hpp), so tuning one class (or adding
-  // a target) never reshuffles the arrival times of another.
+  // Each (class, target) pair owns a split stream (registry:
+  // fault/rng_splits.hpp), so tuning one class (or adding a target) never
+  // reshuffles the arrival times of another. `intensity` divides every
+  // class's mean time between attacks.
   struct Class {
     AbuseKind kind;
     Duration mtba;
@@ -75,19 +41,13 @@ AbusePlan AbusePlan::generate(const AbuseConfig& config, std::size_t honeypots,
   static_assert(std::size(classes) == splits::kAbuseClassCount,
                 "register new abuse classes in fault/rng_splits.hpp");
   for (std::size_t c = 0; c < std::size(classes); ++c) {
-    const Rng class_rng = rng.split(splits::kAbuseClassBase + c);
-    for (std::size_t t = 0; t < targets; ++t) {
-      Rng r = class_rng.split(t);
-      arrivals(out, r, classes[c].mtba, config.intensity, horizon,
-               classes[c].kind, static_cast<std::uint32_t>(t));
-    }
+    per_subject(rng.split(splits::kAbuseClassBase + c), targets,
+                [&](Rng& r, std::uint32_t t) {
+                  arrivals(out, r, classes[c].mtba / config.intensity,
+                           horizon, classes[c].kind, t);
+                });
   }
-
-  std::stable_sort(out.begin(), out.end(),
-                   [](const AbuseEvent& a, const AbuseEvent& b) {
-                     return a.at < b.at;
-                   });
-  return plan;
+  return AbusePlan(std::move(out));
 }
 
 AbuseInjector::AbuseInjector(net::Network& network, AbusePlan plan,
@@ -111,33 +71,14 @@ AbuseInjector::AbuseInjector(net::Network& network, AbusePlan plan,
 
 void AbuseInjector::arm() {
   if (plan_.empty()) return;
-  // Hostile nodes are firewalled (LowID): they dial out but never accept.
-  // Created in fixed class order so the IP layout is a pure function of the
-  // legit topology plus attackers_per_class.
-  const std::size_t per_class = std::max<std::size_t>(1, config_.attackers_per_class);
-  for (auto& pool : pools_) {
-    pool.reserve(per_class);
-    for (std::size_t i = 0; i < per_class; ++i) {
-      pool.push_back(net_.add_node(false));
-    }
-  }
-  auto& simulation = net_.simulation();
-  for (std::size_t i = 0; i < plan_.size(); ++i) {
-    const Time at = std::max(plan_.events()[i].at, simulation.now());
-    simulation.schedule_at(at, [this, i] { run_episode(i); });
-  }
+  attackers_ = HostilePool(net_, 4, config_.attackers_per_class);
+  arm_plan(net_.simulation(), plan_, [this](std::size_t i) { apply(i); });
 }
 
 net::NodeId AbuseInjector::target_node(std::uint32_t target) const {
   const auto t = static_cast<std::size_t>(target);
   if (t < bind_.honeypot_count) return bind_.honeypot_node(t);
   return bind_.server_node(t - bind_.honeypot_count);
-}
-
-net::NodeId AbuseInjector::attacker_for(AbuseKind kind,
-                                        std::uint32_t target) const {
-  const auto& pool = pools_[static_cast<std::size_t>(kind)];
-  return pool[target % pool.size()];
 }
 
 UserId AbuseInjector::abuse_user(AbuseKind kind, std::uint32_t target) {
@@ -151,29 +92,16 @@ UserId AbuseInjector::abuse_user(AbuseKind kind, std::uint32_t target) {
 
 net::Bytes AbuseInjector::handshake_packet(AbuseKind kind,
                                            std::uint32_t target) const {
-  const UserId user = abuse_user(kind, target);
-  if (target_is_server(target)) {
-    proto::LoginRequest login;
-    login.user = user;
-    login.port = 4662;
-    login.tags.push_back(proto::Tag::string_tag(proto::kTagName,
-                                                attacker_name(target)));
-    login.tags.push_back(proto::Tag::u32_tag(proto::kTagVersion, 0x3C));
-    return proto::encode(login);
-  }
-  proto::Hello hello;
-  hello.user = user;
-  hello.port = 4662;
-  hello.tags.push_back(proto::Tag::string_tag(proto::kTagName,
-                                              attacker_name(target)));
-  hello.tags.push_back(proto::Tag::u32_tag(proto::kTagVersion, 0x3C));
-  return proto::encode(hello);
+  return handshake(target_is_server(target), abuse_user(kind, target),
+                   attacker_name(target));
 }
 
-void AbuseInjector::run_episode(std::size_t index) {
+void AbuseInjector::apply(std::size_t index) {
   const AbuseEvent& event = plan_.events()[index];
-  const net::NodeId attacker = attacker_for(event.kind, event.target);
-  const net::NodeId victim = target_node(event.target);
+  const std::uint32_t target = event.subject;
+  const net::NodeId attacker =
+      attackers_.node(static_cast<std::size_t>(event.kind), target);
+  const net::NodeId victim = target_node(target);
   switch (event.kind) {
     case AbuseKind::corrupt_episode: {
       ++stats_.corrupt_episodes;
@@ -186,18 +114,13 @@ void AbuseInjector::run_episode(std::size_t index) {
       Rng seed_rng = rng_.split(index).split(0);
       spec.seed = seed_rng();
       net_.set_corruption(attacker, spec);
-      const std::uint32_t target = event.target;
-      net_.connect(attacker, victim,
-                   [this, attacker, target](net::EndpointPtr ep) {
-                     if (!ep) {
-                       ++stats_.connects_refused;
-                       net_.clear_corruption(attacker);
-                       return;
-                     }
-                     ++stats_.connections_opened;
-                     corrupt_burst(std::move(ep), attacker, target,
-                                   config_.corrupt_messages);
-                   });
+      dial(
+          net_, attacker, victim, stats_,
+          [this, attacker, target](net::EndpointPtr ep) {
+            corrupt_burst(std::move(ep), attacker, target,
+                          config_.corrupt_messages);
+          },
+          [this, attacker] { net_.clear_corruption(attacker); });
       break;
     }
     case AbuseKind::connection_flood: {
@@ -209,13 +132,7 @@ void AbuseInjector::run_episode(std::size_t index) {
     }
     case AbuseKind::slowloris: {
       ++stats_.slowloris_episodes;
-      const std::uint32_t target = event.target;
-      net_.connect(attacker, victim, [this, target](net::EndpointPtr ep) {
-        if (!ep) {
-          ++stats_.connects_refused;
-          return;
-        }
-        ++stats_.connections_opened;
+      dial(net_, attacker, victim, stats_, [this, target](net::EndpointPtr ep) {
         // Complete the handshake like an honest client, then hold the
         // session silently: without idle reaping this pins a slot for
         // slowloris_hold.
@@ -228,18 +145,12 @@ void AbuseInjector::run_episode(std::size_t index) {
     }
     case AbuseKind::oversize_messages: {
       ++stats_.oversize_episodes;
-      const std::uint32_t target = event.target;
       Rng content = rng_.split(index).split(1);
-      net_.connect(attacker, victim,
-                   [this, target, content](net::EndpointPtr ep) {
-                     if (!ep) {
-                       ++stats_.connects_refused;
-                       return;
-                     }
-                     ++stats_.connections_opened;
-                     oversize_burst(std::move(ep), target,
-                                    config_.oversize_messages, content);
-                   });
+      dial(net_, attacker, victim, stats_,
+           [this, target, content](net::EndpointPtr ep) {
+             oversize_burst(std::move(ep), target, config_.oversize_messages,
+                            content);
+           });
       break;
     }
   }
@@ -266,12 +177,7 @@ void AbuseInjector::corrupt_burst(net::EndpointPtr ep, net::NodeId attacker,
 void AbuseInjector::flood_step(net::NodeId attacker, net::NodeId victim,
                                std::size_t remaining) {
   if (remaining == 0) return;
-  net_.connect(attacker, victim, [this](net::EndpointPtr ep) {
-    if (!ep) {
-      ++stats_.connects_refused;
-      return;
-    }
-    ++stats_.connections_opened;
+  dial(net_, attacker, victim, stats_, [this](net::EndpointPtr ep) {
     // Hold the connection open doing nothing; the captured shared_ptr keeps
     // it alive until the attacker hangs up (a handshake-timeout defense
     // reaps it much earlier).

@@ -4,10 +4,9 @@
 // The paper's honeypots sat on the open 2008 eDonkey network, where any
 // peer could send garbage bytes, flood connections, or hold sessions open
 // — and the platform had to keep logging through it. This module is the
-// traffic-level sibling of the fault subsystem (fault.hpp): where
-// FaultPlan breaks the *infrastructure*, AbusePlan breaks the *protocol
-// conversation*, spawning hostile peers against the honeypots and the
-// directory servers:
+// traffic-level sibling of the fault subsystem (fault.hpp): where faults
+// break the *infrastructure*, abuse breaks the *protocol conversation*,
+// spawning hostile peers against the honeypots and the directory servers:
 //
 //   byte corruptor      opens a connection and speaks valid eDonkey whose
 //                       wire bytes are flipped/truncated/extended in flight
@@ -21,21 +20,19 @@
 //                       lists, 255-entry offer/shared-list floods, long
 //                       search queries — burns parse and index work.
 //
-// Same determinism contract as the fault layer: AbusePlan::generate is a
-// pure function of (config, rng) on split() sub-streams — adding one abuse
-// class never shifts another's schedule — and with `enabled == false` no
+// The plan is an adversary plan (fault/plan.hpp): one arrival process per
+// (class, target) pair on its own split stream. With `enabled == false` no
 // attacker node is ever created and no RNG draw is consumed, so the
 // campaigns stay bit-identical to an abuse-free build.
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
+#include "fault/plan.hpp"
 #include "fault/rng_splits.hpp"
 #include "net/network.hpp"
 
@@ -54,18 +51,11 @@ enum class AbuseKind : std::uint8_t {
   oversize_messages,  ///< protocol-valid maximal messages
 };
 
-[[nodiscard]] std::string_view to_string(AbuseKind k);
-
-/// One scheduled attack episode. `target` indexes honeypots first, then
-/// servers: target < honeypot_count is honeypot `target`, otherwise server
-/// `target - honeypot_count`.
-struct AbuseEvent {
-  Time at = 0;
-  AbuseKind kind = AbuseKind::corrupt_episode;
-  std::uint32_t target = 0;
-
-  bool operator==(const AbuseEvent&) const = default;
-};
+/// One scheduled attack episode. `subject` indexes honeypots first, then
+/// servers: subject < honeypot_count is honeypot `subject`, otherwise server
+/// `subject - honeypot_count`. `magnitude` is unused (1.0).
+using AbuseEvent = Event<AbuseKind>;
+using AbusePlan = Plan<AbuseKind>;
 
 /// Attack-mix knobs. Every *_mtba of 0 disables that class; `intensity`
 /// divides every mean inter-arrival time, so one knob scales the whole mix.
@@ -115,32 +105,12 @@ struct AbuseStats {
   std::uint64_t messages_sent = 0;       ///< hostile packets put on the wire
 };
 
-/// A pre-generated, seed-deterministic schedule of attack episodes, sorted
-/// by time (ties keep generation order). Pure data, like FaultPlan.
-class AbusePlan {
- public:
-  AbusePlan() = default;
-
-  /// Hand-crafted plan (tests). Events are stably sorted by time.
-  explicit AbusePlan(std::vector<AbuseEvent> events);
-
-  /// Build a plan against `honeypots` honeypots and `servers` servers over
-  /// `horizon` seconds. Each (class, target) pair draws its arrival process
-  /// from its own split stream.
-  [[nodiscard]] static AbusePlan generate(const AbuseConfig& config,
-                                          std::size_t honeypots,
-                                          std::size_t servers,
-                                          Duration horizon, Rng rng);
-
-  [[nodiscard]] const std::vector<AbuseEvent>& events() const noexcept {
-    return events_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-
- private:
-  std::vector<AbuseEvent> events_;
-};
+/// Build the abuse plan against `honeypots` honeypots and `servers` servers
+/// over `horizon` seconds. Deterministic in (config, rng state); empty when
+/// abuse is off.
+[[nodiscard]] AbusePlan make_plan(const AbuseConfig& config,
+                                  std::size_t honeypots, std::size_t servers,
+                                  Duration horizon, Rng rng);
 
 /// Binds an AbusePlan to a live world: creates the hostile node pools and
 /// runs every episode on the simulation engine.
@@ -167,13 +137,11 @@ class AbuseInjector {
   [[nodiscard]] const AbuseStats& stats() const noexcept { return stats_; }
 
  private:
-  void run_episode(std::size_t index);
+  void apply(std::size_t index);
   [[nodiscard]] net::NodeId target_node(std::uint32_t target) const;
   [[nodiscard]] bool target_is_server(std::uint32_t target) const noexcept {
     return target >= bind_.honeypot_count;
   }
-  [[nodiscard]] net::NodeId attacker_for(AbuseKind kind,
-                                         std::uint32_t target) const;
   /// The hostile identity used for a (kind, target) pair; its low word is
   /// kAbuseUserWord so attacker log records are filterable.
   [[nodiscard]] static UserId abuse_user(AbuseKind kind, std::uint32_t target);
@@ -194,8 +162,8 @@ class AbuseInjector {
   Bindings bind_;
   Rng rng_;
   AbuseStats stats_;
-  /// One hostile node pool per AbuseKind, filled at arm().
-  std::array<std::vector<net::NodeId>, 4> pools_;
+  /// One hostile pool per AbuseKind, built at arm().
+  HostilePool attackers_;
 };
 
 }  // namespace edhp::fault

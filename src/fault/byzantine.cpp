@@ -1,55 +1,16 @@
 #include "fault/byzantine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "proto/opcodes.hpp"
-
 namespace edhp::fault {
 namespace {
-
-/// Minimum width of any lie window (same rationale as fault.cpp: zero-length
-/// windows would make begin/end tie and the effect scheduling-dependent).
-constexpr Duration kMinWindow = 1.0;
 
 /// Spacing of the messages inside one liar contact.
 constexpr Duration kForgeListDelay = 2.0;
 constexpr Duration kLiarLinger = 5.0;
 constexpr Duration kReplaySpacing = 0.5;
-
-/// Draw alternating begin/end windows of one renewal process (the fault.cpp
-/// pattern, duplicated here so the two subsystems stay header-independent).
-void renewal_windows(std::vector<ByzantineEvent>& out, Rng& rng, Duration mtbf,
-                     Duration mean, Duration horizon, ByzantineKind begin,
-                     ByzantineKind end, std::uint32_t subject,
-                     double magnitude) {
-  if (mtbf <= 0) return;
-  Time t = 0;
-  while (true) {
-    t += rng.exponential(mtbf);
-    if (t >= horizon) return;
-    out.push_back({t, begin, subject, magnitude});
-    const Duration window = std::max(kMinWindow, rng.exponential(mean));
-    if (t + window < horizon) {
-      out.push_back({t + window, end, subject, magnitude});
-    }
-    t += window;
-  }
-}
-
-/// Append one episodic arrival process (the abuse.cpp pattern).
-void arrivals(std::vector<ByzantineEvent>& out, Rng& rng, Duration mtba,
-              Duration horizon, ByzantineKind kind, std::uint32_t subject) {
-  if (mtba <= 0) return;
-  Time t = 0;
-  while (true) {
-    t += rng.exponential(mtba);
-    if (t >= horizon) return;
-    out.push_back({t, kind, subject, 1.0});
-  }
-}
 
 /// A plausible 2008 client name for a liar peer.
 std::string liar_name(std::uint32_t subject) {
@@ -58,40 +19,10 @@ std::string liar_name(std::uint32_t subject) {
 
 }  // namespace
 
-std::string_view to_string(ByzantineKind k) {
-  switch (k) {
-    case ByzantineKind::offer_drop_begin: return "offer_drop_begin";
-    case ByzantineKind::offer_drop_end: return "offer_drop_end";
-    case ByzantineKind::offer_truncate_begin: return "offer_truncate_begin";
-    case ByzantineKind::offer_truncate_end: return "offer_truncate_end";
-    case ByzantineKind::stale_index_begin: return "stale_index_begin";
-    case ByzantineKind::stale_index_end: return "stale_index_end";
-    case ByzantineKind::fabricate_sources_begin:
-      return "fabricate_sources_begin";
-    case ByzantineKind::fabricate_sources_end: return "fabricate_sources_end";
-    case ByzantineKind::corrupt_search_begin: return "corrupt_search_begin";
-    case ByzantineKind::corrupt_search_end: return "corrupt_search_end";
-    case ByzantineKind::forge_shared_list: return "forge_shared_list";
-    case ByzantineKind::replay_hello: return "replay_hello";
-  }
-  return "unknown";
-}
-
-ByzantinePlan::ByzantinePlan(std::vector<ByzantineEvent> events)
-    : events_(std::move(events)) {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const ByzantineEvent& a, const ByzantineEvent& b) {
-                     return a.at < b.at;
-                   });
-}
-
-ByzantinePlan ByzantinePlan::generate(const ByzantineConfig& config,
-                                      std::size_t honeypots,
-                                      std::size_t servers, Duration horizon,
-                                      Rng rng) {
-  ByzantinePlan plan;
-  if (!config.enabled || horizon <= 0) return plan;
-  auto& out = plan.events_;
+ByzantinePlan make_plan(const ByzantineConfig& config, std::size_t honeypots,
+                        std::size_t servers, Duration horizon, Rng rng) {
+  if (!config.enabled || horizon <= 0) return {};
+  std::vector<ByzantineEvent> out;
 
   // Each (behavior, subject) pair owns a split stream (registry:
   // fault/rng_splits.hpp), so tuning one lie never reshuffles another.
@@ -119,32 +50,22 @@ ByzantinePlan ByzantinePlan::generate(const ByzantineConfig& config,
        config.corrupt_search_mean, 1.0},
   };
   for (const auto& w : windows) {
-    const Rng behavior_rng = rng.split(w.split);
-    for (std::size_t s = 0; s < servers; ++s) {
-      Rng r = behavior_rng.split(s);
-      renewal_windows(out, r, w.mtbf, w.mean, horizon, w.begin, w.end,
-                      static_cast<std::uint32_t>(s), w.magnitude);
-    }
+    per_subject(rng.split(w.split), servers, [&](Rng& r, std::uint32_t s) {
+      renewal_windows(out, r, w.mtbf, w.mean, horizon, w.begin, w.end, s,
+                      w.magnitude);
+    });
   }
-
-  const Rng forge_rng = rng.split(splits::kByzForgeList);
-  for (std::size_t h = 0; h < honeypots; ++h) {
-    Rng r = forge_rng.split(h);
-    arrivals(out, r, config.forge_list_mtba, horizon,
-             ByzantineKind::forge_shared_list, static_cast<std::uint32_t>(h));
-  }
-  const Rng replay_rng = rng.split(splits::kByzReplayHello);
-  for (std::size_t h = 0; h < honeypots; ++h) {
-    Rng r = replay_rng.split(h);
-    arrivals(out, r, config.replay_hello_mtba, horizon,
-             ByzantineKind::replay_hello, static_cast<std::uint32_t>(h));
-  }
-
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ByzantineEvent& a, const ByzantineEvent& b) {
-                     return a.at < b.at;
-                   });
-  return plan;
+  per_subject(rng.split(splits::kByzForgeList), honeypots,
+              [&](Rng& r, std::uint32_t h) {
+                arrivals(out, r, config.forge_list_mtba, horizon,
+                         ByzantineKind::forge_shared_list, h);
+              });
+  per_subject(rng.split(splits::kByzReplayHello), honeypots,
+              [&](Rng& r, std::uint32_t h) {
+                arrivals(out, r, config.replay_hello_mtba, horizon,
+                         ByzantineKind::replay_hello, h);
+              });
+  return ByzantinePlan(std::move(out));
 }
 
 ByzantineInjector::ByzantineInjector(net::Network& network, ByzantinePlan plan,
@@ -163,25 +84,11 @@ ByzantineInjector::ByzantineInjector(net::Network& network, ByzantinePlan plan,
 
 void ByzantineInjector::arm() {
   if (plan_.empty()) return;
-  // Liar nodes are firewalled (LowID) like the abuse pools, created in
-  // fixed behavior order so the IP layout is a pure function of the legit
-  // topology plus liars_per_class.
-  const std::size_t per_class =
-      std::max<std::size_t>(1, config_.liars_per_class);
-  for (auto& pool : pools_) {
-    pool.reserve(per_class);
-    for (std::size_t i = 0; i < per_class; ++i) {
-      pool.push_back(net_.add_node(false));
-    }
-  }
-  auto& simulation = net_.simulation();
-  for (std::size_t i = 0; i < plan_.size(); ++i) {
-    const Time at = std::max(plan_.events()[i].at, simulation.now());
-    simulation.schedule_at(at, [this, i] { run_event(i); });
-  }
+  liars_ = HostilePool(net_, 2, config_.liars_per_class);
+  arm_plan(net_.simulation(), plan_, [this](std::size_t i) { apply(i); });
 }
 
-void ByzantineInjector::run_event(std::size_t index) {
+void ByzantineInjector::apply(std::size_t index) {
   const ByzantineEvent& event = plan_.events()[index];
   const auto subject = static_cast<std::size_t>(event.subject);
   switch (event.kind) {
@@ -256,25 +163,14 @@ void ByzantineInjector::run_event(std::size_t index) {
 
 void ByzantineInjector::forge_episode(std::size_t index,
                                       std::uint32_t subject) {
-  const auto& pool = pools_[0];
-  const net::NodeId liar = pool[subject % pool.size()];
+  const net::NodeId liar = liars_.node(0, subject);
   const net::NodeId victim = bind_.honeypot_node(subject);
-  net_.connect(liar, victim, [this, index, subject](net::EndpointPtr ep) {
-    if (!ep) {
-      ++stats_.connects_refused;
-      return;
-    }
-    ++stats_.connections_opened;
-    proto::Hello hello;
+  dial(net_, liar, victim, stats_, [this, index, subject](net::EndpointPtr ep) {
     // Plausible, episode-distinct identity; the low word marks liar records
     // for the tests only (defenses never inspect it).
-    hello.user = UserId::from_words(
+    const UserId user = UserId::from_words(
         kByzantineUserWord, (1ull << 48) | static_cast<std::uint64_t>(index));
-    hello.port = 4662;
-    hello.tags.push_back(
-        proto::Tag::string_tag(proto::kTagName, liar_name(subject)));
-    hello.tags.push_back(proto::Tag::u32_tag(proto::kTagVersion, 0x3C));
-    ep->send(proto::encode(hello));
+    ep->send(handshake(false, user, liar_name(subject)));
     ++stats_.messages_sent;
     // Volunteer the forged list shortly after the handshake — claiming the
     // honeypot's own advertised hashes back at it.
@@ -297,15 +193,9 @@ void ByzantineInjector::forge_episode(std::size_t index,
 
 void ByzantineInjector::replay_episode(std::size_t index,
                                        std::uint32_t subject) {
-  const auto& pool = pools_[1];
-  const net::NodeId liar = pool[subject % pool.size()];
+  const net::NodeId liar = liars_.node(1, subject);
   const net::NodeId victim = bind_.honeypot_node(subject);
-  net_.connect(liar, victim, [this, index](net::EndpointPtr ep) {
-    if (!ep) {
-      ++stats_.connects_refused;
-      return;
-    }
-    ++stats_.connections_opened;
+  dial(net_, liar, victim, stats_, [this, index](net::EndpointPtr ep) {
     replay_step(std::move(ep), static_cast<std::uint64_t>(index), 0);
   });
 }
@@ -316,18 +206,14 @@ void ByzantineInjector::replay_step(net::EndpointPtr ep, std::uint64_t episode,
     ep->close();
     return;
   }
-  proto::Hello hello;
   // One connection, a fresh user hash per HELLO: the replayer's whole point.
   // Records truncate the hash to its low word, so the rotation lives in the
   // low word's top 4 bits — the honeypot must see the hash *change*.
-  hello.user = UserId::from_words(
+  const UserId user = UserId::from_words(
       kByzantineUserWord | (static_cast<std::uint64_t>(sent & 0xF) << 60),
       (2ull << 48) | (episode << 8) | static_cast<std::uint64_t>(sent));
-  hello.port = 4662;
-  hello.tags.push_back(proto::Tag::string_tag(
-      proto::kTagName, liar_name(static_cast<std::uint32_t>(episode))));
-  hello.tags.push_back(proto::Tag::u32_tag(proto::kTagVersion, 0x3C));
-  ep->send(proto::encode(hello));
+  ep->send(handshake(false, user,
+                     liar_name(static_cast<std::uint32_t>(episode))));
   ++stats_.messages_sent;
   ++stats_.replayed_hellos_sent;
   net_.simulation().schedule_in(

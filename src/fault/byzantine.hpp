@@ -30,26 +30,25 @@
 //   replay_hello       one connection re-HELLOs under rotated user hashes,
 //                      inflating the distinct-user count.
 //
-// Same determinism contract as the sibling layers: ByzantinePlan::generate
-// is a pure function of (config, rng) on fresh split() sub-streams of
-// rng.split(byzantine.seed) — enabling Byzantine behaviors never perturbs
-// the fault or abuse schedules — and with `enabled == false` no liar node
-// is created and no draw is consumed, so campaigns stay bit-identical.
+// The plan is an adversary plan (fault/plan.hpp) on fresh split()
+// sub-streams of rng.split(byzantine.seed) — enabling Byzantine behaviors
+// never perturbs the fault or abuse schedules — and with `enabled == false`
+// no liar node is created and no draw is consumed, so campaigns stay
+// bit-identical.
 //
 // The detection/containment stack lives with the components it defends:
 // honeypot self-probes + provenance tagging (honeypot/honeypot.hpp),
 // manager health scores + server quarantine (honeypot/manager.hpp), and
 // the server index consistency self-check (server/index.hpp).
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
+#include "fault/plan.hpp"
 #include "fault/rng_splits.hpp"
 #include "net/network.hpp"
 #include "proto/messages.hpp"
@@ -86,18 +85,11 @@ enum class ByzantineKind : std::uint8_t {
   replay_hello,             ///< one rotated-hash HELLO burst
 };
 
-[[nodiscard]] std::string_view to_string(ByzantineKind k);
-
 /// One scheduled Byzantine event. `subject` indexes servers for the
-/// windowed server behaviors and honeypots for the peer behaviors.
-struct ByzantineEvent {
-  Time at = 0;
-  ByzantineKind kind = ByzantineKind::offer_drop_begin;
-  std::uint32_t subject = 0;
-  double magnitude = 1.0;  ///< truncate keep-fraction for truncate windows
-
-  bool operator==(const ByzantineEvent&) const = default;
-};
+/// windowed server behaviors and honeypots for the peer behaviors;
+/// `magnitude` is the keep-fraction of truncate windows (1.0 elsewhere).
+using ByzantineEvent = Event<ByzantineKind>;
+using ByzantinePlan = Plan<ByzantineKind>;
 
 /// Byzantine knobs, carried inside ChaosConfig. Every *_mtbf / *_mtba of 0
 /// disables that behavior. The defense knobs ride along so one struct
@@ -154,32 +146,13 @@ struct ByzantineStats {
   std::uint64_t messages_sent = 0;
 };
 
-/// A pre-generated, seed-deterministic schedule of Byzantine events, sorted
-/// by time (ties keep generation order). Pure data, like FaultPlan.
-class ByzantinePlan {
- public:
-  ByzantinePlan() = default;
-
-  /// Hand-crafted plan (tests). Events are stably sorted by time.
-  explicit ByzantinePlan(std::vector<ByzantineEvent> events);
-
-  /// Build a plan for `servers` directory servers and `honeypots` honeypot
-  /// targets over `horizon` seconds. Each (behavior, subject) pair draws
-  /// from its own split stream (registry: fault/rng_splits.hpp).
-  [[nodiscard]] static ByzantinePlan generate(const ByzantineConfig& config,
-                                              std::size_t honeypots,
-                                              std::size_t servers,
-                                              Duration horizon, Rng rng);
-
-  [[nodiscard]] const std::vector<ByzantineEvent>& events() const noexcept {
-    return events_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-
- private:
-  std::vector<ByzantineEvent> events_;
-};
+/// Build the Byzantine plan for `servers` directory servers and
+/// `honeypots` honeypot targets over `horizon` seconds. Deterministic in
+/// (config, rng state); empty when the Byzantine model is off.
+[[nodiscard]] ByzantinePlan make_plan(const ByzantineConfig& config,
+                                      std::size_t honeypots,
+                                      std::size_t servers, Duration horizon,
+                                      Rng rng);
 
 /// Binds a ByzantinePlan to a live world: flips the server-lie switches
 /// through scenario-provided hooks and runs the liar peers.
@@ -190,7 +163,6 @@ class ByzantineInjector {
   struct Bindings {
     std::size_t honeypot_count = 0;
     std::function<net::NodeId(std::size_t)> honeypot_node;
-    std::size_t server_count = 0;
     /// (server, active): silently ignore OFFER-FILES during the window.
     std::function<void(std::size_t, bool)> drop_offers;
     /// (server, active, keep): index only a prefix fraction of each list.
@@ -222,7 +194,7 @@ class ByzantineInjector {
   [[nodiscard]] const ByzantineStats& stats() const noexcept { return stats_; }
 
  private:
-  void run_event(std::size_t index);
+  void apply(std::size_t index);
   void forge_episode(std::size_t index, std::uint32_t subject);
   void replay_episode(std::size_t index, std::uint32_t subject);
   void replay_step(net::EndpointPtr ep, std::uint64_t episode,
@@ -234,8 +206,8 @@ class ByzantineInjector {
   Bindings bind_;
   Rng rng_;
   ByzantineStats stats_;
-  /// Liar node pools: [0] = forgers, [1] = replayers; filled at arm().
-  std::array<std::vector<net::NodeId>, 2> pools_;
+  /// Liar pools: class 0 = forgers, class 1 = replayers; built at arm().
+  HostilePool liars_;
 };
 
 }  // namespace edhp::fault

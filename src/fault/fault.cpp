@@ -6,33 +6,6 @@
 #include <utility>
 
 namespace edhp::fault {
-namespace {
-
-/// Minimum width of any down window: a zero-length outage would make the
-/// down and up events tie and the observable effect depend on scheduling
-/// order instead of the plan.
-constexpr Duration kMinWindow = 1.0;
-
-/// Draw alternating fail/recover windows of one renewal process and append
-/// them to `out`. `down` and `up` may be any FaultKind pair.
-void renewal_windows(std::vector<FaultEvent>& out, Rng& rng, Duration mtbf,
-                     Duration down_mean, Duration horizon, FaultKind down,
-                     FaultKind up, std::uint32_t subject, double magnitude) {
-  if (mtbf <= 0) return;
-  Time t = 0;
-  while (true) {
-    t += rng.exponential(mtbf);
-    if (t >= horizon) return;
-    out.push_back({t, down, subject, magnitude});
-    const Duration window = std::max(kMinWindow, rng.exponential(down_mean));
-    if (t + window < horizon) {
-      out.push_back({t + window, up, subject, magnitude});
-    }
-    t += window;
-  }
-}
-
-}  // namespace
 
 std::string_view to_string(FaultKind k) {
   switch (k) {
@@ -62,44 +35,30 @@ std::string_view to_string(FaultKind k) {
   return "unknown";
 }
 
-FaultPlan::FaultPlan(std::vector<FaultEvent> events)
-    : events_(std::move(events)) {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     return a.at < b.at;
-                   });
-}
-
-FaultPlan FaultPlan::generate(const ChaosConfig& config, std::size_t hosts,
-                              std::size_t servers, Duration horizon, Rng rng) {
-  FaultPlan plan;
-  if (!config.enabled || horizon <= 0) return plan;
-  auto& out = plan.events_;
+FaultPlan make_plan(const ChaosConfig& config, std::size_t hosts,
+                    std::size_t servers, Duration horizon, Rng rng) {
+  if (!config.enabled || horizon <= 0) return {};
+  std::vector<FaultEvent> out;
 
   // Each (category, subject) pair draws from its own split stream (registry:
   // fault/rng_splits.hpp), so e.g. adding uplink churn cannot shift the
-  // host-crash schedule.
-  const Rng host_rng = rng.split(splits::kFaultHost);
-  for (std::size_t h = 0; h < hosts; ++h) {
-    Rng r = host_rng.split(h);
-    renewal_windows(out, r, config.host_mtbf, config.host_reboot_mean, horizon,
-                    FaultKind::host_crash, FaultKind::host_reboot,
-                    static_cast<std::uint32_t>(h), 1.0);
-  }
-  const Rng uplink_rng = rng.split(splits::kFaultUplink);
-  for (std::size_t h = 0; h < hosts; ++h) {
-    Rng r = uplink_rng.split(h);
-    renewal_windows(out, r, config.uplink_mtbf, config.uplink_outage_mean,
-                    horizon, FaultKind::uplink_down, FaultKind::uplink_up,
-                    static_cast<std::uint32_t>(h), 1.0);
-  }
-  const Rng server_rng = rng.split(splits::kFaultServer);
-  for (std::size_t s = 0; s < servers; ++s) {
-    Rng r = server_rng.split(s);
-    renewal_windows(out, r, config.server_mtbf, config.server_restart_mean,
-                    horizon, FaultKind::server_down, FaultKind::server_up,
-                    static_cast<std::uint32_t>(s), 1.0);
-  }
+  // host-crash schedule. Categories append in a fixed order, which the
+  // plan's stable sort keeps for simultaneous events.
+  const auto windows = [&](std::uint64_t split, std::size_t subjects,
+                           Duration mtbf, Duration mean, FaultKind begin,
+                           FaultKind end, double magnitude) {
+    per_subject(rng.split(split), subjects, [&](Rng& r, std::uint32_t s) {
+      renewal_windows(out, r, mtbf, mean, horizon, begin, end, s, magnitude);
+    });
+  };
+  windows(splits::kFaultHost, hosts, config.host_mtbf, config.host_reboot_mean,
+          FaultKind::host_crash, FaultKind::host_reboot, 1.0);
+  windows(splits::kFaultUplink, hosts, config.uplink_mtbf,
+          config.uplink_outage_mean, FaultKind::uplink_down,
+          FaultKind::uplink_up, 1.0);
+  windows(splits::kFaultServer, servers, config.server_mtbf,
+          config.server_restart_mean, FaultKind::server_down,
+          FaultKind::server_up, 1.0);
   {
     Rng r = rng.split(splits::kFaultLatency);
     renewal_windows(out, r, config.latency_spike_mtbf,
@@ -143,91 +102,51 @@ FaultPlan FaultPlan::generate(const ChaosConfig& config, std::size_t hosts,
     Rng r = rng.split(splits::kFaultManager);
     renewal_windows(out, r, config.manager_mtbf, config.manager_outage_mean,
                     horizon, FaultKind::manager_crash,
-                    FaultKind::manager_recover, 0, 1.0);
+                    FaultKind::manager_recover, 0);
   }
 
   // Resource-exhaustion classes on fresh splits (7/8/9): enabling any of
   // them leaves every schedule above bit-identical.
-  const Rng disk_full_rng = rng.split(splits::kFaultDiskFull);
-  for (std::size_t h = 0; h < hosts; ++h) {
-    Rng r = disk_full_rng.split(h);
-    renewal_windows(out, r, config.disk_full_mtbf, config.disk_full_mean,
-                    horizon, FaultKind::disk_full_begin,
-                    FaultKind::disk_full_end, static_cast<std::uint32_t>(h),
-                    config.disk_full_fraction);
-  }
-  const Rng disk_slow_rng = rng.split(splits::kFaultDiskSlow);
-  for (std::size_t h = 0; h < hosts; ++h) {
-    Rng r = disk_slow_rng.split(h);
-    renewal_windows(out, r, config.disk_slow_mtbf, config.disk_slow_mean,
-                    horizon, FaultKind::disk_slow_begin,
-                    FaultKind::disk_slow_end, static_cast<std::uint32_t>(h),
-                    config.disk_slow_factor);
-  }
-  const Rng mem_rng = rng.split(splits::kFaultMemPressure);
-  for (std::size_t h = 0; h < hosts; ++h) {
-    Rng r = mem_rng.split(h);
-    renewal_windows(out, r, config.mem_pressure_mtbf, config.mem_pressure_mean,
-                    horizon, FaultKind::mem_pressure_begin,
-                    FaultKind::mem_pressure_end, static_cast<std::uint32_t>(h),
-                    config.mem_pressure_fraction);
-  }
+  windows(splits::kFaultDiskFull, hosts, config.disk_full_mtbf,
+          config.disk_full_mean, FaultKind::disk_full_begin,
+          FaultKind::disk_full_end, config.disk_full_fraction);
+  windows(splits::kFaultDiskSlow, hosts, config.disk_slow_mtbf,
+          config.disk_slow_mean, FaultKind::disk_slow_begin,
+          FaultKind::disk_slow_end, config.disk_slow_factor);
+  windows(splits::kFaultMemPressure, hosts, config.mem_pressure_mtbf,
+          config.mem_pressure_mean, FaultKind::mem_pressure_begin,
+          FaultKind::mem_pressure_end, config.mem_pressure_fraction);
 
   // Clock-fault classes on fresh splits (10/11/12): enabling virtual time
   // leaves every schedule above bit-identical, and the events themselves
   // only ever touch ClockModels — record content other than timestamps is
   // invariant under them.
-  const Rng drift_rng = rng.split(splits::kFaultClockDrift);
+  const auto drift = [&config](Rng& r) {
+    return r.uniform(-config.clock_drift_ppm, config.clock_drift_ppm);
+  };
   if (config.clock_drift_mtbf > 0) {
-    for (std::size_t h = 0; h < hosts; ++h) {
-      Rng r = drift_rng.split(h);
-      // An initial rate at t=0 models the oscillator's inherent skew;
-      // re-draws at MTBF cadence model temperature/load episodes.
-      Time t = 0;
-      out.push_back({t, FaultKind::clock_drift, static_cast<std::uint32_t>(h),
-                     r.uniform(-config.clock_drift_ppm,
-                               config.clock_drift_ppm)});
-      while (true) {
-        t += r.exponential(config.clock_drift_mtbf);
-        if (t >= horizon) break;
-        out.push_back({t, FaultKind::clock_drift,
-                       static_cast<std::uint32_t>(h),
-                       r.uniform(-config.clock_drift_ppm,
-                                 config.clock_drift_ppm)});
-      }
-    }
+    per_subject(rng.split(splits::kFaultClockDrift), hosts,
+                [&](Rng& r, std::uint32_t h) {
+                  // An initial rate at t=0 models the oscillator's inherent
+                  // skew; re-draws at MTBF cadence model temperature/load
+                  // episodes.
+                  out.push_back({0, FaultKind::clock_drift, h, drift(r)});
+                  arrivals(out, r, config.clock_drift_mtbf, horizon,
+                           FaultKind::clock_drift, h, drift);
+                });
   }
-  const Rng step_rng = rng.split(splits::kFaultClockStep);
-  if (config.clock_step_mtbf > 0) {
-    for (std::size_t h = 0; h < hosts; ++h) {
-      Rng r = step_rng.split(h);
-      Time t = 0;
-      while (true) {
-        t += r.exponential(config.clock_step_mtbf);
-        if (t >= horizon) break;
-        out.push_back({t, FaultKind::clock_step,
-                       static_cast<std::uint32_t>(h),
-                       r.uniform(-config.clock_step_max,
-                                 config.clock_step_max)});
-      }
-    }
-  }
-  const Rng freeze_rng = rng.split(splits::kFaultClockFreeze);
-  for (std::size_t h = 0; h < hosts; ++h) {
-    Rng r = freeze_rng.split(h);
-    renewal_windows(out, r, config.clock_freeze_mtbf, config.clock_freeze_mean,
-                    horizon, FaultKind::clock_freeze_begin,
-                    FaultKind::clock_freeze_end, static_cast<std::uint32_t>(h),
-                    1.0);
-  }
-
-  // Stable: simultaneous events keep category order (hosts before uplinks
-  // before servers...), which the Injector preserves when scheduling.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     return a.at < b.at;
-                   });
-  return plan;
+  const auto step = [&config](Rng& r) {
+    return r.uniform(-config.clock_step_max, config.clock_step_max);
+  };
+  per_subject(rng.split(splits::kFaultClockStep), hosts,
+              [&](Rng& r, std::uint32_t h) {
+                arrivals(out, r, config.clock_step_mtbf, horizon,
+                         FaultKind::clock_step, h, step);
+              });
+  windows(splits::kFaultClockFreeze, hosts, config.clock_freeze_mtbf,
+          config.clock_freeze_mean, FaultKind::clock_freeze_begin,
+          FaultKind::clock_freeze_end, 1.0);
+  return FaultPlan(std::move(out));
 }
 
 Injector::Injector(net::Network& network, FaultPlan plan, Bindings bindings)
@@ -238,11 +157,8 @@ Injector::Injector(net::Network& network, FaultPlan plan, Bindings bindings)
 }
 
 void Injector::arm() {
-  auto& simulation = net_.simulation();
-  for (std::size_t i = 0; i < plan_.size(); ++i) {
-    const Time at = std::max(plan_.events()[i].at, simulation.now());
-    simulation.schedule_at(at, [this, i] { apply(plan_.events()[i]); });
-  }
+  arm_plan(net_.simulation(), plan_,
+           [this](std::size_t i) { apply(plan_.events()[i]); });
 }
 
 void Injector::apply(const FaultEvent& event) {

@@ -8,12 +8,12 @@
 // module gives the reproduction a real fault model:
 //
 //   ChaosConfig  — knobs (MTBFs and outage durations per fault class);
-//   FaultPlan    — a pre-generated, seed-deterministic schedule of events
-//                  (pure data: the same config + rng always yields the same
-//                  plan, so chaos campaigns are reproducible bit-for-bit);
-//   Injector     — binds a plan to a live world: schedules every event on
-//                  the simulation engine and drives net::Network primitives
-//                  plus app-level hooks (honeypot crash, server restart).
+//   FaultPlan    — the seeded schedule of fault events (fault/plan.hpp:
+//                  the same config + rng always yields the same plan, so
+//                  chaos campaigns are reproducible bit-for-bit);
+//   Injector     — binds a plan to a live world: drives net::Network
+//                  primitives plus app-level hooks (honeypot crash, server
+//                  restart) as each event fires.
 //
 // Fault classes and their observable semantics:
 //   host crash / reboot   node down + RST of every connection + the honeypot
@@ -47,6 +47,7 @@
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "fault/byzantine.hpp"
+#include "fault/plan.hpp"
 #include "fault/rng_splits.hpp"
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
@@ -86,15 +87,11 @@ enum class FaultKind : std::uint8_t {
 [[nodiscard]] std::string_view to_string(FaultKind k);
 
 /// One scheduled fault. `subject` indexes hosts or servers at scenario
-/// level (the Injector's bindings translate to net::NodeId).
-struct FaultEvent {
-  Time at = 0;
-  FaultKind kind = FaultKind::host_crash;
-  std::uint32_t subject = 0;
-  double magnitude = 1.0;  ///< latency multiplier for spike episodes
-
-  bool operator==(const FaultEvent&) const = default;
-};
+/// level (the Injector's bindings translate to net::NodeId); `magnitude` is
+/// the latency multiplier, resource fraction or factor, or clock offset the
+/// kind's comment names.
+using FaultEvent = Event<FaultKind>;
+using FaultPlan = Plan<FaultKind>;
 
 /// Churn knobs. Every *_mtbf of 0 disables that fault class. The defaults
 /// model the paper's platform: PlanetLab hosts failing every ~16 days over a
@@ -206,34 +203,12 @@ struct FaultStats {
   std::uint64_t connections_aborted = 0;
 };
 
-/// A pre-generated schedule of fault events, sorted by time (ties keep
-/// generation order). Pure data: generation never touches a simulation.
-class FaultPlan {
- public:
-  FaultPlan() = default;
-
-  /// Hand-crafted plan (tests, replaying recorded schedules). Events are
-  /// stably sorted by time.
-  explicit FaultPlan(std::vector<FaultEvent> events);
-
-  /// Build a plan for `hosts` honeypot hosts and `servers` directory
-  /// servers over `horizon` seconds. Deterministic in (config, rng state).
-  /// Down windows are clamped to at least one second; a down window
-  /// reaching past the horizon simply never emits its recovery event.
-  [[nodiscard]] static FaultPlan generate(const ChaosConfig& config,
-                                          std::size_t hosts,
-                                          std::size_t servers,
-                                          Duration horizon, Rng rng);
-
-  [[nodiscard]] const std::vector<FaultEvent>& events() const noexcept {
-    return events_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-
- private:
-  std::vector<FaultEvent> events_;
-};
+/// Build the fault plan for `hosts` honeypot hosts and `servers` directory
+/// servers over `horizon` seconds. Deterministic in (config, rng state);
+/// empty when chaos is off.
+[[nodiscard]] FaultPlan make_plan(const ChaosConfig& config, std::size_t hosts,
+                                  std::size_t servers, Duration horizon,
+                                  Rng rng);
 
 /// Applies a FaultPlan to a live world.
 class Injector {
@@ -258,8 +233,7 @@ class Injector {
 
   Injector(net::Network& network, FaultPlan plan, Bindings bindings);
 
-  /// Schedule the whole plan on the network's simulation. Events whose time
-  /// already passed fire at the current instant, preserving plan order.
+  /// Schedule the whole plan on the network's simulation (see arm_plan).
   void arm();
 
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }

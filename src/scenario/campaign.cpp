@@ -190,9 +190,9 @@ void Campaign::arm_faults(Duration legacy_host_mtbf) {
   // server restarts, latency spikes, partitions, resource faults and
   // control-plane crashes. Dead honeypots are respawned by the manager's
   // status poll, exactly the paper's relaunch mechanism.
-  auto plan = fault::FaultPlan::generate(
-      config_.chaos, hosts_.size(), directory_refs_.size(),
-      config_.days * kDay, rng.split(config_.chaos.seed));
+  auto plan = fault::make_plan(config_.chaos, hosts_.size(),
+                               directory_refs_.size(), config_.days * kDay,
+                               rng.split(config_.chaos.seed));
   fault::Injector::Bindings bind;
   bind.host_count = hosts_.size();
   // Host bindings go through the stable pointers, not the manager's fleet
@@ -231,9 +231,9 @@ void Campaign::arm_abuse() {
   // injector (and its attacker nodes) exists only when abuse is enabled.
   if (!config_.abuse.enabled) return;
   const Rng abuse_rng = world_.simulation.rng().split(config_.abuse.seed);
-  auto plan = fault::AbusePlan::generate(config_.abuse, hosts_.size(),
-                                         directory_refs_.size(),
-                                         config_.days * kDay, abuse_rng);
+  auto plan = fault::make_plan(config_.abuse, hosts_.size(),
+                               directory_refs_.size(), config_.days * kDay,
+                               abuse_rng);
   fault::AbuseInjector::Bindings bind;
   bind.honeypot_count = hosts_.size();
   bind.honeypot_node = [this](std::size_t h) { return hosts_[h]->node(); };
@@ -253,12 +253,11 @@ void Campaign::arm_byzantine() {
   const auto& byz = config_.chaos.byzantine;
   if (!byz.enabled) return;
   const Rng byz_rng = world_.simulation.rng().split(byz.seed);
-  auto plan = fault::ByzantinePlan::generate(
-      byz, hosts_.size(), servers_.size(), config_.days * kDay, byz_rng);
+  auto plan = fault::make_plan(byz, hosts_.size(), servers_.size(),
+                               config_.days * kDay, byz_rng);
   fault::ByzantineInjector::Bindings bind;
   bind.honeypot_count = hosts_.size();
   bind.honeypot_node = [this](std::size_t h) { return hosts_[h]->node(); };
-  bind.server_count = servers_.size();
   bind.drop_offers = [this](std::size_t s, bool active) {
     servers_[s]->set_drop_offers(active);
   };

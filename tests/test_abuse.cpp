@@ -28,24 +28,24 @@ using scenario::run_distributed;
 TEST(AbusePlan, DeterministicInConfigAndSeed) {
   AbuseConfig config;
   config.enabled = true;
-  const auto a = AbusePlan::generate(config, 8, 1, days(8), Rng(7));
-  const auto b = AbusePlan::generate(config, 8, 1, days(8), Rng(7));
+  const auto a = fault::make_plan(config, 8, 1, days(8), Rng(7));
+  const auto b = fault::make_plan(config, 8, 1, days(8), Rng(7));
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a.events(), b.events());
 
-  const auto c = AbusePlan::generate(config, 8, 1, days(8), Rng(8));
+  const auto c = fault::make_plan(config, 8, 1, days(8), Rng(8));
   EXPECT_NE(a.events(), c.events());
 }
 
 TEST(AbusePlan, DisabledConfigYieldsEmptyPlan) {
   AbuseConfig config;  // enabled = false
-  EXPECT_TRUE(AbusePlan::generate(config, 24, 1, days(32), Rng(1)).empty());
+  EXPECT_TRUE(fault::make_plan(config, 24, 1, days(32), Rng(1)).empty());
 }
 
 TEST(AbusePlan, EventsSortedByTimeWithinHorizon) {
   AbuseConfig config;
   config.enabled = true;
-  const auto plan = AbusePlan::generate(config, 6, 2, days(16), Rng(5));
+  const auto plan = fault::make_plan(config, 6, 2, days(16), Rng(5));
   ASSERT_GT(plan.size(), 20u);
   for (std::size_t i = 1; i < plan.size(); ++i) {
     EXPECT_LE(plan.events()[i - 1].at, plan.events()[i].at);
@@ -53,7 +53,7 @@ TEST(AbusePlan, EventsSortedByTimeWithinHorizon) {
   for (const auto& e : plan.events()) {
     EXPECT_GE(e.at, 0.0);
     EXPECT_LT(e.at, days(16));
-    EXPECT_LT(e.target, 8u);
+    EXPECT_LT(e.subject, 8u);
   }
 }
 
@@ -61,9 +61,9 @@ TEST(AbusePlan, AddingOneClassDoesNotShiftAnother) {
   AbuseConfig config;
   config.enabled = true;
   config.flood_mtba = 0;  // corrupt / slowloris / oversize only
-  const auto base = AbusePlan::generate(config, 6, 1, days(16), Rng(11));
+  const auto base = fault::make_plan(config, 6, 1, days(16), Rng(11));
   config.flood_mtba = hours(8);
-  const auto more = AbusePlan::generate(config, 6, 1, days(16), Rng(11));
+  const auto more = fault::make_plan(config, 6, 1, days(16), Rng(11));
 
   auto corrupt_of = [](const AbusePlan& p) {
     std::vector<AbuseEvent> out;
@@ -80,9 +80,9 @@ TEST(AbusePlan, AddingOneClassDoesNotShiftAnother) {
 TEST(AbusePlan, IntensityScalesArrivalCount) {
   AbuseConfig config;
   config.enabled = true;
-  const auto calm = AbusePlan::generate(config, 8, 1, days(16), Rng(3));
+  const auto calm = fault::make_plan(config, 8, 1, days(16), Rng(3));
   config.intensity = 4.0;
-  const auto storm = AbusePlan::generate(config, 8, 1, days(16), Rng(3));
+  const auto storm = fault::make_plan(config, 8, 1, days(16), Rng(3));
   EXPECT_GT(storm.size(), 2 * calm.size());
 }
 

@@ -40,23 +40,23 @@ ByzantineConfig all_behaviors() {
 
 TEST(ByzantinePlan, DeterministicInConfigAndSeed) {
   const auto config = all_behaviors();
-  const auto a = ByzantinePlan::generate(config, 8, 2, days(8), Rng(7));
-  const auto b = ByzantinePlan::generate(config, 8, 2, days(8), Rng(7));
+  const auto a = fault::make_plan(config, 8, 2, days(8), Rng(7));
+  const auto b = fault::make_plan(config, 8, 2, days(8), Rng(7));
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a.events(), b.events());
 
-  const auto c = ByzantinePlan::generate(config, 8, 2, days(8), Rng(8));
+  const auto c = fault::make_plan(config, 8, 2, days(8), Rng(8));
   EXPECT_NE(a.events(), c.events());
 }
 
 TEST(ByzantinePlan, DisabledConfigYieldsEmptyPlan) {
   ByzantineConfig config;  // enabled = false
-  EXPECT_TRUE(ByzantinePlan::generate(config, 24, 3, days(32), Rng(1)).empty());
+  EXPECT_TRUE(fault::make_plan(config, 24, 3, days(32), Rng(1)).empty());
 }
 
 TEST(ByzantinePlan, EventsSortedWithSubjectsInRange) {
   const auto plan =
-      ByzantinePlan::generate(all_behaviors(), 6, 3, days(16), Rng(5));
+      fault::make_plan(all_behaviors(), 6, 3, days(16), Rng(5));
   ASSERT_GT(plan.size(), 20u);
   for (std::size_t i = 1; i < plan.size(); ++i) {
     EXPECT_LE(plan.events()[i - 1].at, plan.events()[i].at);
@@ -88,9 +88,9 @@ TEST(ByzantinePlan, AddingOneBehaviorDoesNotShiftAnother) {
     return out;
   };
   const auto a =
-      filter_drops(ByzantinePlan::generate(drops_only, 8, 2, days(8), Rng(3)));
+      filter_drops(fault::make_plan(drops_only, 8, 2, days(8), Rng(3)));
   const auto b =
-      filter_drops(ByzantinePlan::generate(everything, 8, 2, days(8), Rng(3)));
+      filter_drops(fault::make_plan(everything, 8, 2, days(8), Rng(3)));
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }

@@ -83,7 +83,7 @@ ChaosConfig clock_chaos() {
 }
 
 TEST(FaultPlan, ClockClassesGenerateAndStayBounded) {
-  const auto plan = FaultPlan::generate(clock_chaos(), 8, 1, days(32), Rng(9));
+  const auto plan = make_plan(clock_chaos(), 8, 1, days(32), Rng(9));
   ASSERT_FALSE(plan.empty());
   std::uint64_t drifts = 0, steps = 0, freezes = 0, thaws = 0;
   for (const auto& e : plan.events()) {
@@ -117,11 +117,11 @@ TEST(FaultPlan, ClockClassesOnFreshSplitsLeaveOtherSchedulesAlone) {
   config.enabled = true;
   config.uplink_mtbf = days(4);
   config.server_mtbf = days(8);
-  const auto base = FaultPlan::generate(config, 6, 1, days(32), Rng(11));
+  const auto base = make_plan(config, 6, 1, days(32), Rng(11));
   config.clock_drift_mtbf = days(2);
   config.clock_step_mtbf = days(1);
   config.clock_freeze_mtbf = days(4);
-  const auto more = FaultPlan::generate(config, 6, 1, days(32), Rng(11));
+  const auto more = make_plan(config, 6, 1, days(32), Rng(11));
   ASSERT_GT(more.size(), base.size());
   // Every pre-existing event survives unchanged.
   std::vector<FaultEvent> kept;

@@ -21,24 +21,24 @@ TEST(FaultPlan, DeterministicInConfigAndSeed) {
   config.server_mtbf = days(8);
   config.latency_spike_mtbf = days(8);
   config.partition_mtbf = days(8);
-  const auto a = FaultPlan::generate(config, 8, 2, days(32), Rng(7));
-  const auto b = FaultPlan::generate(config, 8, 2, days(32), Rng(7));
+  const auto a = make_plan(config, 8, 2, days(32), Rng(7));
+  const auto b = make_plan(config, 8, 2, days(32), Rng(7));
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a.events(), b.events());
 
-  const auto c = FaultPlan::generate(config, 8, 2, days(32), Rng(8));
+  const auto c = make_plan(config, 8, 2, days(32), Rng(8));
   EXPECT_NE(a.events(), c.events());
 }
 
 TEST(FaultPlan, DisabledConfigYieldsEmptyPlan) {
   ChaosConfig config;  // enabled = false
-  EXPECT_TRUE(FaultPlan::generate(config, 24, 1, days(32), Rng(1)).empty());
+  EXPECT_TRUE(make_plan(config, 24, 1, days(32), Rng(1)).empty());
 }
 
 TEST(FaultPlan, OnlyEnabledClassesAppear) {
   ChaosConfig config;
   config.enabled = true;  // defaults: host crashes only
-  const auto plan = FaultPlan::generate(config, 8, 1, days(32), Rng(3));
+  const auto plan = make_plan(config, 8, 1, days(32), Rng(3));
   ASSERT_FALSE(plan.empty());
   for (const auto& e : plan.events()) {
     EXPECT_TRUE(e.kind == FaultKind::host_crash ||
@@ -53,7 +53,7 @@ TEST(FaultPlan, EventsSortedByTimeWithinHorizon) {
   config.host_mtbf = days(2);
   config.uplink_mtbf = days(2);
   config.server_mtbf = days(4);
-  const auto plan = FaultPlan::generate(config, 6, 2, days(16), Rng(5));
+  const auto plan = make_plan(config, 6, 2, days(16), Rng(5));
   ASSERT_GT(plan.size(), 10u);
   for (std::size_t i = 1; i < plan.size(); ++i) {
     EXPECT_LE(plan.events()[i - 1].at, plan.events()[i].at);
@@ -67,9 +67,9 @@ TEST(FaultPlan, EventsSortedByTimeWithinHorizon) {
 TEST(FaultPlan, AddingOneClassDoesNotShiftAnother) {
   ChaosConfig config;
   config.enabled = true;  // host crashes only
-  const auto base = FaultPlan::generate(config, 6, 1, days(32), Rng(11));
+  const auto base = make_plan(config, 6, 1, days(32), Rng(11));
   config.uplink_mtbf = days(4);  // enable a second class
-  const auto more = FaultPlan::generate(config, 6, 1, days(32), Rng(11));
+  const auto more = make_plan(config, 6, 1, days(32), Rng(11));
 
   auto crashes_of = [](const FaultPlan& p) {
     std::vector<FaultEvent> out;
@@ -92,9 +92,9 @@ TEST(FaultPlan, ManagerClassDoesNotShiftOtherSchedules) {
   config.enabled = true;
   config.uplink_mtbf = days(4);
   config.server_mtbf = days(8);
-  const auto base = FaultPlan::generate(config, 6, 1, days(32), Rng(11));
+  const auto base = make_plan(config, 6, 1, days(32), Rng(11));
   config.manager_mtbf = days(8);
-  const auto more = FaultPlan::generate(config, 6, 1, days(32), Rng(11));
+  const auto more = make_plan(config, 6, 1, days(32), Rng(11));
 
   auto without_manager = [](const FaultPlan& p) {
     std::vector<FaultEvent> out;
@@ -110,7 +110,7 @@ TEST(FaultPlan, ManagerClassDoesNotShiftOtherSchedules) {
   EXPECT_GT(more.size(), base.size());
 
   config.manager_recovery = false;
-  const auto no_recovery = FaultPlan::generate(config, 6, 1, days(32), Rng(11));
+  const auto no_recovery = make_plan(config, 6, 1, days(32), Rng(11));
   EXPECT_EQ(no_recovery.events(), more.events());
 }
 

@@ -59,7 +59,7 @@ TEST(FaultPlan, EventSequenceIsPinned) {
   config.clock_drift_mtbf = days(2);
   config.clock_step_mtbf = days(2);
   config.clock_freeze_mtbf = days(3);
-  const auto plan = FaultPlan::generate(config, 6, 2, days(8), Rng(2026));
+  const auto plan = make_plan(config, 6, 2, days(8), Rng(2026));
   EventDigest digest;
   for (const auto& e : plan.events()) {
     digest.add(e.at, static_cast<std::uint8_t>(e.kind), e.subject,
@@ -73,12 +73,11 @@ TEST(AbusePlan, EventSequenceIsPinned) {
   AbuseConfig config;  // every class on by default
   config.enabled = true;
   config.intensity = 1.5;
-  const auto plan = AbusePlan::generate(config, 6, 2, days(2), Rng(2026));
+  const auto plan = make_plan(config, 6, 2, days(2), Rng(2026));
   EventDigest digest;
   for (const auto& e : plan.events()) {
-    // Abuse episodes carry no magnitude: it is 1.0 on every axis that has
-    // no use for one.
-    digest.add(e.at, static_cast<std::uint8_t>(e.kind), e.target, 1.0);
+    digest.add(e.at, static_cast<std::uint8_t>(e.kind), e.subject,
+               e.magnitude);
   }
   EXPECT_EQ(plan.size(), 392u);
   EXPECT_EQ(digest.value(), 0x6a9aebf0200e6964ull);
@@ -94,7 +93,7 @@ TEST(ByzantinePlan, EventSequenceIsPinned) {
   config.corrupt_search_mtbf = days(2);
   config.forge_list_mtba = hours(12);
   config.replay_hello_mtba = hours(12);
-  const auto plan = ByzantinePlan::generate(config, 6, 3, days(8), Rng(2026));
+  const auto plan = make_plan(config, 6, 3, days(8), Rng(2026));
   EventDigest digest;
   for (const auto& e : plan.events()) {
     digest.add(e.at, static_cast<std::uint8_t>(e.kind), e.subject,
@@ -117,7 +116,7 @@ TEST(FaultPlan, RenewalWindowsClampToOneSecondAndStopAtHorizon) {
   config.uplink_mtbf = hours(6);
   config.uplink_outage_mean = days(365);  // every outage outlives the run
   const Duration horizon = days(2);
-  const auto plan = FaultPlan::generate(config, 4, 1, horizon, Rng(17));
+  const auto plan = make_plan(config, 4, 1, horizon, Rng(17));
 
   std::map<std::pair<std::uint32_t, bool>, std::vector<FaultEvent>> windows;
   for (const auto& e : plan.events()) {
