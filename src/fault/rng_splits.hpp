@@ -1,27 +1,27 @@
 #pragma once
 // Central registry of RNG split indices.
 //
-// Every fault/abuse/byzantine subsystem is a pure function of
-// (config, rng) drawing from `Rng::split(index)` sub-streams, and
-// `split()` never advances the parent stream — so two subsystems stay
-// independent exactly as long as no two of them split the *same parent*
-// with the *same index*. Historically those indices were magic numbers
-// scattered across three files; this header enumerates them per parent
-// stream and static_asserts that no group contains a collision, so adding
+// Every adversary plan (fault/plan.hpp) is a pure function of (config, rng)
+// drawing from `Rng::split(index)` sub-streams, and `split()` never
+// advances the parent stream — so two consumers stay independent exactly as
+// long as no two of them split the *same parent* with the *same index*.
+// This header enumerates the indices per parent stream, every call site
+// names them, and a static_assert per group rejects a collision, so adding
 // a split that would silently alias an existing stream fails to compile.
 //
 // Groups (one per parent stream):
-//   scenario   — splits of the main simulation RNG taken by the scenario
-//                layer (scenario.cpp / multi_server.cpp);
-//   fault      — category splits of rng.split(chaos.seed) in
-//                FaultPlan::generate;
-//   abuse      — class splits of rng.split(abuse.seed) in
-//                AbusePlan::generate, plus the content split of the
-//                injector's own stream;
-//   byzantine  — behavior splits of rng.split(byzantine.seed) in
-//                ByzantinePlan::generate, plus the liar-content split.
+//   scenario   — splits of the main simulation RNG: the network's link
+//                model stream, the campaign world (campaign.cpp), the
+//                scenarios (scenario.cpp / multi_server.cpp) and the seeds
+//                of the three adversary plans;
+//   fault      — category splits of rng.split(chaos.seed) in the fault
+//                plan;
+//   abuse      — class splits of rng.split(abuse.seed) in the abuse plan,
+//                plus the content split of the injector's own stream;
+//   byzantine  — behavior splits of rng.split(byzantine.seed) in the
+//                Byzantine plan, plus the liar-content split.
 //
-// Per-subject second-level splits (`category_rng.split(h)`) use the
+// Per-subject second-level splits (`per_subject` in fault/plan.hpp) use the
 // subject index itself and need no registry: within one category stream
 // the subjects are distinct by construction.
 
@@ -51,6 +51,7 @@ inline constexpr std::uint64_t kLegacyCrashGrid = 0xDEAD;///< pre-chaos hourly c
 inline constexpr std::uint64_t kTopPeer = 0x709;         ///< the Fig 8/9 hyperactive peer
 inline constexpr std::uint64_t kGreedyDemand = 0xDE3A;   ///< greedy per-file demand draws
 inline constexpr std::uint64_t kMultiServerResidents = 0x4E5; ///< resident pools per server
+inline constexpr std::uint64_t kNetwork = 0x4e455457;    ///< net::Network latency and loss draws
 inline constexpr std::uint64_t kChaosSeedDefault = 0xFA1757;  ///< ChaosConfig::seed
 inline constexpr std::uint64_t kAbuseSeedDefault = 0xAB05E;   ///< AbuseConfig::seed
 inline constexpr std::uint64_t kByzantineSeedDefault = 0xB15A17; ///< ByzantineConfig::seed
@@ -58,13 +59,13 @@ inline constexpr std::uint64_t kByzantineSeedDefault = 0xB15A17; ///< ByzantineC
 inline constexpr std::uint64_t kScenarioSplits[] = {
     kCatalog,         kPairWeights,      kFileIds,
     kPopulation,      kLegacyCrashGrid,  kTopPeer,
-    kGreedyDemand,    kMultiServerResidents,
+    kGreedyDemand,    kMultiServerResidents, kNetwork,
     kChaosSeedDefault, kAbuseSeedDefault, kByzantineSeedDefault,
 };
 static_assert(detail::all_distinct(kScenarioSplits),
               "scenario-level RNG split collision");
 
-// --- FaultPlan: category splits of rng.split(chaos.seed) ---------------
+// --- Fault plan: category splits of rng.split(chaos.seed) --------------
 inline constexpr std::uint64_t kFaultHost = 1;
 inline constexpr std::uint64_t kFaultUplink = 2;
 inline constexpr std::uint64_t kFaultServer = 3;
@@ -87,7 +88,7 @@ inline constexpr std::uint64_t kFaultSplits[] = {
 static_assert(detail::all_distinct(kFaultSplits),
               "FaultPlan category split collision");
 
-// --- AbusePlan: class splits of rng.split(abuse.seed) ------------------
+// --- Abuse plan: class splits of rng.split(abuse.seed) -----------------
 // Class c draws from split(kAbuseClassBase + c), c = 0..3; the injector's
 // content stream is a scenario-provided split of the same parent.
 inline constexpr std::uint64_t kAbuseClassBase = 1;  ///< splits 1..4
@@ -97,7 +98,7 @@ inline constexpr std::uint64_t kAbuseContent = 0xEE; ///< injector content strea
 static_assert(kAbuseContent >= kAbuseClassBase + kAbuseClassCount,
               "abuse content split collides with a class split");
 
-// --- ByzantinePlan: behavior splits of rng.split(byzantine.seed) -------
+// --- Byzantine plan: behavior splits of rng.split(byzantine.seed) ------
 inline constexpr std::uint64_t kByzOfferDrop = 1;
 inline constexpr std::uint64_t kByzOfferTruncate = 2;
 inline constexpr std::uint64_t kByzStaleIndex = 3;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fault/rng_splits.hpp"
+
 namespace edhp::net {
 
 struct Endpoint::Shared {
@@ -78,7 +80,9 @@ void Endpoint::close() {
 }
 
 Network::Network(sim::Simulation& simulation, LinkModel model)
-    : sim_(simulation), model_(model), rng_(simulation.rng().split(0x4e455457ull)) {}
+    : sim_(simulation),
+      model_(model),
+      rng_(simulation.rng().split(fault::splits::kNetwork)) {}
 
 Network::NodeSlot* Network::slot_of(NodeId id) noexcept {
   if (id >= node_slot_.size()) return nullptr;

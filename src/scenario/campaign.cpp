@@ -78,7 +78,8 @@ void finalize_audit(ScenarioResult& result, const honeypot::Manager& manager,
 World::World(const CampaignConfig& config)
     : simulation(config.seed),
       network(simulation, link_model(config.chaos)),
-      catalog(catalog_2008(), simulation.rng().split(0xCA7A)),
+      catalog(catalog_2008(),
+              simulation.rng().split(fault::splits::kCatalog)),
       // The penalty models the *fraction* of the community a published
       // detection reaches, so the product (reports x penalty) must be
       // scale-invariant: fewer simulated peers, louder each report.
@@ -181,7 +182,7 @@ void Campaign::arm_faults(Duration legacy_host_mtbf) {
           world_.simulation, legacy_host_mtbf,
           [this] { return manager_.fleet_size(); },
           [this](std::size_t h) { manager_.honeypot(h).crash(); },
-          rng.split(0xDEAD));
+          rng.split(fault::splits::kLegacyCrashGrid));
       crash_grid_->start();
     }
     return;
@@ -243,7 +244,7 @@ void Campaign::arm_abuse() {
   };
   abuse_ = std::make_unique<fault::AbuseInjector>(
       world_.network, std::move(plan), config_.abuse, std::move(bind),
-      abuse_rng.split(0xEE));
+      abuse_rng.split(fault::splits::kAbuseContent));
   abuse_->arm();
 }
 

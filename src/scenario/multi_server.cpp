@@ -3,11 +3,15 @@
 #include <cmath>
 
 #include "analysis/log_stats.hpp"
+#include "fault/rng_splits.hpp"
 #include "peer/population.hpp"
 #include "scenario/calibration.hpp"
 #include "scenario/campaign.hpp"
 
 namespace edhp::scenario {
+
+namespace splits = fault::splits;
+
 namespace {
 
 /// An idle resident client: logs in and just sits on the server, giving it
@@ -52,7 +56,7 @@ MultiServerResult run_multi_server(const MultiServerConfig& config,
   // Callbacks capture references into this vector: reserve up front so they
   // never dangle.
   residents.reserve(resident_total);
-  Rng resident_rng = rng.split(0x4E5);
+  Rng resident_rng = rng.split(splits::kMultiServerResidents);
   for (std::size_t i = 0; i < n_servers; ++i) {
     const auto count = resident_counts[i];
     for (std::size_t c = 0; c < count; ++c) {
@@ -137,7 +141,7 @@ MultiServerResult run_multi_server(const MultiServerConfig& config,
 
   // --- Advertised files + demand ----------------------------------------------
   std::vector<honeypot::AdvertisedFile> files;
-  Rng id_rng = rng.split(0xF11E);
+  Rng id_rng = rng.split(splits::kFileIds);
   for (const auto& d : kDistributedFiles) {
     files.push_back(honeypot::AdvertisedFile{
         FileId::from_words(id_rng(), id_rng()), d.name, d.size});
@@ -155,7 +159,8 @@ MultiServerResult run_multi_server(const MultiServerConfig& config,
     ctx.home_servers.push_back(refs[i].node);
     ctx.home_server_weights.push_back(config.server_sizes[i]);
   }
-  peer::Population population(ctx, rng.split(0x90B), config.population_mode);
+  peer::Population population(ctx, rng.split(splits::kPopulation),
+                              config.population_mode);
   for (std::size_t i = 0; i < files.size(); ++i) {
     const auto& d = kDistributedFiles[i];
     peer::FileDemand demand;

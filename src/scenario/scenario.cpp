@@ -2,12 +2,15 @@
 
 #include <cmath>
 
+#include "fault/rng_splits.hpp"
 #include "peer/population.hpp"
 #include "peer/top_peer.hpp"
 #include "scenario/calibration.hpp"
 #include "scenario/campaign.hpp"
 
 namespace edhp::scenario {
+
+namespace splits = fault::splits;
 
 honeypot::ManagerConfig chaos_manager_config(const fault::ChaosConfig& chaos) {
   honeypot::ManagerConfig mc;
@@ -87,7 +90,7 @@ ScenarioResult run_distributed(const DistributedConfig& config,
   // random-content honeypot share each draw), so the two strategy groups
   // have identical weight profiles and the Fig 5/6 gap isolates the
   // blacklisting effect instead of host heterogeneity.
-  Rng weight_rng = rng.split(0xBEEF);
+  Rng weight_rng = rng.split(splits::kPairWeights);
   const std::size_t half = std::max<std::size_t>(1, config.honeypots / 2);
   std::vector<double> pair_weights(half);
   for (auto& w : pair_weights) {
@@ -112,7 +115,7 @@ ScenarioResult run_distributed(const DistributedConfig& config,
 
   // The four advertised fake files.
   std::vector<honeypot::AdvertisedFile> files;
-  Rng id_rng = rng.split(0xF11E);
+  Rng id_rng = rng.split(splits::kFileIds);
   for (const auto& d : kDistributedFiles) {
     files.push_back(honeypot::AdvertisedFile{
         FileId::from_words(id_rng(), id_rng()), d.name, d.size});
@@ -142,7 +145,8 @@ ScenarioResult run_distributed(const DistributedConfig& config,
     pool_factor =
         static_cast<double>(config.population_override) / scaled_total;
   }
-  peer::Population population(world.context(server.node), rng.split(0x90B),
+  peer::Population population(world.context(server.node),
+                              rng.split(splits::kPopulation),
                               config.population_mode);
   for (std::size_t i = 0; i < files.size(); ++i) {
     const auto& d = kDistributedFiles[i];
@@ -166,7 +170,7 @@ ScenarioResult run_distributed(const DistributedConfig& config,
   // The single hyperactive peer of Figs 8/9.
   std::unique_ptr<peer::TopPeer> top;
   if (config.with_top_peer) {
-    Rng top_rng = rng.split(0x709);
+    Rng top_rng = rng.split(splits::kTopPeer);
     peer::PeerProfile profile =
         peer::sample_profile(top_rng, config.behavior, world.diurnal);
     profile.client_name = "MLDonkey 2.9";  // crawler-ish client
@@ -223,9 +227,10 @@ ScenarioResult run_greedy(const GreedyConfig& config, std::ostream* progress) {
   // for every newly advertised file. Per-file demand is a property of the
   // network (not of the honeypot) and is NOT scaled: the greedy measurement
   // scales through the size of the harvested list instead.
-  peer::Population population(world.context(server.node), rng.split(0x90B),
+  peer::Population population(world.context(server.node),
+                              rng.split(splits::kPopulation),
                               config.population_mode);
-  Rng demand_rng = rng.split(0xDE3A);
+  Rng demand_rng = rng.split(splits::kGreedyDemand);
   std::size_t demanded = 0;
   auto sync_demands = [&] {
     // Through the stable handle: the watcher keeps firing during a
