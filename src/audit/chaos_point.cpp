@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,6 +23,19 @@ struct KnobImpl {
 };
 
 constexpr double kH = 3600.0;  // one hour in seconds
+
+/// An integer knob's value as its field type T (bool for a flag). Throws
+/// std::out_of_range unless T holds `v` exactly: whole, not negative and
+/// below 2^digits — so a float-to-integer cast never sees a value it cannot
+/// represent.
+template <class T>
+T whole(double v) {
+  if (!(v >= 0 && v == std::floor(v) &&
+        v < std::ldexp(1.0, std::numeric_limits<T>::digits))) {
+    throw std::out_of_range("chaos point: integer knob value out of range");
+  }
+  return static_cast<T>(v);
+}
 
 #define EDHP_KNOB_SET(expr)                                         \
   +[](ChaosConfig& c, AbuseConfig& a, double v) {                   \
@@ -60,7 +74,7 @@ const KnobImpl kKnobs[] = {
     {{"manager_outage_mean", KnobGroup::chaos, 600, 2 * kH, true, false, 0.12},
      EDHP_KNOB_SET(c.manager_outage_mean = v)},
     {{"manager_no_recovery", KnobGroup::chaos, 1, 1, false, true, 0.06},
-     EDHP_KNOB_SET(c.manager_recovery = (v == 0))},
+     EDHP_KNOB_SET(c.manager_recovery = !whole<bool>(v))},
     // --- Resource-exhaustion episodes ------------------------------------
     {{"disk_full_mtbf", KnobGroup::chaos, 4 * kH, 48 * kH, true, false, 0.12},
      EDHP_KNOB_SET(c.disk_full_mtbf = v)},
@@ -94,18 +108,18 @@ const KnobImpl kKnobs[] = {
     {{"spool_period", KnobGroup::chaos, 120, kH, true, false, 0.12},
      EDHP_KNOB_SET(c.spool_period = v)},
     {{"resend_credit", KnobGroup::chaos, 1, 8, false, true, 0.12},
-     EDHP_KNOB_SET(c.resend_credit = static_cast<std::uint32_t>(v))},
+     EDHP_KNOB_SET(c.resend_credit = whole<std::uint32_t>(v))},
     // --- Resource budgets --------------------------------------------------
     {{"disk_quota_bytes", KnobGroup::chaos, 65536, 4194304, true, true, 0.12},
-     EDHP_KNOB_SET(c.disk_quota_bytes = static_cast<std::uint64_t>(v))},
+     EDHP_KNOB_SET(c.disk_quota_bytes = whole<std::uint64_t>(v))},
     {{"mem_budget_records", KnobGroup::chaos, 512, 65536, true, true, 0.12},
-     EDHP_KNOB_SET(c.mem_budget_records = static_cast<std::uint64_t>(v))},
+     EDHP_KNOB_SET(c.mem_budget_records = whole<std::uint64_t>(v))},
     {{"session_ceiling", KnobGroup::chaos, 8, 128, true, true, 0.12},
-     EDHP_KNOB_SET(c.session_ceiling = static_cast<std::uint32_t>(v))},
+     EDHP_KNOB_SET(c.session_ceiling = whole<std::uint32_t>(v))},
     {{"degrade_off", KnobGroup::chaos, 1, 1, false, true, 0.04},
-     EDHP_KNOB_SET(c.degrade_policy = v == 0
-                       ? budget::DegradePolicy::priority_shed
-                       : budget::DegradePolicy::off)},
+     EDHP_KNOB_SET(c.degrade_policy = whole<bool>(v)
+                       ? budget::DegradePolicy::off
+                       : budget::DegradePolicy::priority_shed)},
     // --- Link-quality model (no master switch: zero values are no-ops) ----
     {{"link_burst_enter", KnobGroup::plain, 0.001, 0.05, true, false, 0.12},
      EDHP_KNOB_SET(c.link_burst_enter = v)},
@@ -128,7 +142,7 @@ const KnobImpl kKnobs[] = {
     {{"abuse_oversize_mtba", KnobGroup::abuse, kH, 12 * kH, true, false, 0.12},
      EDHP_KNOB_SET(a.oversize_mtba = v)},
     {{"abuse_attackers", KnobGroup::abuse, 1, 8, false, true, 0.12},
-     EDHP_KNOB_SET(a.attackers_per_class = static_cast<std::size_t>(v))},
+     EDHP_KNOB_SET(a.attackers_per_class = whole<std::size_t>(v))},
     // --- Byzantine lies + defense ablation --------------------------------
     {{"byz_offer_drop_mtbf", KnobGroup::byzantine, 2 * kH, 48 * kH, true,
       false, 0.12},
@@ -152,12 +166,12 @@ const KnobImpl kKnobs[] = {
       0.12},
      EDHP_KNOB_SET(c.byzantine.replay_hello_mtba = v)},
     {{"byz_no_defend", KnobGroup::byzantine, 1, 1, false, true, 0.06},
-     EDHP_KNOB_SET(c.byzantine.defend = (v == 0))},
+     EDHP_KNOB_SET(c.byzantine.defend = !whole<bool>(v))},
     // --- Audit self-test backdoor (never sampled: p_on = 0). Kept in the
     // registry so a committed repro can arm it and the shrinker can name
     // it; see ChaosConfig::audit_selftest_drop ----------------------------
     {{"audit_selftest_drop", KnobGroup::plain, 2, 1000, true, true, 0.0},
-     EDHP_KNOB_SET(c.audit_selftest_drop = static_cast<std::uint32_t>(v))},
+     EDHP_KNOB_SET(c.audit_selftest_drop = whole<std::uint32_t>(v))},
 };
 
 #undef EDHP_KNOB_SET
@@ -186,16 +200,31 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-/// `text` as a complete number (no sign when T is unsigned); anything else
-/// throws naming the offending line.
+[[noreturn]] void bad_value(std::string_view line) {
+  throw std::runtime_error("chaos repro: bad value in line: " +
+                           std::string(line));
+}
+
+/// `text` as a complete number (no sign when T is unsigned, finite when T
+/// is floating); anything else throws naming the offending line.
 template <class T>
 T parse_value(std::string_view text, std::string_view line) {
   const auto value = parse_number<T>(text);
-  if (!value) {
-    throw std::runtime_error("chaos repro: bad value in line: " +
-                             std::string(line));
-  }
+  if (!value) bad_value(line);
   return *value;
+}
+
+/// Whether knob `k`'s field holds `value`. The setter is where each knob's
+/// field type is written down, so this runs it on throwaway configs.
+bool holds(const KnobImpl& k, double value) {
+  ChaosConfig chaos;
+  AbuseConfig abuse;
+  try {
+    k.set(chaos, abuse, value);
+  } catch (const std::out_of_range&) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -299,9 +328,10 @@ ReproConfig parse_repro(std::string_view text) {
         throw std::runtime_error("chaos repro: unknown knob: " +
                                  std::string(name));
       }
-      repro.point.knobs.emplace_back(
-          static_cast<std::size_t>(index),
-          parse_value<double>(trim(body.substr(eq + 1)), line));
+      const auto knob = static_cast<std::size_t>(index);
+      const auto value = parse_value<double>(trim(body.substr(eq + 1)), line);
+      if (!holds(kKnobs[knob], value)) bad_value(line);
+      repro.point.knobs.emplace_back(knob, value);
       continue;
     }
     const std::size_t eq = line.find('=');

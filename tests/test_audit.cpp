@@ -298,7 +298,15 @@ INSTANTIATE_TEST_SUITE_P(Lines, ReproParse,
                          ::testing::Values("seed=abc", "honeypots=abc",
                                            "seed=-1", "honeypots=-1",
                                            "days=2x", "scale=0.02junk",
-                                           "knob host_mtbf=5x"));
+                                           "knob host_mtbf=5x",
+                                           "knob host_mtbf=nan",
+                                           "knob abuse_intensity=nan",
+                                           "days=nan", "scale=inf",
+                                           "knob host_mtbf=-inf",
+                                           "knob session_ceiling=-5",
+                                           "knob session_ceiling=2.5",
+                                           "knob session_ceiling=4294967296",
+                                           "knob manager_no_recovery=2"));
 
 TEST(ReproParseAccepts, EveryCompleteNumberForm) {
   const auto repro = parse_repro(

@@ -59,7 +59,9 @@ INSTANTIATE_TEST_SUITE_P(Flags, ChaosfuzzBadNumber,
                          ::testing::Values("--points=abc", "--scale=",
                                            "--points=2x",
                                            "--days=2x --selftest",
-                                           "--seed=-1 --selftest"));
+                                           "--seed=-1 --selftest",
+                                           "--scale=nan", "--scale=inf",
+                                           "--days=nan --selftest"));
 
 TEST(ChaosfuzzCli, CompleteNumbersStillParse) {
   ScratchDir dir;

@@ -209,7 +209,8 @@ int run_batch(const Options& opt) {
 }
 
 int run_replays(const Options& opt) {
-  int rc = 0;
+  // Read every file first: a malformed one fails before any campaign runs.
+  std::vector<audit::ReproConfig> repros;
   for (const auto& path : opt.replays) {
     std::ifstream file(path);
     if (!file) {
@@ -218,7 +219,12 @@ int run_replays(const Options& opt) {
     }
     const std::string text((std::istreambuf_iterator<char>(file)),
                            std::istreambuf_iterator<char>());
-    const audit::ReproConfig repro = audit::parse_repro(text);
+    repros.push_back(audit::parse_repro(text));
+  }
+  int rc = 0;
+  for (std::size_t i = 0; i < repros.size(); ++i) {
+    const std::string& path = opt.replays[i];
+    const audit::ReproConfig& repro = repros[i];
     const Outcome outcome = run_point(repro);
     const bool imbalanced = outcome.failed();
     const bool pass = imbalanced == repro.expect_imbalance;
