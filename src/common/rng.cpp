@@ -8,6 +8,10 @@
 namespace edhp {
 namespace {
 
+/// A GCC/Clang extension type; `__extension__` marks its use as deliberate
+/// under -Wpedantic.
+__extension__ using u128 = unsigned __int128;
+
 inline std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9E3779B97F4A7C15ull;
   std::uint64_t z = x;
@@ -68,7 +72,7 @@ std::uint64_t Rng::below(std::uint64_t n) {
   // Lemire's nearly-divisionless bounded sampling with rejection.
   while (true) {
     const std::uint64_t x = next();
-    const unsigned __int128 m = static_cast<unsigned __int128>(x) * n;
+    const u128 m = static_cast<u128>(x) * n;
     const std::uint64_t low = static_cast<std::uint64_t>(m);
     if (low >= n) {
       return static_cast<std::uint64_t>(m >> 64);

@@ -41,7 +41,8 @@ class ScratchDir {
             ::testing::UnitTest::GetInstance()->current_test_info()) {
       name += std::string("-") + info->test_suite_name() + "." + info->name();
     }
-    name += "-" + std::to_string(::getpid());
+    name += '-';
+    name += std::to_string(::getpid());
     std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
     return std::filesystem::temp_directory_path() / name;
   }

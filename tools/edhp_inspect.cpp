@@ -133,7 +133,10 @@ void emit(const std::string& path,
   for (const auto& [key, value] : rows) {
     std::string_view k = key;
     while (!k.empty() && k.front() == ' ') k.remove_prefix(1);
-    line += "," + json_quote(k) + ":" + json_quote(value);
+    line += ',';
+    line += json_quote(k);
+    line += ':';
+    line += json_quote(value);
   }
   line += "}";
   std::cout << line << "\n";
@@ -436,10 +439,11 @@ void print_defense(const std::string& path, const logbook::LogFile& log,
     last_hostile = r.timestamp;
   }
   const std::uint64_t benign = log.records.size() - hostile;
-  std::vector<std::pair<std::string, std::string>> rows;
-  rows.emplace_back("records", analysis::with_commas(log.records.size()));
-  rows.emplace_back("benign", analysis::with_commas(benign));
-  rows.emplace_back("hostile-marked", analysis::with_commas(hostile));
+  std::vector<std::pair<std::string, std::string>> rows = {
+      {"records", analysis::with_commas(log.records.size())},
+      {"benign", analysis::with_commas(benign)},
+      {"hostile-marked", analysis::with_commas(hostile)},
+  };
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f%%",
                 log.records.empty()
