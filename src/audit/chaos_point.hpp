@@ -82,7 +82,9 @@ struct ChaosPoint {
 
 /// Project a point onto live configs: assign every knob's value and flip
 /// the master switches its groups imply. Values are clamped to sane ranges
-/// by the consuming subsystems, not here.
+/// by the consuming subsystems, not here; an integer knob whose field type
+/// cannot hold its value (negative, fractional, too large, or a flag other
+/// than 0 or 1) throws std::out_of_range.
 void apply(const ChaosPoint& point, fault::ChaosConfig& chaos,
            fault::AbuseConfig& abuse);
 
@@ -101,8 +103,9 @@ struct ReproConfig {
 /// Render a repro file (stable ordering; round-trips through parse_repro).
 [[nodiscard]] std::string serialize(const ReproConfig& repro);
 
-/// Parse a repro file. Every number must be complete ("2x" is malformed)
-/// and unsigned fields (seed, honeypots) take no sign. Throws
+/// Parse a repro file. Every number must be complete and finite ("2x" and
+/// "nan" are malformed), unsigned fields (seed, honeypots) take no sign, and
+/// an integer knob takes only a value its field holds. Throws
 /// std::runtime_error naming the offending line on malformed input or
 /// unknown knob names.
 [[nodiscard]] ReproConfig parse_repro(std::string_view text);

@@ -158,8 +158,8 @@ struct ByzantineStats {
 /// through scenario-provided hooks and runs the liar peers.
 class ByzantineInjector {
  public:
-  /// Translation from plan subjects to the concrete world. The server-lie
-  /// hooks mirror fault::Injector's resource hooks: unset = no-op.
+  /// Translation from plan subjects to the concrete world. An unset
+  /// server-lie hook makes its events no-ops.
   struct Bindings {
     std::size_t honeypot_count = 0;
     std::function<net::NodeId(std::size_t)> honeypot_node;
