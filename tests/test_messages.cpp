@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <ostream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "proto/messages.hpp"
@@ -31,7 +32,17 @@ std::vector<Tag> hello_tags() {
 
 // --- Parameterized round-trip across all message kinds --------------------
 
-using Case = std::tuple<const char*, Channel, AnyMessage>;
+// gtest prints each case's parameter into its ctest name. Printed whole, a
+// case would show its name's run-time address and the message's raw bytes
+// (heap pointers, padding), and the name would change from run to run, so a
+// case prints as its name alone.
+struct Case {
+  std::string name;
+  Channel channel;
+  AnyMessage msg;
+};
+
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 class RoundTrip : public ::testing::TestWithParam<Case> {};
 
@@ -114,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"ask_shared", Channel::client_client, AskSharedFiles{}},
         Case{"ask_shared_answer", Channel::client_client,
              AskSharedFilesAnswer{{pub(1), pub(2)}}}),
-    [](const auto& inf) { return std::get<0>(inf.param); });
+    [](const auto& inf) { return inf.param.name; });
 
 // --- Channel dispatch ------------------------------------------------------
 
