@@ -20,7 +20,7 @@ std::string attacker_name(std::uint32_t target) {
 
 AbusePlan make_plan(const AbuseConfig& config, std::size_t honeypots,
                     std::size_t servers, Duration horizon, Rng rng) {
-  if (!config.enabled || horizon <= 0 || config.intensity <= 0) return {};
+  if (!config.enabled || !(horizon > 0) || !(config.intensity > 0)) return {};
   std::vector<AbuseEvent> out;
   const std::size_t targets = honeypots + servers;
 

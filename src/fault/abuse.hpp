@@ -107,7 +107,7 @@ struct AbuseStats {
 
 /// Build the abuse plan against `honeypots` honeypots and `servers` servers
 /// over `horizon` seconds. Deterministic in (config, rng state); empty when
-/// abuse is off.
+/// abuse is off or `horizon` or `intensity` is not positive (NaN included).
 [[nodiscard]] AbusePlan make_plan(const AbuseConfig& config,
                                   std::size_t honeypots, std::size_t servers,
                                   Duration horizon, Rng rng);

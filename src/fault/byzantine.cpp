@@ -21,7 +21,7 @@ std::string liar_name(std::uint32_t subject) {
 
 ByzantinePlan make_plan(const ByzantineConfig& config, std::size_t honeypots,
                         std::size_t servers, Duration horizon, Rng rng) {
-  if (!config.enabled || horizon <= 0) return {};
+  if (!config.enabled || !(horizon > 0)) return {};
   std::vector<ByzantineEvent> out;
 
   // Each (behavior, subject) pair owns a split stream (registry:

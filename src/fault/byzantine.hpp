@@ -148,7 +148,8 @@ struct ByzantineStats {
 
 /// Build the Byzantine plan for `servers` directory servers and
 /// `honeypots` honeypot targets over `horizon` seconds. Deterministic in
-/// (config, rng state); empty when the Byzantine model is off.
+/// (config, rng state); empty when the Byzantine model is off or `horizon`
+/// is not positive (NaN included).
 [[nodiscard]] ByzantinePlan make_plan(const ByzantineConfig& config,
                                       std::size_t honeypots,
                                       std::size_t servers, Duration horizon,

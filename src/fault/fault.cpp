@@ -37,7 +37,7 @@ std::string_view to_string(FaultKind k) {
 
 FaultPlan make_plan(const ChaosConfig& config, std::size_t hosts,
                     std::size_t servers, Duration horizon, Rng rng) {
-  if (!config.enabled || horizon <= 0) return {};
+  if (!config.enabled || !(horizon > 0)) return {};
   std::vector<FaultEvent> out;
 
   // Each (category, subject) pair draws from its own split stream (registry:

@@ -205,7 +205,7 @@ struct FaultStats {
 
 /// Build the fault plan for `hosts` honeypot hosts and `servers` directory
 /// servers over `horizon` seconds. Deterministic in (config, rng state);
-/// empty when chaos is off.
+/// empty when chaos is off or `horizon` is not positive (NaN included).
 [[nodiscard]] FaultPlan make_plan(const ChaosConfig& config, std::size_t hosts,
                                   std::size_t servers, Duration horizon,
                                   Rng rng);

@@ -81,12 +81,12 @@ class Plan {
 /// Append the alternating begin/end windows of one renewal process drawn
 /// from `rng`: gaps ~ Exp(mtbf), windows ~ Exp(mean) clamped to kMinWindow.
 /// Nothing lands at or past `horizon`; a window crossing it emits no end.
-/// `mtbf <= 0` draws nothing.
+/// An `mtbf` that is not positive (zero, negative or NaN) draws nothing.
 template <class Kind>
 void renewal_windows(std::vector<Event<Kind>>& out, Rng& rng, Duration mtbf,
                      Duration mean, Duration horizon, Kind begin, Kind end,
                      std::uint32_t subject, double magnitude = 1.0) {
-  if (mtbf <= 0) return;
+  if (!(mtbf > 0)) return;
   Time t = 0;
   while (true) {
     t += rng.exponential(mtbf);
@@ -102,13 +102,13 @@ void renewal_windows(std::vector<Event<Kind>>& out, Rng& rng, Duration mtbf,
 
 /// Append one `kind` event per arrival of a Poisson process with mean gap
 /// `mean` drawn from `rng`, up to `horizon`; each event's magnitude is
-/// `magnitude(rng)`, drawn after its arrival time. `mean <= 0` draws
-/// nothing.
+/// `magnitude(rng)`, drawn after its arrival time. A `mean` that is not
+/// positive (zero, negative or NaN) draws nothing.
 template <class Kind, class Magnitude = double (*)(Rng&)>
 void arrivals(std::vector<Event<Kind>>& out, Rng& rng, Duration mean,
               Duration horizon, Kind kind, std::uint32_t subject,
               Magnitude magnitude = [](Rng&) { return 1.0; }) {
-  if (mean <= 0) return;
+  if (!(mean > 0)) return;
   Time t = 0;
   while (true) {
     t += rng.exponential(mean);

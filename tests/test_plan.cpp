@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -149,6 +150,62 @@ TEST(FaultPlan, RenewalWindowsClampToOneSecondAndStopAtHorizon) {
       }
     }
   }
+}
+
+// --- NaN in a config built in code ------------------------------------------
+// The flag and repro parsers reject non-finite numbers, but benches,
+// ablations and tests set config fields directly. A NaN rate draws nothing,
+// like zero, and a NaN horizon gives an empty plan: `t >= horizon` never
+// holds for NaN, so a generator that let one through would grow its event
+// vector until the allocator gave up.
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(FaultPlan, NanMtbfDrawsNothingAndNanHorizonIsEmpty) {
+  ChaosConfig config;
+  config.enabled = true;
+  config.host_mtbf = kNaN;
+  config.uplink_mtbf = days(1);
+  const auto plan = make_plan(config, 4, 1, days(4), Rng(3));
+  EXPECT_FALSE(plan.empty());
+  for (const auto& e : plan.events()) {
+    EXPECT_TRUE(e.kind == FaultKind::uplink_down ||
+                e.kind == FaultKind::uplink_up);
+  }
+  config.host_mtbf = days(1);
+  EXPECT_TRUE(make_plan(config, 4, 1, kNaN, Rng(3)).empty());
+}
+
+TEST(AbusePlan, NanGapOrIntensityDrawsNothingAndNanHorizonIsEmpty) {
+  AbuseConfig config;  // every class on by default
+  config.enabled = true;
+  config.corrupt_mtba = kNaN;
+  const auto plan = make_plan(config, 2, 1, days(2), Rng(3));
+  EXPECT_FALSE(plan.empty());
+  for (const auto& e : plan.events()) {
+    EXPECT_NE(e.kind, AbuseKind::corrupt_episode);
+  }
+  config.corrupt_mtba = hours(6);
+  EXPECT_TRUE(make_plan(config, 2, 1, kNaN, Rng(3)).empty());
+  config.intensity = kNaN;
+  EXPECT_TRUE(make_plan(config, 2, 1, days(2), Rng(3)).empty());
+}
+
+TEST(ByzantinePlan, NanMtbfOrGapDrawsNothingAndNanHorizonIsEmpty) {
+  ByzantineConfig config;
+  config.enabled = true;
+  config.offer_drop_mtbf = kNaN;
+  config.stale_index_mtbf = days(1);
+  config.forge_list_mtba = kNaN;
+  config.replay_hello_mtba = hours(12);
+  const auto plan = make_plan(config, 2, 1, days(4), Rng(3));
+  EXPECT_FALSE(plan.empty());
+  for (const auto& e : plan.events()) {
+    EXPECT_TRUE(e.kind == ByzantineKind::stale_index_begin ||
+                e.kind == ByzantineKind::stale_index_end ||
+                e.kind == ByzantineKind::replay_hello);
+  }
+  EXPECT_TRUE(make_plan(config, 2, 1, kNaN, Rng(3)).empty());
 }
 
 // A plan armed after the clock has passed some of its events fires those
