@@ -10,7 +10,6 @@
 //   BudgetConfig  — per-component resource ceilings (byte-accounted spool
 //                   quota, bounded unspooled record buffer, fd-style session
 //                   ceiling) plus the degradation policy;
-//   ByteBudget    — a byte accountant with quota/used/peak tracking;
 //   DegradeStats  — counters of every declared degradation decision (shed,
 //                   compaction, backpressure, pacing), summed fleet-wide
 //                   into scenario::ScenarioResult.
@@ -110,44 +109,6 @@ struct DegradeStats {
   std::uint64_t spool_peak_bytes = 0;    ///< max resident spool bytes seen
 
   DegradeStats& operator+=(const DegradeStats& other) noexcept;
-};
-
-/// Byte accountant for one quota'd resource. Quota 0 = unlimited; usage is
-/// still tracked (and the peak recorded) so an episode can freeze it.
-class ByteBudget {
- public:
-  ByteBudget() = default;
-  explicit ByteBudget(std::uint64_t quota) : quota_(quota) {}
-
-  void set_quota(std::uint64_t quota) noexcept { quota_ = quota; }
-  [[nodiscard]] std::uint64_t quota() const noexcept { return quota_; }
-  [[nodiscard]] bool unlimited() const noexcept { return quota_ == 0; }
-  [[nodiscard]] std::uint64_t used() const noexcept { return used_; }
-  [[nodiscard]] std::uint64_t peak() const noexcept { return peak_; }
-  [[nodiscard]] std::uint64_t remaining() const noexcept {
-    if (unlimited() || used_ >= quota_) return unlimited() ? ~0ull : 0;
-    return quota_ - used_;
-  }
-  [[nodiscard]] bool over() const noexcept {
-    return !unlimited() && used_ > quota_;
-  }
-  [[nodiscard]] bool would_exceed(std::uint64_t extra) const noexcept {
-    return !unlimited() && used_ + extra > quota_;
-  }
-
-  void charge(std::uint64_t bytes) noexcept {
-    used_ += bytes;
-    if (used_ > peak_) peak_ = used_;
-  }
-  /// Saturating: releasing more than is charged clamps to zero.
-  void release(std::uint64_t bytes) noexcept {
-    used_ = bytes >= used_ ? 0 : used_ - bytes;
-  }
-
- private:
-  std::uint64_t quota_ = 0;
-  std::uint64_t used_ = 0;
-  std::uint64_t peak_ = 0;
 };
 
 }  // namespace edhp::budget

@@ -11,6 +11,24 @@
 namespace edhp::fault {
 namespace {
 
+// --- Episode shapes --------------------------------------------------------
+constexpr std::size_t kCorruptMessages = 16;  ///< garbled packets per episode
+constexpr double kCorruptFlip = 0.9;          ///< per-message mutation probabilities
+constexpr double kCorruptTruncate = 0.3;
+constexpr double kCorruptExtend = 0.3;
+constexpr Duration kCorruptSpacing = 0.25;
+
+constexpr std::size_t kFloodConnections = 96;  ///< connects per flood episode
+constexpr Duration kFloodSpacing = 0.05;
+constexpr Duration kFloodHold = minutes(10);   ///< idle hold before the attacker hangs up
+
+constexpr Duration kSlowlorisHold = hours(6);  ///< post-handshake silence
+
+constexpr std::size_t kOversizeMessages = 8;   ///< maximal messages per episode
+constexpr std::size_t kOversizeEntries = 255;  ///< list entries per abusive message
+constexpr std::size_t kOversizeTags = 120;     ///< tags per abusive HELLO
+constexpr Duration kOversizeSpacing = 0.5;
+
 /// A plausible 2008 client name for a hostile peer.
 std::string attacker_name(std::uint32_t target) {
   return "lphant-" + std::to_string(target);
@@ -108,9 +126,9 @@ void AbuseInjector::apply(std::size_t index) {
       // Per-episode mutation stream derived from the injector's content rng
       // by event index: re-ordering other classes cannot change it.
       net::Network::CorruptionSpec spec;
-      spec.flip = config_.corrupt_flip;
-      spec.truncate = config_.corrupt_truncate;
-      spec.extend = config_.corrupt_extend;
+      spec.flip = kCorruptFlip;
+      spec.truncate = kCorruptTruncate;
+      spec.extend = kCorruptExtend;
       Rng seed_rng = rng_.split(index).split(0);
       spec.seed = seed_rng();
       net_.set_corruption(attacker, spec);
@@ -118,7 +136,7 @@ void AbuseInjector::apply(std::size_t index) {
           net_, attacker, victim, stats_,
           [this, attacker, target](net::EndpointPtr ep) {
             corrupt_burst(std::move(ep), attacker, target,
-                          config_.corrupt_messages);
+                          kCorruptMessages);
           },
           [this, attacker] { net_.clear_corruption(attacker); });
       break;
@@ -127,7 +145,7 @@ void AbuseInjector::apply(std::size_t index) {
       ++stats_.flood_episodes;
       // All connections from ONE node, so a per-remote-node admission
       // bucket has something to key on — exactly the defense under test.
-      flood_step(attacker, victim, config_.flood_connections);
+      flood_step(attacker, victim, kFloodConnections);
       break;
     }
     case AbuseKind::slowloris: {
@@ -135,10 +153,10 @@ void AbuseInjector::apply(std::size_t index) {
       dial(net_, attacker, victim, stats_, [this, target](net::EndpointPtr ep) {
         // Complete the handshake like an honest client, then hold the
         // session silently: without idle reaping this pins a slot for
-        // slowloris_hold.
+        // kSlowlorisHold.
         ep->send(handshake_packet(AbuseKind::slowloris, target));
         ++stats_.messages_sent;
-        net_.simulation().schedule_in(config_.slowloris_hold,
+        net_.simulation().schedule_in(kSlowlorisHold,
                                       [ep] { ep->close(); });
       });
       break;
@@ -148,7 +166,7 @@ void AbuseInjector::apply(std::size_t index) {
       Rng content = rng_.split(index).split(1);
       dial(net_, attacker, victim, stats_,
            [this, target, content](net::EndpointPtr ep) {
-             oversize_burst(std::move(ep), target, config_.oversize_messages,
+             oversize_burst(std::move(ep), target, kOversizeMessages,
                             content);
            });
       break;
@@ -168,7 +186,7 @@ void AbuseInjector::corrupt_burst(net::EndpointPtr ep, net::NodeId attacker,
   ep->send(handshake_packet(AbuseKind::corrupt_episode, target));
   ++stats_.messages_sent;
   net_.simulation().schedule_in(
-      config_.corrupt_spacing,
+      kCorruptSpacing,
       [this, ep = std::move(ep), attacker, target, remaining]() mutable {
         corrupt_burst(std::move(ep), attacker, target, remaining - 1);
       });
@@ -181,9 +199,9 @@ void AbuseInjector::flood_step(net::NodeId attacker, net::NodeId victim,
     // Hold the connection open doing nothing; the captured shared_ptr keeps
     // it alive until the attacker hangs up (a handshake-timeout defense
     // reaps it much earlier).
-    net_.simulation().schedule_in(config_.flood_hold, [ep] { ep->close(); });
+    net_.simulation().schedule_in(kFloodHold, [ep] { ep->close(); });
   });
-  net_.simulation().schedule_in(config_.flood_spacing,
+  net_.simulation().schedule_in(kFloodSpacing,
                                 [this, attacker, victim, remaining] {
                                   flood_step(attacker, victim, remaining - 1);
                                 });
@@ -198,13 +216,13 @@ void AbuseInjector::oversize_burst(net::EndpointPtr ep, std::uint32_t target,
   const bool to_server = target_is_server(target);
   const UserId user = abuse_user(AbuseKind::oversize_messages, target);
   proto::AnyMessage msg;
-  if (remaining == config_.oversize_messages) {
+  if (remaining == kOversizeMessages) {
     // Open with a handshake bloated to the tag-count ceiling.
     if (to_server) {
       proto::LoginRequest login;
       login.user = user;
       login.port = 4662;
-      for (std::size_t i = 0; i < config_.oversize_tags; ++i) {
+      for (std::size_t i = 0; i < kOversizeTags; ++i) {
         login.tags.push_back(proto::Tag::u32_tag(
             static_cast<std::uint8_t>(rng.below(256)),
             static_cast<std::uint32_t>(rng.below(1u << 31))));
@@ -214,7 +232,7 @@ void AbuseInjector::oversize_burst(net::EndpointPtr ep, std::uint32_t target,
       proto::Hello hello;
       hello.user = user;
       hello.port = 4662;
-      for (std::size_t i = 0; i < config_.oversize_tags; ++i) {
+      for (std::size_t i = 0; i < kOversizeTags; ++i) {
         hello.tags.push_back(proto::Tag::u32_tag(
             static_cast<std::uint8_t>(rng.below(256)),
             static_cast<std::uint32_t>(rng.below(1u << 31))));
@@ -234,8 +252,8 @@ void AbuseInjector::oversize_burst(net::EndpointPtr ep, std::uint32_t target,
   } else {
     // A maximal file list: every entry a fresh fake hash and name.
     std::vector<proto::PublishedFile> files;
-    files.reserve(config_.oversize_entries);
-    for (std::size_t i = 0; i < config_.oversize_entries; ++i) {
+    files.reserve(kOversizeEntries);
+    for (std::size_t i = 0; i < kOversizeEntries; ++i) {
       proto::PublishedFile f;
       const std::uint64_t lo = rng();
       f.file = FileId::from_words(lo, rng());
@@ -253,7 +271,7 @@ void AbuseInjector::oversize_burst(net::EndpointPtr ep, std::uint32_t target,
   ep->send(proto::encode(msg));
   ++stats_.messages_sent;
   net_.simulation().schedule_in(
-      config_.oversize_spacing,
+      kOversizeSpacing,
       [this, ep = std::move(ep), target, remaining, rng]() mutable {
         oversize_burst(std::move(ep), target, remaining - 1, rng);
       });

@@ -72,24 +72,6 @@ struct AbuseConfig {
   Duration slowloris_mtba = hours(4);
   Duration oversize_mtba = hours(6);
 
-  // --- Episode shapes ------------------------------------------------------
-  std::size_t corrupt_messages = 16;  ///< garbled packets per episode
-  double corrupt_flip = 0.9;          ///< per-message mutation probabilities
-  double corrupt_truncate = 0.3;
-  double corrupt_extend = 0.3;
-  Duration corrupt_spacing = 0.25;
-
-  std::size_t flood_connections = 96;  ///< connects per flood episode
-  Duration flood_spacing = 0.05;
-  Duration flood_hold = minutes(10);   ///< idle hold before the attacker hangs up
-
-  Duration slowloris_hold = hours(6);  ///< post-handshake silence
-
-  std::size_t oversize_messages = 8;   ///< maximal messages per episode
-  std::size_t oversize_entries = 255;  ///< list entries per abusive message
-  std::size_t oversize_tags = 120;     ///< tags per abusive HELLO
-  Duration oversize_spacing = 0.5;
-
   /// Hostile node pool per class (episodes round-robin over it).
   std::size_t attackers_per_class = 4;
 };

@@ -7,6 +7,19 @@
 namespace edhp::fault {
 namespace {
 
+// --- Server misbehaviors: mean window length per lie --------------------
+constexpr Duration kOfferDropMean = minutes(30);
+constexpr Duration kOfferTruncateMean = minutes(30);
+constexpr double kOfferTruncateKeep = 0.5;  ///< fraction of each list that lands
+constexpr Duration kStaleIndexMean = minutes(45);
+constexpr Duration kFabricateMean = minutes(30);
+constexpr Duration kCorruptSearchMean = minutes(30);
+
+// --- Peer misbehaviors ---------------------------------------------------
+constexpr std::size_t kForgeListFiles = 4;    ///< claimed entries per forged list
+constexpr std::size_t kReplayHelloCount = 3;  ///< HELLOs per replay burst
+constexpr std::size_t kLiarsPerClass = 4;     ///< liar node pool per peer behavior
+
 /// Spacing of the messages inside one liar contact.
 constexpr Duration kForgeListDelay = 2.0;
 constexpr Duration kLiarLinger = 5.0;
@@ -35,19 +48,19 @@ ByzantinePlan make_plan(const ByzantineConfig& config, std::size_t honeypots,
   const Window windows[] = {
       {splits::kByzOfferDrop, ByzantineKind::offer_drop_begin,
        ByzantineKind::offer_drop_end, config.offer_drop_mtbf,
-       config.offer_drop_mean, 1.0},
+       kOfferDropMean, 1.0},
       {splits::kByzOfferTruncate, ByzantineKind::offer_truncate_begin,
        ByzantineKind::offer_truncate_end, config.offer_truncate_mtbf,
-       config.offer_truncate_mean, config.offer_truncate_keep},
+       kOfferTruncateMean, kOfferTruncateKeep},
       {splits::kByzStaleIndex, ByzantineKind::stale_index_begin,
        ByzantineKind::stale_index_end, config.stale_index_mtbf,
-       config.stale_index_mean, 1.0},
+       kStaleIndexMean, 1.0},
       {splits::kByzFabricateSources, ByzantineKind::fabricate_sources_begin,
        ByzantineKind::fabricate_sources_end, config.fabricate_mtbf,
-       config.fabricate_mean, 1.0},
+       kFabricateMean, 1.0},
       {splits::kByzCorruptSearch, ByzantineKind::corrupt_search_begin,
        ByzantineKind::corrupt_search_end, config.corrupt_search_mtbf,
-       config.corrupt_search_mean, 1.0},
+       kCorruptSearchMean, 1.0},
   };
   for (const auto& w : windows) {
     per_subject(rng.split(w.split), servers, [&](Rng& r, std::uint32_t s) {
@@ -84,7 +97,7 @@ ByzantineInjector::ByzantineInjector(net::Network& network, ByzantinePlan plan,
 
 void ByzantineInjector::arm() {
   if (plan_.empty()) return;
-  liars_ = HostilePool(net_, 2, config_.liars_per_class);
+  liars_ = HostilePool(net_, 2, kLiarsPerClass);
   arm_plan(net_.simulation(), plan_, [this](std::size_t i) { apply(i); });
 }
 
@@ -177,8 +190,8 @@ void ByzantineInjector::forge_episode(std::size_t index,
     std::vector<proto::PublishedFile> files =
         bind_.advertised_files ? bind_.advertised_files(subject)
                                : std::vector<proto::PublishedFile>{};
-    if (files.size() > config_.forge_list_files) {
-      files.resize(config_.forge_list_files);
+    if (files.size() > kForgeListFiles) {
+      files.resize(kForgeListFiles);
     }
     net_.simulation().schedule_in(
         kForgeListDelay, [this, ep, files = std::move(files)]() mutable {
@@ -202,7 +215,7 @@ void ByzantineInjector::replay_episode(std::size_t index,
 
 void ByzantineInjector::replay_step(net::EndpointPtr ep, std::uint64_t episode,
                                     std::size_t sent) {
-  if (sent >= config_.replay_hello_count || !ep->open()) {
+  if (sent >= kReplayHelloCount || !ep->open()) {
     ep->close();
     return;
   }

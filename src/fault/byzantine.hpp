@@ -101,24 +101,15 @@ struct ByzantineConfig {
 
   // --- Server misbehaviors (renewal windows per server) ------------------
   Duration offer_drop_mtbf = 0;
-  Duration offer_drop_mean = minutes(30);
   Duration offer_truncate_mtbf = 0;
-  Duration offer_truncate_mean = minutes(30);
-  double offer_truncate_keep = 0.5;     ///< fraction of each list that lands
   Duration stale_index_mtbf = 0;
-  Duration stale_index_mean = minutes(45);
   Duration fabricate_mtbf = 0;
-  Duration fabricate_mean = minutes(30);
   std::size_t fabricate_count = 3;      ///< forged entries per reply
   Duration corrupt_search_mtbf = 0;
-  Duration corrupt_search_mean = minutes(30);
 
   // --- Peer misbehaviors (arrival episodes per honeypot) -----------------
   Duration forge_list_mtba = 0;         ///< mean time between forged contacts
-  std::size_t forge_list_files = 4;     ///< claimed entries per forged list
   Duration replay_hello_mtba = 0;
-  std::size_t replay_hello_count = 3;   ///< HELLOs per replay burst
-  std::size_t liars_per_class = 4;      ///< liar node pool per peer behavior
 
   // --- Defense knobs the scenarios propagate -----------------------------
   /// Ablation switch: false runs the campaign undefended — no self-probes,
@@ -126,8 +117,6 @@ struct ByzantineConfig {
   /// into the published log. The attack side is unaffected (same plan, same
   /// draws), which makes defended/undefended runs directly comparable.
   bool defend = true;
-  Duration probe_period = minutes(10);  ///< advertise-and-verify cadence
-  Duration probe_timeout = minutes(2);  ///< unanswered probe = miss
   double quarantine_threshold = 6.0;    ///< health score tripping quarantine
   Duration quarantine_cooloff = minutes(30);  ///< reinstate after
 };

@@ -6,6 +6,17 @@
 #include <utility>
 
 namespace edhp::fault {
+namespace {
+
+// Mean episode lengths of the measurement-wide and resource-exhaustion
+// classes.
+constexpr Duration kLatencySpikeMean = minutes(5);
+constexpr Duration kPartitionMean = minutes(15);
+constexpr Duration kDiskFullMean = hours(1);
+constexpr Duration kDiskSlowMean = minutes(30);
+constexpr Duration kMemPressureMean = minutes(20);
+
+}  // namespace
 
 std::string_view to_string(FaultKind k) {
   switch (k) {
@@ -62,7 +73,7 @@ FaultPlan make_plan(const ChaosConfig& config, std::size_t hosts,
   {
     Rng r = rng.split(splits::kFaultLatency);
     renewal_windows(out, r, config.latency_spike_mtbf,
-                    config.latency_spike_mean, horizon,
+                    kLatencySpikeMean, horizon,
                     FaultKind::latency_spike_begin,
                     FaultKind::latency_spike_end, 0,
                     config.latency_spike_factor);
@@ -76,7 +87,7 @@ FaultPlan make_plan(const ChaosConfig& config, std::size_t hosts,
     while (true) {
       t += r.exponential(config.partition_mtbf);
       if (t >= horizon) break;
-      const Duration window = std::max(kMinWindow, r.exponential(config.partition_mean));
+      const Duration window = std::max(kMinWindow, r.exponential(kPartitionMean));
       const auto k = std::clamp<std::size_t>(
           static_cast<std::size_t>(
               std::llround(config.partition_fraction *
@@ -108,13 +119,13 @@ FaultPlan make_plan(const ChaosConfig& config, std::size_t hosts,
   // Resource-exhaustion classes on fresh splits (7/8/9): enabling any of
   // them leaves every schedule above bit-identical.
   windows(splits::kFaultDiskFull, hosts, config.disk_full_mtbf,
-          config.disk_full_mean, FaultKind::disk_full_begin,
+          kDiskFullMean, FaultKind::disk_full_begin,
           FaultKind::disk_full_end, config.disk_full_fraction);
   windows(splits::kFaultDiskSlow, hosts, config.disk_slow_mtbf,
-          config.disk_slow_mean, FaultKind::disk_slow_begin,
+          kDiskSlowMean, FaultKind::disk_slow_begin,
           FaultKind::disk_slow_end, config.disk_slow_factor);
   windows(splits::kFaultMemPressure, hosts, config.mem_pressure_mtbf,
-          config.mem_pressure_mean, FaultKind::mem_pressure_begin,
+          kMemPressureMean, FaultKind::mem_pressure_begin,
           FaultKind::mem_pressure_end, config.mem_pressure_fraction);
 
   // Clock-fault classes on fresh splits (10/11/12): enabling virtual time

@@ -109,10 +109,8 @@ struct ChaosConfig {
   Duration server_mtbf = 0;               ///< per-server restart rate
   Duration server_restart_mean = minutes(3);
   Duration latency_spike_mtbf = 0;        ///< measurement-wide episodes
-  Duration latency_spike_mean = minutes(5);
   double latency_spike_factor = 8.0;
   Duration partition_mtbf = 0;            ///< measurement-wide episodes
-  Duration partition_mean = minutes(15);
   double partition_fraction = 0.33;       ///< of hosts isolated per episode
   Duration manager_mtbf = 0;              ///< control-plane crash rate
   Duration manager_outage_mean = hours(1);
@@ -125,13 +123,10 @@ struct ChaosConfig {
   // --- Resource-exhaustion classes (fresh RNG splits: enabling any of
   // these never shifts the schedules above) ------------------------------
   Duration disk_full_mtbf = 0;            ///< per-host spool-quota collapse
-  Duration disk_full_mean = hours(1);
   double disk_full_fraction = 0.25;       ///< quota multiplier during episode
   Duration disk_slow_mtbf = 0;            ///< per-host spool-cut throttling
-  Duration disk_slow_mean = minutes(30);
   double disk_slow_factor = 4.0;          ///< cut-period multiplier
   Duration mem_pressure_mtbf = 0;         ///< per-host record-buffer squeeze
-  Duration mem_pressure_mean = minutes(20);
   double mem_pressure_fraction = 0.5;     ///< record-budget multiplier
 
   // --- Clock-fault classes (fresh RNG splits: enabling any of these never
@@ -159,21 +154,19 @@ struct ChaosConfig {
 
   // --- Link-quality model the scenarios hand the network at construction
   // (all-zero defaults = the pristine link, bit-for-bit). These feed
-  // net::LinkModel directly; the burst chain is Gilbert–Elliott -----------
+  // net::LinkModel directly; the burst chain is Gilbert–Elliott, and its
+  // exit probability and the reorder delay keep LinkModel's defaults ------
   double link_burst_enter = 0;            ///< P(good → bad) per datagram
-  double link_burst_exit = 0.3;           ///< P(bad → good) per datagram
   double link_burst_loss = 0.5;           ///< drop probability while bad
   double link_dup = 0;                    ///< datagram duplication probability
   double link_reorder = 0;                ///< datagram reordering probability
-  Duration link_reorder_delay = 0.25;     ///< extra delay of a reordered copy
 
-  // --- Recovery policy the scenarios apply alongside the plan ------------
+  // --- Recovery policy the scenarios apply alongside the plan (the backoff
+  // cap keeps RetryPolicy's default) ---------------------------------------
   Duration retry_base = 30.0;             ///< honeypot reconnect backoff base
-  Duration retry_cap = minutes(30);
   std::size_t retry_max = 6;              ///< per outage episode
   Duration spool_period = minutes(10);    ///< log-chunk gathering cadence
   Duration heartbeat_timeout = hours(2);  ///< manager watchdog stall limit
-  std::size_t backup_servers = 1;         ///< standby servers for escalation
 
   /// Audit self-test fault: every Nth admitted record is destroyed AFTER
   /// the shed/stream accounting points, i.e. a deliberate silent loss no

@@ -24,7 +24,6 @@ struct RetryPolicy {
   Duration base = 30.0;         ///< first-retry delay
   Duration cap = minutes(30);   ///< backoff ceiling
   std::size_t max_retries = 6;  ///< per outage episode
-  double jitter = 0.1;          ///< +/- fraction applied deterministically
 };
 
 /// How a honeypot answers REQUEST-PART queries (Section IV.B of the paper).
@@ -61,9 +60,6 @@ struct HoneypotConfig {
   bool greedy = false;
   Duration greedy_harvest_window = days(1);
   std::size_t greedy_max_files = 100000;
-
-  /// Period of the OFFER-FILES keep-alive to the server.
-  Duration offer_keepalive = minutes(30);
 
   /// Upload slots granted concurrently; 0 = unlimited (the paper's
   /// honeypots accept everyone to maximise observed queries, but a
@@ -121,10 +117,6 @@ struct HoneypotConfig {
   /// same catalog files would trip the forged-list detector. The Byzantine
   /// campaigns enable this on the distributed fleet only.
   bool integrity_defense = false;
-  /// A shared-file list claiming at least this many of the honeypot's own
-  /// advertised hashes is treated as forged (honeypot files are fakes nobody
-  /// else can legitimately have).
-  std::size_t forged_list_min_matches = 2;
 
   /// Million-peer bench mode: fold every admitted record into a running
   /// count + FNV-1a fingerprint instead of appending it to the in-memory

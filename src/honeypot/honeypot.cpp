@@ -22,6 +22,17 @@ std::uint64_t truncate_user(const UserId& user) {
 /// offsets), used when accounting the un-materialized block body.
 constexpr std::size_t kSendingPartOverhead = 5 + 1 + 16 + 8;
 
+/// Period of the OFFER-FILES keep-alive to the server.
+constexpr Duration kOfferKeepalive = minutes(30);
+
+/// +/- fraction of jitter applied deterministically to a retry delay.
+constexpr double kRetryJitter = 0.1;
+
+/// A shared-file list claiming at least this many of the honeypot's own
+/// advertised hashes is treated as forged (honeypot files are fakes nobody
+/// else can legitimately have).
+constexpr std::size_t kForgedListMinMatches = 2;
+
 }  // namespace
 
 std::string_view to_string(ContentStrategy s) {
@@ -46,7 +57,12 @@ Honeypot::Honeypot(net::Network& network, net::NodeId self, HoneypotConfig confi
     : net_(network),
       self_(self),
       config_(std::move(config)),
-      ip_anon_(config_.salt) {
+      ip_anon_(config_.salt),
+      gate_(network, self, config_.defense,
+            [this](ConnKey key, net::Bytes packet) {
+              process_peer(key, std::move(packet));
+            },
+            [this](ConnKey key) { return drop_peer(key); }) {
   // Persistent user hash, derived deterministically from the honeypot
   // identity (a real client stores one in its config file).
   Md4 h;
@@ -124,8 +140,7 @@ void Honeypot::on_server_message(net::Bytes packet) {
   try {
     msg = proto::decode_view(proto::Channel::client_server, packet, arena_);
   } catch (const DecodeError&) {
-    defense_.malformed += 1;
-    net_.note_malformed(self_);
+    gate_.malformed();
     return;
   }
   if (const auto* results = std::get_if<proto::SearchResultView>(&msg)) {
@@ -191,7 +206,7 @@ void Honeypot::on_server_message(net::Bytes packet) {
     begin_coverage();
     send_offer();
     offer_timer_ = std::make_unique<sim::PeriodicTimer>(
-        net_.simulation(), config_.offer_keepalive, [this] { send_offer(); });
+        net_.simulation(), kOfferKeepalive, [this] { send_offer(); });
     offer_timer_->start();
     if (config_.self_probe_period > 0) {
       probe_timer_ = std::make_unique<sim::PeriodicTimer>(
@@ -252,7 +267,7 @@ Duration Honeypot::retry_delay(std::size_t attempt) const {
   x *= 0x94D049BB133111EBull;
   x ^= x >> 31;
   const double unit = static_cast<double>(x >> 11) * 0x1.0p-53;  // [0, 1)
-  return capped * (1.0 + config_.retry.jitter * (2.0 * unit - 1.0));
+  return capped * (1.0 + kRetryJitter * (2.0 * unit - 1.0));
 }
 
 void Honeypot::begin_coverage() {
@@ -432,43 +447,13 @@ void Honeypot::search_and_adopt(const std::string& query, std::size_t limit) {
   ++counters_.searches_sent;
 }
 
-void Honeypot::disconnect() {
-  offer_timer_.reset();
-  probe_timer_.reset();
-  spool_timer_.reset();
-  net_.simulation().cancel(retry_event_);
-  net_.simulation().cancel(probe_timeout_event_);
-  probe_pending_ = probe_await_search_ = probe_await_canary_ = false;
-  end_coverage();
-  if (server_ep_) {
-    server_ep_->close();
-    server_ep_.reset();
-  }
-  for (auto& [key, conn] : peers_) {
-    net_.simulation().cancel(conn.reap);
-    if (conn.endpoint) conn.endpoint->close();
-  }
-  peers_.clear();
-  slots_used_ = 0;
-  upload_queue_.clear();
-  inbox_.clear();
-  inbox_armed_ = false;
-  connect_buckets_.clear();
-  status_ = Status::idle;
-}
+void Honeypot::disconnect() { teardown(Status::idle); }
 
 void Honeypot::crash() {
-  offer_timer_.reset();
-  probe_timer_.reset();
-  spool_timer_.reset();
-  net_.simulation().cancel(retry_event_);
-  net_.simulation().cancel(probe_timeout_event_);
-  probe_pending_ = probe_await_search_ = probe_await_canary_ = false;
   // Severed like the degrade sink: the sink captures manager wiring, and a
   // probe verdict racing a relaunch must not reach a stale incarnation.
   probe_sink_ = nullptr;
   retries_episode_ = 0;
-  end_coverage();
   if (config_.spool.enabled) {
     // Records appended since the last spool cut lived only in process
     // memory: they die with the process. Everything below the mark is in
@@ -479,22 +464,31 @@ void Honeypot::crash() {
       log_.records.resize(spooled_mark_);
     }
   }
+  teardown(Status::dead);
+  net_.stop_listening(self_);
+}
+
+void Honeypot::teardown(Status next) {
+  offer_timer_.reset();
+  probe_timer_.reset();
+  spool_timer_.reset();
+  net_.simulation().cancel(retry_event_);
+  net_.simulation().cancel(probe_timeout_event_);
+  probe_pending_ = probe_await_search_ = probe_await_canary_ = false;
+  end_coverage();
   if (server_ep_) {
     server_ep_->close();
     server_ep_.reset();
   }
   for (auto& [key, conn] : peers_) {
-    net_.simulation().cancel(conn.reap);
+    gate_.forget(conn.gate);
     if (conn.endpoint) conn.endpoint->close();
   }
   peers_.clear();
   slots_used_ = 0;
   upload_queue_.clear();
-  inbox_.clear();
-  inbox_armed_ = false;
-  connect_buckets_.clear();
-  net_.stop_listening(self_);
-  status_ = Status::dead;
+  gate_.reset();
+  status_ = next;
 }
 
 logbook::LogFile Honeypot::take_log() {
@@ -530,25 +524,9 @@ void Honeypot::on_peer_accept(net::EndpointPtr ep) {
     ep->close();
     return;
   }
-  const auto& defense = config_.defense;
-  if (defense.enabled) {
-    const Time now = net_.simulation().now();
-    // LIFO shedding: at the cap the NEWEST arrival is shed; peers already
-    // talking to us keep producing log records.
-    if (peers_.size() >= defense.max_sessions) {
-      defense_.shed += 1;
-      ep->close();
-      return;
-    }
-    auto bucket = connect_buckets_
-                      .try_emplace(ep->remote_node(), defense.connect_rate,
-                                   defense.connect_burst, now)
-                      .first;
-    if (!bucket->second.try_take(now)) {
-      defense_.rate_limited += 1;
-      ep->close();
-      return;
-    }
+  if (!gate_.admit(peers_.size(), ep->remote_node())) {
+    ep->close();
+    return;
   }
   const ConnKey key = next_conn_++;
   PeerConn conn;
@@ -559,83 +537,29 @@ void Honeypot::on_peer_accept(net::EndpointPtr ep) {
   auto [it, inserted] = peers_.emplace(key, std::move(conn));
   net::Endpoint& endpoint = *it->second.endpoint;
   endpoint.on_message([this, key](net::Bytes p) { on_peer_message(key, std::move(p)); });
-  endpoint.on_close([this, key] {
-    auto conn_it = peers_.find(key);
-    if (conn_it != peers_.end()) {
-      net_.simulation().cancel(conn_it->second.reap);
-      release_slot(key, conn_it->second);
-      peers_.erase(conn_it);
-    }
-  });
-  if (defense.enabled) {
-    defense_.accepted += 1;
-    it->second.bucket = net::TokenBucket(defense.message_rate,
-                                         defense.message_burst,
-                                         net_.simulation().now());
-    arm_reap(it->second, key, defense.handshake_timeout);
-  }
+  // The remote already closed: drop_peer's close() is a no-op.
+  endpoint.on_close([this, key] { drop_peer(key); });
+  gate_.open(key, it->second.gate);
 }
 
-void Honeypot::arm_reap(PeerConn& conn, ConnKey key, Duration timeout) {
-  auto& sim = net_.simulation();
-  sim.cancel(conn.reap);  // O(1); harmless on an invalid/spent handle
-  if (timeout <= 0) return;
-  conn.reap = sim.schedule_in(timeout, [this, key] { reap_peer(key); });
-}
-
-void Honeypot::reap_peer(ConnKey key) {
+bool Honeypot::drop_peer(ConnKey key) {
   auto it = peers_.find(key);
-  if (it == peers_.end()) return;
-  defense_.reaped += 1;
-  drop_peer(key);
-}
-
-void Honeypot::drop_peer(ConnKey key) {
-  auto it = peers_.find(key);
-  if (it == peers_.end()) return;
-  net_.simulation().cancel(it->second.reap);
+  if (it == peers_.end()) return false;
+  gate_.forget(it->second.gate);
   if (it->second.endpoint) it->second.endpoint->close();
   release_slot(key, it->second);
   peers_.erase(it);
+  return true;
 }
 
 void Honeypot::on_peer_message(ConnKey key, net::Bytes packet) {
-  const auto& defense = config_.defense;
-  if (!defense.enabled) {
+  if (!gate_.enabled()) {
     process_peer(key, std::move(packet));
     return;
   }
   auto it = peers_.find(key);
   if (it == peers_.end()) return;
-  if (!it->second.bucket.try_take(net_.simulation().now())) {
-    defense_.rate_limited += 1;
-    return;  // dropped, not fatal
-  }
-  inbox_.emplace_back(key, std::move(packet));
-  if (inbox_.size() > defense.max_queue) {
-    inbox_.pop_front();  // overload: shed oldest-first
-    defense_.queue_dropped += 1;
-  }
-  if (!inbox_armed_) {
-    inbox_armed_ = true;
-    net_.simulation().schedule_in(defense.queue_service,
-                                  [this] { service_inbox(); });
-  }
-}
-
-void Honeypot::service_inbox() {
-  inbox_armed_ = false;
-  std::size_t budget = std::max<std::size_t>(1, config_.defense.queue_batch);
-  while (budget-- > 0 && !inbox_.empty()) {
-    auto [key, packet] = std::move(inbox_.front());
-    inbox_.pop_front();
-    process_peer(key, std::move(packet));
-  }
-  if (!inbox_.empty()) {
-    inbox_armed_ = true;
-    net_.simulation().schedule_in(config_.defense.queue_service,
-                                  [this] { service_inbox(); });
-  }
+  gate_.receive(key, it->second.gate, std::move(packet));
 }
 
 void Honeypot::process_peer(ConnKey key, net::Bytes packet) {
@@ -647,17 +571,14 @@ void Honeypot::process_peer(ConnKey key, net::Bytes packet) {
   try {
     msg = proto::decode_view(proto::Channel::client_client, packet, arena_);
   } catch (const DecodeError&) {
-    defense_.malformed += 1;
-    net_.note_malformed(self_);
+    gate_.malformed();
     drop_peer(key);
     return;
   }
 
-  if (config_.defense.enabled) {
-    // A valid message is the peer's handshake/keep-alive: push the reap
-    // horizon out to the idle timeout.
-    arm_reap(conn, key, config_.defense.idle_timeout);
-  }
+  // A valid message is the peer's handshake/keep-alive: push the reap
+  // horizon out to the idle timeout.
+  gate_.touch(key, conn.gate);
 
   std::visit(
       [&](const auto& m) {
@@ -838,7 +759,7 @@ void Honeypot::handle_shared_list(PeerConn& conn,
     for (const auto& f : arena_.of(msg.files)) {
       if (advertised_ids_.contains(f.file)) ++matches;
     }
-    if (matches >= std::max<std::size_t>(1, config_.forged_list_min_matches)) {
+    if (matches >= kForgedListMinMatches) {
       ++integrity_.forged_lists_rejected;
       conn.taint |= logbook::kFlagProvForged;
       // The HELLO that opened this exchange looked benign; the forged list

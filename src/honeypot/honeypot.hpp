@@ -257,7 +257,7 @@ class Honeypot {
   };
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
   [[nodiscard]] const net::DefenseStats& defense_stats() const noexcept {
-    return defense_;
+    return gate_.stats();
   }
 
   /// Records ever stamped by this honeypot (the conservation ledger's
@@ -292,8 +292,7 @@ class Honeypot {
     bool queued = false;     ///< waiting for a slot
     std::uint8_t taint = 0;  ///< provenance flags applied to new records
     Time connected_at = 0;   ///< accept time (bounds retroactive tainting)
-    net::TokenBucket bucket;  ///< per-peer message budget (defense)
-    sim::EventHandle reap;    ///< pending handshake/idle timeout
+    net::GateSession gate;   ///< message budget + reap timer (defense)
   };
   using ConnKey = std::uint64_t;
 
@@ -314,13 +313,12 @@ class Honeypot {
   void on_peer_message(ConnKey key, net::Bytes packet);
   /// Decode and dispatch one peer packet (post-admission).
   void process_peer(ConnKey key, net::Bytes packet);
-  /// (Re)schedule the peer's reap timer; O(1) cancel of the old one.
-  void arm_reap(PeerConn& conn, ConnKey key, Duration timeout);
-  void reap_peer(ConnKey key);
-  /// Drain up to queue_batch packets from the bounded inbound queue.
-  void service_inbox();
-  /// Close + forget one peer connection, cancelling its reap timer.
-  void drop_peer(ConnKey key);
+  /// Close + forget one peer connection, cancelling its reap timer; false
+  /// when it is already gone.
+  bool drop_peer(ConnKey key);
+  /// What disconnect() and crash() share: stop the timers, close the
+  /// server link and every peer, reset the gate, and move to `next`.
+  void teardown(Status next);
 
   void handle_hello(PeerConn& conn, const proto::HelloView& msg);
   void handle_start_upload(ConnKey key, PeerConn& conn,
@@ -386,11 +384,8 @@ class Honeypot {
   std::size_t slots_used_ = 0;
   std::deque<ConnKey> upload_queue_;
 
-  // Defense state (all dormant unless config_.defense.enabled).
-  net::DefenseStats defense_;
-  std::unordered_map<net::NodeId, net::TokenBucket> connect_buckets_;
-  std::deque<std::pair<ConnKey, net::Bytes>> inbox_;
-  bool inbox_armed_ = false;
+  /// Admission control (dormant unless config_.defense.enabled).
+  net::AdmissionGate gate_;
 
   logbook::LogFile log_;
   std::uint64_t records_streamed_ = 0;

@@ -623,7 +623,6 @@ void Manager::escalate(std::size_t index, journal::EscalateReason reason) {
 
 void Manager::poll() {
   service_quarantines(net_.simulation().now());
-  if (!config_.auto_relaunch) return;
   const Time now = net_.simulation().now();
   for (std::size_t i = 0; i < live_.size(); ++i) {
     auto& live = live_[i];

@@ -24,8 +24,6 @@ struct ManagerConfig {
   /// Status-poll period (the manager "regularly checks the status of each
   /// honeypot").
   Duration status_poll = minutes(10);
-  /// Relaunch dead honeypots automatically.
-  bool auto_relaunch = true;
   /// Measurement-wide stage-1 anonymisation salt pushed to every honeypot.
   std::string salt = "edhp-measurement-salt";
 

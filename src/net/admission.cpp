@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace edhp::net {
 
@@ -16,6 +17,19 @@ DefenseStats& DefenseStats::operator+=(const DefenseStats& other) noexcept {
 }
 
 namespace {
+
+/// Per-session message token bucket (refill per second / burst); messages
+/// beyond it are dropped (counted, not fatal — a later in-budget message
+/// still works).
+constexpr double kMessageRate = 8.0;
+constexpr double kMessageBurst = 80.0;
+
+/// Bounded inbound work queue: packets beyond kMaxQueue are shed
+/// oldest-first, and at most kQueueBatch packets are decoded per service
+/// slice, one slice every kQueueService seconds.
+constexpr std::size_t kMaxQueue = 512;
+constexpr std::size_t kQueueBatch = 64;
+constexpr Duration kQueueService = 0.05;
 
 constexpr std::uint64_t kMicro = 1'000'000;
 
@@ -54,6 +68,101 @@ bool TokenBucket::try_take(Time now, double cost) {
   if (tokens_utok_ < cost_utok) return false;
   tokens_utok_ -= cost_utok;
   return true;
+}
+
+AdmissionGate::AdmissionGate(Network& network, NodeId self,
+                             const DefenseConfig& config, Process process,
+                             Reap reap)
+    : net_(network),
+      self_(self),
+      config_(config),
+      process_(std::move(process)),
+      reap_(std::move(reap)) {}
+
+bool AdmissionGate::admit(std::size_t live, NodeId remote) {
+  if (!config_.enabled) return true;
+  if (live >= config_.max_sessions) {
+    stats_.shed += 1;
+    return false;
+  }
+  const Time now = net_.simulation().now();
+  auto bucket = connect_buckets_
+                    .try_emplace(remote, config_.connect_rate,
+                                 config_.connect_burst, now)
+                    .first;
+  if (!bucket->second.try_take(now)) {
+    stats_.rate_limited += 1;
+    return false;
+  }
+  return true;
+}
+
+void AdmissionGate::open(Key key, GateSession& session) {
+  if (!config_.enabled) return;
+  stats_.accepted += 1;
+  session.bucket =
+      TokenBucket(kMessageRate, kMessageBurst, net_.simulation().now());
+  arm_reap(key, session, config_.handshake_timeout);
+}
+
+void AdmissionGate::receive(Key key, GateSession& session, Bytes packet) {
+  if (!session.bucket.try_take(net_.simulation().now())) {
+    stats_.rate_limited += 1;
+    return;  // dropped, not fatal: a later in-budget message still works
+  }
+  inbox_.emplace_back(key, std::move(packet));
+  if (inbox_.size() > kMaxQueue) {
+    // Overload: shed oldest-first so the queue stays bounded and fresh
+    // traffic (which the sender will retry least) survives.
+    inbox_.pop_front();
+    stats_.queue_dropped += 1;
+  }
+  if (!inbox_armed_) {
+    inbox_armed_ = true;
+    net_.simulation().schedule_in(kQueueService, [this] { service(); });
+  }
+}
+
+void AdmissionGate::touch(Key key, GateSession& session) {
+  if (!config_.enabled) return;
+  arm_reap(key, session, config_.idle_timeout);
+}
+
+void AdmissionGate::forget(GateSession& session) {
+  net_.simulation().cancel(session.reap);
+}
+
+void AdmissionGate::malformed() {
+  stats_.malformed += 1;
+  net_.note_malformed(self_);
+}
+
+void AdmissionGate::reset() {
+  inbox_.clear();
+  inbox_armed_ = false;
+  connect_buckets_.clear();
+}
+
+void AdmissionGate::arm_reap(Key key, GateSession& session, Duration timeout) {
+  auto& sim = net_.simulation();
+  sim.cancel(session.reap);  // O(1); harmless on an invalid/spent handle
+  if (timeout <= 0) return;
+  session.reap = sim.schedule_in(timeout, [this, key] {
+    if (reap_(key)) stats_.reaped += 1;
+  });
+}
+
+void AdmissionGate::service() {
+  inbox_armed_ = false;
+  for (std::size_t n = 0; n < kQueueBatch && !inbox_.empty(); ++n) {
+    auto [key, packet] = std::move(inbox_.front());
+    inbox_.pop_front();
+    process_(key, std::move(packet));
+  }
+  if (!inbox_.empty()) {
+    inbox_armed_ = true;
+    net_.simulation().schedule_in(kQueueService, [this] { service(); });
+  }
 }
 
 }  // namespace edhp::net

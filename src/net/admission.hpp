@@ -4,9 +4,12 @@
 //
 // The 2008 open eDonkey network delivered not only benign queries but also
 // floods, half-open sessions and garbage bytes; a measurement platform has
-// to keep logging through all of it. This header holds the pieces both
-// defenders use: a lazily-refilled token bucket, the knob set
-// (DefenseConfig) and the decision counters (DefenseStats).
+// to keep logging through all of it. Both listeners facing that traffic —
+// the directory server and the honeypot — put the same gate in front of
+// their decoders: this header holds it (AdmissionGate), its lazily-refilled
+// token bucket, the knob set (DefenseConfig) and the decision counters
+// (DefenseStats). The per-session message bucket and the inbox bounds are
+// fixed (kMessageRate … kQueueService in admission.cpp).
 //
 // Determinism contract: none of these defenses consume an RNG stream, and
 // with `enabled == false` the owning node schedules no extra events and
@@ -15,8 +18,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <unordered_map>
+#include <utility>
 
 #include "common/clock.hpp"
+#include "net/network.hpp"
 
 namespace edhp::net {
 
@@ -37,11 +45,6 @@ struct DefenseConfig {
   double connect_rate = 0.5;
   double connect_burst = 12.0;
 
-  /// Per-session message token bucket; messages beyond it are dropped
-  /// (counted, not fatal — a later in-budget message still works).
-  double message_rate = 8.0;
-  double message_burst = 80.0;
-
   /// A session that has not produced one valid message within this window
   /// is reaped (kills flood holds and pre-HELLO slowloris).
   Duration handshake_timeout = 30.0;
@@ -49,12 +52,6 @@ struct DefenseConfig {
   /// exceed every benign quiet period (the honeypot's 30-minute OFFER
   /// keep-alive on its server link being the longest).
   Duration idle_timeout = hours(2);
-
-  /// Bounded inbound work queue: packets beyond this are shed oldest-first,
-  /// and at most `queue_batch` packets are decoded per service slice.
-  std::size_t max_queue = 512;
-  std::size_t queue_batch = 64;
-  Duration queue_service = 0.05;
 };
 
 /// One counter per defense decision, aggregated per defender and summed
@@ -100,6 +97,79 @@ class TokenBucket {
   std::uint64_t rem_utok_us_ = 0;  ///< refill remainder (µtok·µs carry)
   std::uint64_t last_us_ = 0;      ///< last refill instant in µs
   bool unlimited_ = true;
+};
+
+/// What the gate keeps per session, inside the listener's session record.
+struct GateSession {
+  TokenBucket bucket;     ///< per-session message budget
+  sim::EventHandle reap;  ///< pending handshake/idle timeout
+};
+
+/// One listener's admission gate: LIFO shedding at `max_sessions`, the
+/// per-remote connect bucket, each session's message bucket and reap timer,
+/// and the bounded oldest-first inbox served in batches. The listener keeps
+/// its own hard caps (checked before admit()), its decoder (`process`) and
+/// its drop (`reap`); the gate calls both back by session key.
+///
+/// With the gate off, admit() admits, open()/touch() do nothing and the
+/// listener hands packets straight to its decoder instead of to receive().
+class AdmissionGate {
+ public:
+  using Key = std::uint64_t;
+  /// Decode and dispatch one admitted packet of session `key`.
+  using Process = std::function<void(Key, Bytes)>;
+  /// Close and forget session `key`, whose reap timer fired; false when
+  /// the listener no longer holds it.
+  using Reap = std::function<bool(Key)>;
+
+  AdmissionGate(Network& network, NodeId self, const DefenseConfig& config,
+                Process process, Reap reap);
+
+  // Scheduled reaps and inbox service capture `this`.
+  AdmissionGate(const AdmissionGate&) = delete;
+  AdmissionGate& operator=(const AdmissionGate&) = delete;
+
+  [[nodiscard]] bool enabled() const noexcept { return config_.enabled; }
+  [[nodiscard]] const DefenseStats& stats() const noexcept { return stats_; }
+
+  /// Decide one arrival from `remote` while `live` sessions are open: shed
+  /// at the session cap (the NEWEST arrival goes — established sessions
+  /// carry the measurement), then take from the remote's connect bucket.
+  /// False: the listener closes the connection.
+  [[nodiscard]] bool admit(std::size_t live, NodeId remote);
+  /// Start an admitted session's message bucket and handshake timer.
+  void open(Key key, GateSession& session);
+  /// One inbound packet of a live session (gate on): past the session's
+  /// message bucket into the inbox, whose service is armed if idle.
+  void receive(Key key, GateSession& session, Bytes packet);
+  /// The session's packet decoded as valid: its deadline moves out to the
+  /// idle timeout.
+  void touch(Key key, GateSession& session);
+  /// The listener forgets the session: cancel its reap timer.
+  void forget(GateSession& session);
+  /// Count a packet the listener's decoder rejected (also per node).
+  void malformed();
+  /// Drop the inbox and the connect buckets (listener stop, crash or
+  /// disconnect). An inbox service already scheduled stays scheduled.
+  void reset();
+
+ private:
+  /// (Re)schedule the session's reap timer; O(1) cancel of the old one.
+  void arm_reap(Key key, GateSession& session, Duration timeout);
+  /// Decode up to kQueueBatch packets from the inbox, re-arming if more
+  /// remain.
+  void service();
+
+  Network& net_;
+  NodeId self_;
+  DefenseConfig config_;
+  Process process_;
+  Reap reap_;
+  DefenseStats stats_;
+  /// Per-remote-node connect buckets, created lazily.
+  std::unordered_map<NodeId, TokenBucket> connect_buckets_;
+  std::deque<std::pair<Key, Bytes>> inbox_;
+  bool inbox_armed_ = false;
 };
 
 }  // namespace edhp::net

@@ -6,6 +6,14 @@
 #include "fault/rng_splits.hpp"
 
 namespace edhp::net {
+namespace {
+
+constexpr double kLatencyMu = -3.0;     ///< lognormal mu of one-way latency (s)
+constexpr double kLatencySigma = 0.45;  ///< lognormal sigma
+constexpr double kMinLatency = 0.005;   ///< floor (s)
+constexpr double kDefaultUploadBps = 80.0 * 1024;  ///< 2008 ADSL uplink, bytes/s
+
+}  // namespace
 
 struct Endpoint::Shared {
   /// One queued in-flight message.
@@ -166,7 +174,7 @@ NodeId Network::add_node(bool reachable, double tz_offset_hours,
   }
   NodeSlot& slot = node_slots_[s];
   slot.info = NodeInfo{IpAddr(ip), 4662, reachable, tz_offset_hours};
-  slot.upload_bps = upload_bps.value_or(model_.default_upload_bps);
+  slot.upload_bps = upload_bps.value_or(kDefaultUploadBps);
   node_slot_.push_back(s);
   by_ip_.emplace(ip, id);
   ++live_nodes_;
@@ -191,10 +199,6 @@ void Network::retire_node(NodeId id) {
   free_node_head_ = s;
   --live_nodes_;
   ++nodes_retired_;
-}
-
-bool Network::node_live(NodeId id) const noexcept {
-  return id < node_slot_.size() && node_slot_[id] != kRetiredSlot;
 }
 
 void Network::set_node_up(NodeId id, bool up) {
@@ -300,12 +304,6 @@ std::size_t Network::abort_matching(
 std::size_t Network::abort_connections(NodeId id) {
   return abort_matching(
       [id](NodeId a, NodeId b) { return a == id || b == id; });
-}
-
-std::size_t Network::abort_link(NodeId a, NodeId b) {
-  return abort_matching([a, b](NodeId x, NodeId y) {
-    return (x == a && y == b) || (x == b && y == a);
-  });
 }
 
 std::size_t Network::abort_cross_partition() {
@@ -448,7 +446,7 @@ void Network::send_datagram(NodeId from, NodeId to, Bytes payload) {
     return;  // silently lost, as UDP does
   }
   double latency = std::max(
-      model_.min_latency, rng_.lognormal(model_.latency_mu, model_.latency_sigma) *
+      kMinLatency, rng_.lognormal(kLatencyMu, kLatencySigma) *
                               latency_factor(from, to));
   if (model_.datagram_reorder > 0 && rng_.chance(model_.datagram_reorder)) {
     // Delayed past its natural slot: anything sent within reorder_delay
@@ -459,8 +457,8 @@ void Network::send_datagram(NodeId from, NodeId to, Bytes payload) {
   }
   if (model_.datagram_dup > 0 && rng_.chance(model_.datagram_dup)) {
     const double dup_latency = std::max(
-        model_.min_latency,
-        rng_.lognormal(model_.latency_mu, model_.latency_sigma) *
+        kMinLatency,
+        rng_.lognormal(kLatencyMu, kLatencySigma) *
             latency_factor(from, to));
     if (NodeSlot* tx = slot_of(from)) tx->counters.datagrams_duplicated += 1;
     totals_.datagrams_duplicated += 1;
@@ -512,7 +510,7 @@ void Network::connect(NodeId from, NodeId to, ConnectHandler done) {
   }
   totals_.connects_initiated += 1;
   const double latency = std::max(
-      model_.min_latency, rng_.lognormal(model_.latency_mu, model_.latency_sigma) *
+      kMinLatency, rng_.lognormal(kLatencyMu, kLatencySigma) *
                               latency_factor(from, to));
 
   auto listener = listeners_.find(to);

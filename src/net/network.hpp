@@ -57,12 +57,9 @@ struct NodeInfo {
   double tz_offset_hours = 0; ///< region, used by behaviour models
 };
 
-/// Configuration of the latency/bandwidth model.
+/// Configuration of the datagram loss, duplication and reordering model.
+/// The latency model and the default uplink are fixed (network.cpp).
 struct LinkModel {
-  double latency_mu = -3.0;      ///< lognormal mu of one-way latency (s)
-  double latency_sigma = 0.45;   ///< lognormal sigma
-  double min_latency = 0.005;    ///< floor (s)
-  double default_upload_bps = 80.0 * 1024;  ///< 2008 ADSL uplink, bytes/s
   double datagram_loss = 0.02;   ///< UDP drop probability (good state)
 
   // --- Bursty loss: 2-state Gilbert–Elliott per *sender*. With
@@ -163,9 +160,6 @@ class Network {
   /// Retiring an already-retired id is a no-op; the id must be known.
   void retire_node(NodeId id);
 
-  /// Whether `id` names a registered, not-yet-retired node.
-  [[nodiscard]] bool node_live(NodeId id) const noexcept;
-
   [[nodiscard]] const NodeInfo& info(NodeId id) const;
   /// Total ids ever registered (monotonic; includes retired nodes).
   [[nodiscard]] std::size_t node_count() const noexcept {
@@ -253,8 +247,6 @@ class Network {
   /// RST (on_close) after one propagation latency, in-flight data is lost.
   /// Returns the number of connections aborted.
   std::size_t abort_connections(NodeId id);
-  /// Sever established connections between `a` and `b` specifically.
-  std::size_t abort_link(NodeId a, NodeId b);
   /// Sever every established connection whose ends sit in different
   /// partition groups.
   std::size_t abort_cross_partition();

@@ -61,10 +61,6 @@ struct BehaviorParams {
   std::uint32_t detect_after_bad_parts = 2;
   /// Cap on REQUEST-PART rounds per session (random-content path).
   std::uint32_t max_rounds_per_session = 20;
-  /// Probability of silently dropping a source after a fruitless session
-  /// (no verified data): the user re-prioritises downloads, the client
-  /// rotates sources. Unlike detection this publishes nothing.
-  double abandon_per_session = 0.25;
 
   // --- Blacklisting ------------------------------------------------------------
   /// Probability a detection is "published" (forums, ipfilter updates,

@@ -7,6 +7,11 @@
 namespace edhp::peer {
 namespace {
 
+/// Probability of silently dropping a source after a fruitless session
+/// (no verified data): the user re-prioritises downloads, the client
+/// rotates sources. Unlike detection this publishes nothing.
+constexpr double kAbandonPerSession = 0.25;
+
 /// Block ranges of one REQUEST-PART round starting at `offset` within the
 /// current part.
 proto::RequestParts make_round(const FileId& file, std::uint64_t offset) {
@@ -80,7 +85,6 @@ void Peer::begin_session() {
                          ? ctx_.net->info(node_).ip.value()
                          : static_cast<std::uint32_t>(
                                1 + rng_.below(ClientId::kLowIdThreshold - 1));
-        via_pex_ = true;
         select_sources(known);
         contact_sources();
         return;
@@ -458,7 +462,7 @@ void Peer::session_done() {
   // never delivers any, so every session is a candidate.
   for (auto& s : sources_) {
     if (!s.detected && !s.abandoned &&
-        rng_.chance(ctx_.params->abandon_per_session)) {
+        rng_.chance(kAbandonPerSession)) {
       s.abandoned = true;
     }
   }

@@ -97,9 +97,6 @@ class Peer {
   [[nodiscard]] const PeerStats& stats() const noexcept { return stats_; }
   [[nodiscard]] bool finished() const noexcept { return finished_; }
   [[nodiscard]] std::uint32_t client_id() const noexcept { return client_id_; }
-  /// Whether this peer learned its sources via peer exchange (never logged
-  /// in to the server).
-  [[nodiscard]] bool via_pex() const noexcept { return via_pex_; }
 
  private:
   struct Source {
@@ -153,7 +150,6 @@ class Peer {
 
   std::uint32_t client_id_ = 0;
   std::uint32_t sessions_left_ = 0;
-  bool via_pex_ = false;  ///< learned sources via peer exchange, not server
   bool uploader_ = true;  ///< false: handshake-only peer (never START-UPLOAD)
   bool shares_list_ = false;
   std::vector<CatalogFile> cache_;  ///< files shared on request (stable)

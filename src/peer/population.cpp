@@ -128,8 +128,6 @@ std::uint32_t Population::acquire_slot() {
   slot_gen_.push_back(0);
   slot_next_free_.push_back(kNoSlot);
   slot_demand_.push_back(0);
-  slot_spawn_time_.push_back(0.0);
-  slot_arrival_.push_back(0);
   return slot;
 }
 
@@ -170,8 +168,6 @@ void Population::spawn(std::size_t demand_index) {
   const std::uint32_t slot = acquire_slot();
   const std::uint32_t generation = slot_gen_[slot];
   slot_demand_[slot] = static_cast<std::uint32_t>(demand_index);
-  slot_spawn_time_[slot] = ctx_.net->simulation().now();
-  slot_arrival_[slot] = arrivals_;
   auto peer = std::make_unique<Peer>(
       ctx_, node, std::move(profile), d.cfg.file, peer_rng.split(1),
       [this, slot, generation] {

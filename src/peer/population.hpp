@@ -21,8 +21,8 @@
 //
 // The slab keeps the owning Peer pointers (cold) apart from the per-slot
 // scalars the reclaim/accounting paths touch (generation, demand index,
-// spawn time, arrival index — hot, struct-of-arrays), so bookkeeping scans
-// never pull whole Peer objects through the cache.
+// free-list link — hot, struct-of-arrays), so bookkeeping scans never pull
+// whole Peer objects through the cache.
 
 #include <memory>
 #include <unordered_map>
@@ -136,8 +136,6 @@ class Population {
   std::vector<std::uint32_t> slot_gen_;
   std::vector<std::uint32_t> slot_next_free_;
   std::vector<std::uint32_t> slot_demand_;
-  std::vector<double> slot_spawn_time_;
-  std::vector<std::uint64_t> slot_arrival_;
   std::uint32_t free_head_ = kNoSlot;
 
   // legacy_eager storage.

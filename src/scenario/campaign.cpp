@@ -11,17 +11,22 @@
 namespace edhp::scenario {
 namespace {
 
+/// Standby servers for escalation.
+constexpr std::size_t kBackupServers = 1;
+/// Advertise-and-verify cadence of a defended Byzantine campaign.
+constexpr Duration kProbePeriod = minutes(10);
+/// An unanswered probe is a miss.
+constexpr Duration kProbeTimeout = minutes(2);
+
 /// Project the chaos link knobs onto the network's link model. All-default
 /// knobs yield the default model (no extra RNG draws), so link-clean runs
 /// are bit-identical to a build without the projection.
 net::LinkModel link_model(const fault::ChaosConfig& chaos) {
   net::LinkModel m;
   m.ge_p_enter_bad = chaos.link_burst_enter;
-  m.ge_p_exit_bad = chaos.link_burst_exit;
   m.ge_loss_bad = chaos.link_burst_loss;
   m.datagram_dup = chaos.link_dup;
   m.datagram_reorder = chaos.link_reorder;
-  m.reorder_delay = chaos.link_reorder_delay;
   return m;
 }
 
@@ -117,7 +122,7 @@ honeypot::ServerRef Campaign::add_directory_server(std::string name) {
 
 void Campaign::add_standby_servers() {
   if (!config_.chaos.enabled && !config_.chaos.byzantine.enabled) return;
-  for (std::size_t s = 0; s < config_.chaos.backup_servers; ++s) {
+  for (std::size_t s = 0; s < kBackupServers; ++s) {
     standby_refs_.push_back(start_server("standby-" + std::to_string(s)));
   }
 }
@@ -154,8 +159,8 @@ honeypot::Honeypot& Campaign::launch(honeypot::HoneypotConfig hp,
   hp.budget.shed_user_word = fault::kAbuseUserWord;
   hp.audit_selftest_drop = chaos.audit_selftest_drop;
   if (chaos.byzantine.enabled && chaos.byzantine.defend) {
-    hp.self_probe_period = chaos.byzantine.probe_period;
-    hp.self_probe_timeout = chaos.byzantine.probe_timeout;
+    hp.self_probe_period = kProbePeriod;
+    hp.self_probe_timeout = kProbeTimeout;
     hp.integrity_defense = integrity_defense;
   }
   random_content_.push_back(hp.strategy ==

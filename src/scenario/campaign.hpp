@@ -70,7 +70,7 @@ class Campaign {
 
   /// Start a directory server on a fresh node under the campaign's defense.
   honeypot::ServerRef add_directory_server(std::string name);
-  /// Start `chaos.backup_servers` standby servers — only when chaos or the
+  /// Start the standby servers (one) — only when chaos or the
   /// Byzantine model is on: their nodes would shift every later IP
   /// assignment otherwise. Byzantine lie windows target them too.
   void add_standby_servers();

@@ -14,6 +14,10 @@ namespace splits = fault::splits;
 
 namespace {
 
+/// Resident (idle, logged-in) clients representing each server's standing
+/// population, at scale 1.
+constexpr std::size_t kResidentsAtScale1 = 2000;
+
 /// An idle resident client: logs in and just sits on the server, giving it
 /// a standing user count for the manager's survey.
 struct Resident {
@@ -49,7 +53,7 @@ MultiServerResult run_multi_server(const MultiServerConfig& config,
   std::size_t resident_total = 0;
   for (std::size_t i = 0; i < n_servers; ++i) {
     resident_counts.push_back(static_cast<std::size_t>(std::llround(
-        static_cast<double>(config.residents_at_scale_1) * config.scale *
+        static_cast<double>(kResidentsAtScale1) * config.scale *
         config.server_sizes[i] / total_size)));
     resident_total += resident_counts.back();
   }

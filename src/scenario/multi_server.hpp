@@ -18,9 +18,6 @@ struct MultiServerConfig : CampaignConfig {
   std::size_t honeypots = 8;
   /// Relative size (resident user share) of each simulated server.
   std::vector<double> server_sizes = {0.45, 0.3, 0.15, 0.1};
-  /// Resident (idle, logged-in) clients representing each server's standing
-  /// population, at scale 1.
-  std::size_t residents_at_scale_1 = 2000;
 
   MultiServerConfig();
 };

@@ -33,7 +33,6 @@ honeypot::ManagerConfig chaos_manager_config(const fault::ChaosConfig& chaos) {
   mc.heartbeat_timeout = chaos.heartbeat_timeout;
   mc.retry.enabled = true;
   mc.retry.base = chaos.retry_base;
-  mc.retry.cap = chaos.retry_cap;
   mc.retry.max_retries = chaos.retry_max;
   mc.spool.enabled = true;
   mc.spool.period = chaos.spool_period;

@@ -7,6 +7,12 @@
 namespace edhp::server {
 namespace {
 
+/// Cap on sources per FOUND-SOURCES reply (wire limit is 255).
+constexpr std::size_t kMaxSourcesPerReply = 200;
+static_assert(kMaxSourcesPerReply <= 255);
+/// Cap on search results per reply.
+constexpr std::size_t kMaxSearchResults = 200;
+
 /// SplitMix64 step: deterministic forged identities without an RNG object
 /// (lie content must be a pure function of the injected seed + sequence).
 std::uint64_t mix64(std::uint64_t x) {
@@ -19,7 +25,14 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 Server::Server(net::Network& network, net::NodeId self, ServerConfig config)
-    : net_(network), self_(self), config_(std::move(config)) {}
+    : net_(network),
+      self_(self),
+      config_(std::move(config)),
+      gate_(network, self, config_.defense,
+            [this](SessionKey key, net::Bytes packet) {
+              process(key, std::move(packet));
+            },
+            [this](SessionKey key) { return reap(key); }) {}
 
 Server::~Server() { stop(); }
 
@@ -29,11 +42,10 @@ void Server::start() {
   if (running_) return;
   running_ = true;
   net_.listen(self_, [this](net::EndpointPtr ep) { on_accept(std::move(ep)); });
-  if (config_.answer_udp_status) {
-    net_.listen_datagram(self_, [this](net::NodeId from, net::Bytes datagram) {
-      on_datagram(from, std::move(datagram));
-    });
-  }
+  // UDP status pings feed the manager's server selection.
+  net_.listen_datagram(self_, [this](net::NodeId from, net::Bytes datagram) {
+    on_datagram(from, std::move(datagram));
+  });
 }
 
 void Server::stop() {
@@ -43,13 +55,11 @@ void Server::stop() {
   net_.stop_listening_datagram(self_);
   for (auto& [key, session] : sessions_) {
     index_.drop_session(key);
-    net_.simulation().cancel(session.reap);
+    gate_.forget(session.gate);
     if (session.endpoint) session.endpoint->close();
   }
   sessions_.clear();
-  inbox_.clear();
-  inbox_armed_ = false;
-  connect_buckets_.clear();
+  gate_.reset();
   // Deferred stale-window offers die with their sessions.
   stale_pending_.clear();
 }
@@ -61,25 +71,9 @@ void Server::on_accept(net::EndpointPtr endpoint) {
     endpoint->close();
     return;
   }
-  const auto& defense = config_.defense;
-  if (defense.enabled) {
-    const Time now = net_.simulation().now();
-    // LIFO shedding: at the cap the NEWEST arrival — this one — is shed;
-    // established sessions carry the measurement and are never sacrificed.
-    if (sessions_.size() >= defense.max_sessions) {
-      defense_.shed += 1;
-      endpoint->close();
-      return;
-    }
-    auto bucket = connect_buckets_
-                      .try_emplace(endpoint->remote_node(), defense.connect_rate,
-                                   defense.connect_burst, now)
-                      .first;
-    if (!bucket->second.try_take(now)) {
-      defense_.rate_limited += 1;
-      endpoint->close();
-      return;
-    }
+  if (!gate_.admit(sessions_.size(), endpoint->remote_node())) {
+    endpoint->close();
+    return;
   }
   const SessionKey key = next_key_++;
   Session session;
@@ -89,29 +83,15 @@ void Server::on_accept(net::EndpointPtr endpoint) {
   net::Endpoint& ep = *it->second.endpoint;
   ep.on_message([this, key](net::Bytes packet) { on_message(key, std::move(packet)); });
   ep.on_close([this, key] { drop(key); });
-  if (defense.enabled) {
-    defense_.accepted += 1;
-    it->second.bucket = net::TokenBucket(defense.message_rate,
-                                         defense.message_burst,
-                                         net_.simulation().now());
-    arm_reap(it->second, defense.handshake_timeout);
-  }
+  gate_.open(key, it->second.gate);
 }
 
-void Server::arm_reap(Session& session, Duration timeout) {
-  auto& sim = net_.simulation();
-  sim.cancel(session.reap);  // O(1); harmless on an invalid/spent handle
-  if (timeout <= 0) return;
-  const SessionKey key = session.key;
-  session.reap = sim.schedule_in(timeout, [this, key] { reap(key); });
-}
-
-void Server::reap(SessionKey key) {
+bool Server::reap(SessionKey key) {
   auto it = sessions_.find(key);
-  if (it == sessions_.end()) return;
-  defense_.reaped += 1;
+  if (it == sessions_.end()) return false;
   it->second.endpoint->close();
   drop(key);
+  return true;
 }
 
 void Server::on_datagram(net::NodeId from, net::Bytes datagram) {
@@ -119,8 +99,7 @@ void Server::on_datagram(net::NodeId from, net::Bytes datagram) {
   try {
     msg = proto::decode_udp(datagram);
   } catch (const DecodeError&) {
-    defense_.malformed += 1;
-    net_.note_malformed(self_);
+    gate_.malformed();
     return;
   }
   if (const auto* req = std::get_if<proto::ServStatRequest>(&msg)) {
@@ -143,51 +122,20 @@ void Server::on_datagram(net::NodeId from, net::Bytes datagram) {
 void Server::drop(SessionKey key) {
   auto it = sessions_.find(key);
   if (it != sessions_.end()) {
-    net_.simulation().cancel(it->second.reap);
+    gate_.forget(it->second.gate);
   }
   index_.drop_session(key);
   sessions_.erase(key);
 }
 
 void Server::on_message(SessionKey key, net::Bytes packet) {
-  const auto& defense = config_.defense;
-  if (!defense.enabled) {
+  if (!gate_.enabled()) {
     process(key, std::move(packet));
     return;
   }
   auto it = sessions_.find(key);
   if (it == sessions_.end()) return;
-  if (!it->second.bucket.try_take(net_.simulation().now())) {
-    defense_.rate_limited += 1;
-    return;  // dropped, not fatal: a later in-budget message still works
-  }
-  inbox_.emplace_back(key, std::move(packet));
-  if (inbox_.size() > defense.max_queue) {
-    // Overload: shed oldest-first so the queue stays bounded and fresh
-    // traffic (which the sender will retry least) survives.
-    inbox_.pop_front();
-    defense_.queue_dropped += 1;
-  }
-  if (!inbox_armed_) {
-    inbox_armed_ = true;
-    net_.simulation().schedule_in(defense.queue_service,
-                                  [this] { service_inbox(); });
-  }
-}
-
-void Server::service_inbox() {
-  inbox_armed_ = false;
-  std::size_t budget = std::max<std::size_t>(1, config_.defense.queue_batch);
-  while (budget-- > 0 && !inbox_.empty()) {
-    auto [key, packet] = std::move(inbox_.front());
-    inbox_.pop_front();
-    process(key, std::move(packet));
-  }
-  if (!inbox_.empty()) {
-    inbox_armed_ = true;
-    net_.simulation().schedule_in(config_.defense.queue_service,
-                                  [this] { service_inbox(); });
-  }
+  gate_.receive(key, it->second.gate, std::move(packet));
 }
 
 void Server::process(SessionKey key, net::Bytes packet) {
@@ -201,16 +149,13 @@ void Server::process(SessionKey key, net::Bytes packet) {
   } catch (const DecodeError&) {
     // Malformed traffic: count it, then close the connection, as lugdunum
     // servers do.
-    defense_.malformed += 1;
-    net_.note_malformed(self_);
+    gate_.malformed();
     session.endpoint->close();
     drop(key);
     return;
   }
 
-  if (config_.defense.enabled) {
-    arm_reap(session, config_.defense.idle_timeout);
-  }
+  gate_.touch(key, session.gate);
 
   std::visit(
       [&](const auto& m) {
@@ -298,7 +243,7 @@ void Server::handle(Session& session, const proto::OfferFilesView& msg) {
 void Server::handle(Session& session, const proto::GetSources& msg) {
   if (!session.logged_in) return;
   auto sources =
-      index_.sources(msg.file, std::min<std::size_t>(config_.max_sources_per_reply, 255));
+      index_.sources(msg.file, kMaxSourcesPerReply);
   if (lies_.fabricate_count > 0) {
     // Forge sources pointing at nonexistent peers: plausible HighIDs drawn
     // from the seeded sequence. Clients waste connection attempts on them;
@@ -320,7 +265,7 @@ void Server::handle(Session& session, const proto::GetSources& msg) {
 
 void Server::handle(Session& session, const proto::SearchRequestView& msg) {
   if (!session.logged_in) return;
-  auto files = index_.search(msg.query, config_.max_search_results);
+  auto files = index_.search(msg.query, kMaxSearchResults);
   if (lies_.corrupt_search && !files.empty()) {
     // Garble every returned hash: the names still look right, the ids are
     // junk — the measurement poison a self-probe is built to catch.

@@ -7,11 +7,9 @@
 // search. All traffic is real eDonkey wire bytes over the simulated
 // transport.
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "net/admission.hpp"
 #include "net/network.hpp"
@@ -23,12 +21,6 @@ namespace edhp::server {
 struct ServerConfig {
   std::string name = "edhp directory server";
   std::string description = "simulated lugdunum-style server";
-  /// Cap on sources per FOUND-SOURCES reply (wire limit is 255).
-  std::size_t max_sources_per_reply = 200;
-  /// Cap on search results per reply.
-  std::size_t max_search_results = 200;
-  /// Answer UDP status pings (used by the manager's server selection).
-  bool answer_udp_status = true;
   /// Admission-control knobs (off by default; see net/admission.hpp).
   net::DefenseConfig defense;
   /// Hard fd-limit analog, enforced even with the defense layer disabled.
@@ -90,7 +82,7 @@ class Server {
   };
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
   [[nodiscard]] const net::DefenseStats& defense_stats() const noexcept {
-    return defense_;
+    return gate_.stats();
   }
 
   // --- Byzantine lie switches (see ServerLies) ---------------------------
@@ -114,8 +106,7 @@ class Server {
     UserId user{};
     std::uint16_t port = 0;
     bool logged_in = false;
-    net::TokenBucket bucket;   ///< per-session message budget (defense)
-    sim::EventHandle reap;     ///< pending handshake/idle timeout
+    net::GateSession gate;     ///< message budget + reap timer (defense)
   };
 
   void on_accept(net::EndpointPtr endpoint);
@@ -124,11 +115,8 @@ class Server {
   void drop(SessionKey key);
   /// Decode and dispatch one inbound packet (post-admission).
   void process(SessionKey key, net::Bytes packet);
-  /// (Re)schedule the session's reap timer; O(1) cancel of the old one.
-  void arm_reap(Session& session, Duration timeout);
-  void reap(SessionKey key);
-  /// Drain up to queue_batch packets from the bounded inbound queue.
-  void service_inbox();
+  /// Close and drop a session the gate's reap timer expired.
+  bool reap(SessionKey key);
 
   void handle(Session& session, const proto::LoginRequestView& msg);
   void handle(Session& session, const proto::OfferFilesView& msg);
@@ -161,12 +149,7 @@ class Server {
   SessionKey next_key_ = 1;
   std::uint32_t next_low_id_ = 1;
   Counters counters_;
-  net::DefenseStats defense_;
-  /// Per-remote-node connect buckets (created lazily; defense only).
-  std::unordered_map<net::NodeId, net::TokenBucket> connect_buckets_;
-  /// Bounded inbound work queue (defense only; sheds oldest-first).
-  std::deque<std::pair<SessionKey, net::Bytes>> inbox_;
-  bool inbox_armed_ = false;
+  net::AdmissionGate gate_;
   bool running_ = false;
 };
 

@@ -397,7 +397,7 @@ TEST_F(ByzantineDefenseTest, ProbeTimeoutRetransmitsAndSuppressesLateReplies) {
   // duplicate that must be recognized — never re-scored as a verdict.
   auto c = defended_config("hp-retrans");
   c.self_probe_retries = 1;
-  c.self_probe_timeout = 0.001;  // < min_latency (5 ms): reply always loses
+  c.self_probe_timeout = 0.001;  // < kMinLatency (5 ms): reply always loses
   ManagerConfig mc;
   mc.journal = journal;
   Manager m(net, mc);

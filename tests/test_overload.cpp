@@ -18,41 +18,6 @@ namespace {
 using scenario::DistributedConfig;
 using scenario::run_distributed;
 
-// --- ByteBudget --------------------------------------------------------------
-
-TEST(ByteBudget, UnlimitedByDefaultButStillAccounts) {
-  budget::ByteBudget b;
-  EXPECT_TRUE(b.unlimited());
-  EXPECT_FALSE(b.over());
-  EXPECT_FALSE(b.would_exceed(1u << 30));
-  b.charge(1000);
-  b.charge(500);
-  EXPECT_EQ(b.used(), 1500u);
-  EXPECT_EQ(b.peak(), 1500u);
-  b.release(1500);
-  EXPECT_EQ(b.used(), 0u);
-  EXPECT_EQ(b.peak(), 1500u);  // peak is sticky
-}
-
-TEST(ByteBudget, QuotaTripAndRemaining) {
-  budget::ByteBudget b(100);
-  EXPECT_FALSE(b.unlimited());
-  EXPECT_EQ(b.remaining(), 100u);
-  EXPECT_TRUE(b.would_exceed(101));
-  EXPECT_FALSE(b.would_exceed(100));
-  b.charge(150);
-  EXPECT_TRUE(b.over());
-  EXPECT_EQ(b.remaining(), 0u);
-}
-
-TEST(ByteBudget, ReleaseSaturatesAtZero) {
-  budget::ByteBudget b(10);
-  b.charge(5);
-  b.release(100);
-  EXPECT_EQ(b.used(), 0u);
-  EXPECT_FALSE(b.over());
-}
-
 // --- DegradeStats ------------------------------------------------------------
 
 TEST(DegradeStats, AccumulateSumsCountersAndMaxesPeak) {
