@@ -16,12 +16,14 @@
 # sources whose rep.cpp is the config API's strictest caller — and checks
 # its pinned outputs at smoke scale.
 #
-# The deterministic codec fuzzer, the abuse/admission tests, the
-# observed-file catalogue's differential test (it ingests attacker-sized
-# shared lists), the journal entry codec's tests (journal files reach
-# edhp_inspect from disk), the chaos repro parser's tests (repro files
-# reach edhp_inspect and edhp_chaosfuzz --replay from disk) and the log
-# reader's crafted record counts (log files reach edhp_inspect from disk)
+# The deterministic codec fuzzer, the abuse/admission tests (the
+# ListenerDefense suite runs the one admission gate on both the server and
+# the honeypot), the observed-file catalogue's differential test (it
+# ingests attacker-sized shared lists), the journal entry codec's tests
+# (journal files reach edhp_inspect from disk), the chaos repro parser's
+# tests (repro files reach edhp_inspect and edhp_chaosfuzz --replay from
+# disk) and the log reader's crafted record counts (log files reach
+# edhp_inspect from disk)
 # are ordinary ctest entries, so both presets run them; under the asan
 # preset they double as memory-safety proofs. --fuzz is the focused loop for
 # codec work; --chaosfuzz is the conservation-ledger smoke (see

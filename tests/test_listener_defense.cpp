@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "honeypot/honeypot.hpp"
@@ -32,6 +34,13 @@ constexpr double kQueueService = 0.05;     // seconds between service slices
 constexpr double kFastUplink = 1e12;
 
 enum class Listener { server, honeypot };
+
+const char* name(Listener listener) {
+  return listener == Listener::server ? "server" : "honeypot";
+}
+
+// Names the parameter in test names, which are then the same in every build.
+void PrintTo(Listener listener, std::ostream* os) { *os << name(listener); }
 
 /// A listener on its own simulated network, and what the suite observes of
 /// it through its public API: its defense counters, and two valid messages
@@ -373,7 +382,7 @@ INSTANTIATE_TEST_SUITE_P(
     Listeners, ListenerDefense,
     ::testing::Values(Listener::server, Listener::honeypot),
     [](const ::testing::TestParamInfo<Listener>& listener) {
-      return listener.param == Listener::server ? "server" : "honeypot";
+      return std::string(name(listener.param));
     });
 
 }  // namespace
