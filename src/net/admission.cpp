@@ -119,7 +119,8 @@ void AdmissionGate::receive(Key key, GateSession& session, Bytes packet) {
   }
   if (!inbox_armed_) {
     inbox_armed_ = true;
-    net_.simulation().schedule_in(kQueueService, [this] { service(); });
+    service_ =
+        net_.simulation().schedule_in(kQueueService, [this] { service(); });
   }
 }
 
@@ -138,6 +139,9 @@ void AdmissionGate::malformed() {
 }
 
 void AdmissionGate::reset() {
+  // A slice left scheduled would start a second service chain beside the
+  // one the next packet arms.
+  if (inbox_armed_) net_.simulation().cancel(service_);
   inbox_.clear();
   inbox_armed_ = false;
   connect_buckets_.clear();
@@ -161,7 +165,8 @@ void AdmissionGate::service() {
   }
   if (!inbox_.empty()) {
     inbox_armed_ = true;
-    net_.simulation().schedule_in(kQueueService, [this] { service(); });
+    service_ =
+        net_.simulation().schedule_in(kQueueService, [this] { service(); });
   }
 }
 

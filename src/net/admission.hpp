@@ -149,8 +149,8 @@ class AdmissionGate {
   void forget(GateSession& session);
   /// Count a packet the listener's decoder rejected (also per node).
   void malformed();
-  /// Drop the inbox and the connect buckets (listener stop, crash or
-  /// disconnect). An inbox service already scheduled stays scheduled.
+  /// Drop the inbox, its pending service slice and the connect buckets
+  /// (listener stop, crash or disconnect).
   void reset();
 
  private:
@@ -169,6 +169,8 @@ class AdmissionGate {
   /// Per-remote-node connect buckets, created lazily.
   std::unordered_map<NodeId, TokenBucket> connect_buckets_;
   std::deque<std::pair<Key, Bytes>> inbox_;
+  /// The inbox's next service slice, while inbox_armed_.
+  sim::EventHandle service_;
   bool inbox_armed_ = false;
 };
 

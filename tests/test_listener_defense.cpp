@@ -3,7 +3,8 @@
 // listener's public API, pins the same decisions on both: LIFO shedding at
 // the session cap, the per-remote connect bucket, the handshake and idle
 // reaps, the per-session message bucket and the bounded oldest-first inbox
-// with its batched service. Beyond `enabled`, it sets only the session cap,
+// with its batched service, also across a restart. Beyond `enabled`, it
+// sets only the session cap,
 // the connect bucket and the reap timeouts; the message bucket and the
 // inbox run on their default policy.
 
@@ -33,6 +34,10 @@ constexpr double kQueueService = 0.05;     // seconds between service slices
 /// messages leaves within one microsecond, the token buckets' resolution.
 constexpr double kFastUplink = 1e12;
 
+/// A latency factor that puts every link it applies to at the network's
+/// 5 ms one-way latency floor.
+constexpr double kFloorLatency = 1e-3;
+
 enum class Listener { server, honeypot };
 
 const char* name(Listener listener) {
@@ -57,6 +62,8 @@ class Rig {
   /// Another valid message, counted apart from the marker.
   [[nodiscard]] virtual net::Bytes filler() const = 0;
   [[nodiscard]] virtual std::uint64_t fillers() const = 0;
+  /// Take the listener down with all its sessions and bring it back up.
+  virtual void restart() = 0;
 
   sim::Simulation simulation{1};
   net::Network network{simulation};
@@ -92,6 +99,10 @@ class ServerRig final : public Rig {
   [[nodiscard]] std::uint64_t fillers() const override {
     return server_->counters().offer_before_login;
   }
+  void restart() override {
+    server_->stop();
+    server_->start();
+  }
 
  private:
   net::NodeId node_ = network.add_node(true);
@@ -110,7 +121,7 @@ class HoneypotRig final : public Rig {
     config.defense = defense;
     honeypot_ = std::make_unique<honeypot::Honeypot>(
         network, network.add_node(true), config);
-    honeypot_->connect_to_server({server_node_, "test-server", 4661});
+    honeypot_->connect_to_server(server_ref_);
   }
 
   [[nodiscard]] net::NodeId node() const override { return honeypot_->node(); }
@@ -134,6 +145,11 @@ class HoneypotRig final : public Rig {
   [[nodiscard]] std::uint64_t fillers() const override {
     return count(logbook::QueryType::start_upload);
   }
+  /// A crash and the manager's relaunch (the log survives the crash).
+  void restart() override {
+    honeypot_->crash();
+    honeypot_->connect_to_server(server_ref_);
+  }
 
  private:
   [[nodiscard]] std::uint64_t count(logbook::QueryType type) const {
@@ -144,6 +160,7 @@ class HoneypotRig final : public Rig {
   }
 
   net::NodeId server_node_ = network.add_node(true);
+  honeypot::ServerRef server_ref_{server_node_, "test-server", 4661};
   server::Server server_{network, server_node_, {}};
   std::unique_ptr<honeypot::Honeypot> honeypot_;
 };
@@ -166,6 +183,26 @@ class ListenerDefense : public ::testing::TestWithParam<Listener> {
       ASSERT_TRUE(ep) << "listener not listening";
       out.push_back(std::move(ep));
     });
+  }
+
+  /// Connect `client` now and time its `messages` packets (markers or
+  /// fillers) so that they arrive at `arrive`: the handshake round trip,
+  /// measured from now, is two one-way latencies. Its endpoint is appended
+  /// to `out` when the handshake completes.
+  void send_at(net::NodeId client, Time arrive, std::size_t messages,
+               bool send_marker, std::vector<net::EndpointPtr>& out) {
+    const Time connect_at = rig_->simulation.now();
+    rig_->network.connect(
+        client, rig_->node(), [=, this, &out](net::EndpointPtr e) {
+          ASSERT_TRUE(e);
+          out.push_back(e);
+          const Time one_way = (rig_->simulation.now() - connect_at) / 2;
+          rig_->simulation.schedule_at(arrive - one_way, [=, this] {
+            for (std::size_t i = 0; i < messages; ++i) {
+              e->send(send_marker ? rig_->marker() : rig_->filler());
+            }
+          });
+        });
   }
 
   void run_until(Time t) { rig_->simulation.run_until(t); }
@@ -340,19 +377,8 @@ TEST_P(ListenerDefense, InboxShedsOldestAndServesInBatches) {
   std::vector<net::EndpointPtr> conns;
   const auto open_client = [&](Time arrive, std::size_t messages,
                                bool send_marker) {
-    const auto node = rig_->network.add_node(true, 0.0, kFastUplink);
-    rig_->network.connect(node, rig_->node(), [&, arrive, messages,
-                                               send_marker](net::EndpointPtr e) {
-      ASSERT_TRUE(e);
-      conns.push_back(e);
-      const Time one_way = rig_->simulation.now() / 2;
-      rig_->simulation.schedule_at(arrive - one_way, [&, e, messages,
-                                                      send_marker] {
-        for (std::size_t i = 0; i < messages; ++i) {
-          e->send(send_marker ? rig_->marker() : rig_->filler());
-        }
-      });
-    });
+    send_at(rig_->network.add_node(true, 0.0, kFastUplink), arrive, messages,
+            send_marker, conns);
   };
   open_client(marker_at, 1, true);
   constexpr std::size_t kFlooders = 8;
@@ -375,6 +401,52 @@ TEST_P(ListenerDefense, InboxShedsOldestAndServesInBatches) {
   EXPECT_EQ(rig_->fillers(), kMaxQueue);
   EXPECT_EQ(rig_->markers(), 0u);
   EXPECT_EQ(rig_->stats().queue_dropped, 1u);
+  EXPECT_EQ(rig_->stats().rate_limited, 0u);
+}
+
+// A stop (server) or crash (honeypot) drops the inbox together with the
+// service slice it had pending. After the restart, a fresh backlog drains
+// at one batch per slice, starting kQueueService after its first packet
+// arrived; the slice left over from before the restart serves none of it.
+TEST_P(ListenerDefense, RestartDrainsFreshBacklogOneBatchPerSlice) {
+  net::DefenseConfig defense;
+  defense.enabled = true;
+  make(defense);
+
+  // Every link at the latency floor, so that clients connecting right
+  // after the restart flood it before the old slice would have run.
+  rig_->network.set_latency_factor(rig_->node(), kFloorLatency);
+  std::vector<net::EndpointPtr> conns;
+  const auto flood = [&](Time arrive) {
+    constexpr std::size_t kFlooders = kMaxQueue / kQueueBatch;
+    for (std::size_t i = 0; i < kFlooders; ++i) {
+      const auto node = rig_->network.add_node(true, 0.0, kFastUplink);
+      rig_->network.set_latency_factor(node, kFloorLatency);
+      send_at(node, arrive, kQueueBatch, false, conns);
+    }
+  };
+
+  // A full inbox at 5.0: one slice has run when the listener restarts at
+  // 5.07, and the next would be due at 5.10. The fresh backlog arrives at
+  // 5.09.
+  const Time first_at = 5.0;
+  const Time restart_at = first_at + kQueueService + 0.02;
+  const Time second_at = restart_at + 0.02;
+  flood(first_at);
+  rig_->simulation.schedule_at(restart_at, [&] { rig_->restart(); });
+  rig_->simulation.schedule_at(restart_at + 0.001, [&] { flood(second_at); });
+
+  run_until(restart_at);
+  EXPECT_EQ(rig_->fillers(), kQueueBatch);
+  run_until(second_at + kQueueService - 0.001);
+  EXPECT_EQ(rig_->fillers(), kQueueBatch) << "a slice ran before its time";
+  for (std::size_t slice = 1; slice <= kMaxQueue / kQueueBatch; ++slice) {
+    run_until(second_at + static_cast<double>(slice) * kQueueService + 0.001);
+    EXPECT_EQ(rig_->fillers(), (slice + 1) * kQueueBatch) << "slice " << slice;
+  }
+  run_until(second_at + 10.0);
+  EXPECT_EQ(rig_->fillers(), kQueueBatch + kMaxQueue);
+  EXPECT_EQ(rig_->stats().queue_dropped, 0u);
   EXPECT_EQ(rig_->stats().rate_limited, 0u);
 }
 
