@@ -89,7 +89,8 @@ struct AbuseStats {
 
 /// Build the abuse plan against `honeypots` honeypots and `servers` servers
 /// over `horizon` seconds. Deterministic in (config, rng state); empty when
-/// abuse is off or `horizon` or `intensity` is not positive (NaN included).
+/// abuse is off, `horizon` is not positive and finite (NaN and +inf
+/// included) or `intensity` is not positive (NaN included).
 [[nodiscard]] AbusePlan make_plan(const AbuseConfig& config,
                                   std::size_t honeypots, std::size_t servers,
                                   Duration horizon, Rng rng);

@@ -138,7 +138,7 @@ struct ByzantineStats {
 /// Build the Byzantine plan for `servers` directory servers and
 /// `honeypots` honeypot targets over `horizon` seconds. Deterministic in
 /// (config, rng state); empty when the Byzantine model is off or `horizon`
-/// is not positive (NaN included).
+/// is not positive and finite (NaN and +inf included).
 [[nodiscard]] ByzantinePlan make_plan(const ByzantineConfig& config,
                                       std::size_t honeypots,
                                       std::size_t servers, Duration horizon,

@@ -22,6 +22,7 @@
 //                             HELLO/LOGIN.
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -77,6 +78,14 @@ class Plan {
  private:
   std::vector<Event<Kind>> events_;
 };
+
+/// Whether a plan can be drawn up to `horizon`: it is positive and finite.
+/// renewal_windows and arrivals stop only at `t >= horizon`, which never
+/// holds for NaN or +inf, so every make_plan returns an empty plan for any
+/// other horizon.
+[[nodiscard]] inline bool drawable_horizon(Duration horizon) noexcept {
+  return horizon > 0 && std::isfinite(horizon);
+}
 
 /// Append the alternating begin/end windows of one renewal process drawn
 /// from `rng`: gaps ~ Exp(mtbf), windows ~ Exp(mean) clamped to kMinWindow.

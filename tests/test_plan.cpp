@@ -152,14 +152,15 @@ TEST(FaultPlan, RenewalWindowsClampToOneSecondAndStopAtHorizon) {
   }
 }
 
-// --- NaN in a config built in code ------------------------------------------
+// --- NaN and infinity in a config built in code ------------------------------
 // The flag and repro parsers reject non-finite numbers, but benches,
 // ablations and tests set config fields directly. A NaN rate draws nothing,
-// like zero, and a NaN horizon gives an empty plan: `t >= horizon` never
-// holds for NaN, so a generator that let one through would grow its event
-// vector until the allocator gave up.
+// like zero, and a NaN or infinite horizon gives an empty plan: `t >=
+// horizon` never holds for either, so a generator that let one through
+// would grow its event vector until the allocator gave up.
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(FaultPlan, NanMtbfDrawsNothingAndNanHorizonIsEmpty) {
   ChaosConfig config;
@@ -174,6 +175,14 @@ TEST(FaultPlan, NanMtbfDrawsNothingAndNanHorizonIsEmpty) {
   }
   config.host_mtbf = days(1);
   EXPECT_TRUE(make_plan(config, 4, 1, kNaN, Rng(3)).empty());
+}
+
+TEST(FaultPlan, InfiniteHorizonIsEmpty) {
+  ChaosConfig config;
+  config.enabled = true;
+  config.host_mtbf = days(1);
+  ASSERT_FALSE(make_plan(config, 2, 1, days(4), Rng(1)).empty());
+  EXPECT_TRUE(make_plan(config, 2, 1, kInf, Rng(1)).empty());
 }
 
 TEST(AbusePlan, NanGapOrIntensityDrawsNothingAndNanHorizonIsEmpty) {
@@ -191,6 +200,13 @@ TEST(AbusePlan, NanGapOrIntensityDrawsNothingAndNanHorizonIsEmpty) {
   EXPECT_TRUE(make_plan(config, 2, 1, days(2), Rng(3)).empty());
 }
 
+TEST(AbusePlan, InfiniteHorizonIsEmpty) {
+  AbuseConfig config;  // every class on by default
+  config.enabled = true;
+  ASSERT_FALSE(make_plan(config, 2, 1, days(2), Rng(1)).empty());
+  EXPECT_TRUE(make_plan(config, 2, 1, kInf, Rng(1)).empty());
+}
+
 TEST(ByzantinePlan, NanMtbfOrGapDrawsNothingAndNanHorizonIsEmpty) {
   ByzantineConfig config;
   config.enabled = true;
@@ -206,6 +222,15 @@ TEST(ByzantinePlan, NanMtbfOrGapDrawsNothingAndNanHorizonIsEmpty) {
                 e.kind == ByzantineKind::replay_hello);
   }
   EXPECT_TRUE(make_plan(config, 2, 1, kNaN, Rng(3)).empty());
+}
+
+TEST(ByzantinePlan, InfiniteHorizonIsEmpty) {
+  ByzantineConfig config;
+  config.enabled = true;
+  config.stale_index_mtbf = days(1);
+  config.replay_hello_mtba = hours(12);
+  ASSERT_FALSE(make_plan(config, 2, 1, days(4), Rng(1)).empty());
+  EXPECT_TRUE(make_plan(config, 2, 1, kInf, Rng(1)).empty());
 }
 
 // A plan armed after the clock has passed some of its events fires those
