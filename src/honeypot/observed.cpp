@@ -9,6 +9,10 @@
 namespace edhp::honeypot {
 namespace {
 
+/// Entry numbers (per catalogue and fleet-wide) and name offsets are
+/// stored as u32.
+constexpr std::size_t kLimit = std::numeric_limits<std::uint32_t>::max();
+
 /// Slot hash over both 8-byte halves of the id. Each half is multiplied
 /// before they meet and the result is folded, so ids that share either
 /// half (or whose halves are equal) still land in different slots.
@@ -28,52 +32,111 @@ std::size_t slot_hash(const FileId& id) noexcept {
 
 bool ObservedCatalogue::insert(const FileId& file, std::uint32_t size,
                                std::string_view name) {
-  if (2 * (entries_.size() + 1) > index_.size()) grow();
+  if (2 * (size_ + 1) > index_.size()) grow();
   const std::size_t mask = index_.size() - 1;
   std::size_t slot = slot_hash(file) & mask;
   for (; index_[slot] != 0; slot = (slot + 1) & mask) {
-    if (entries_[index_[slot] - 1].file == file) return false;
+    if (entry(index_[slot] - 1).file == file) return false;
   }
-  // Entry numbers and name offsets are stored as u32.
-  constexpr std::size_t kLimit = std::numeric_limits<std::uint32_t>::max();
-  if (entries_.size() >= kLimit || names_.size() + name.size() > kLimit) {
-    throw std::length_error("observed catalogue full");
+  if (size_ >= kLimit) throw std::length_error("observed catalogue full");
+  if (pages_.empty() || pages_.back().entries.size() == kPageEntries) {
+    Page& page = pages_.emplace_back();
+    page.entries.reserve(kPageEntries);
+    page.name_ends.reserve(kPageEntries);
   }
-  entries_.push_back(Entry{file, size});
-  index_[slot] = static_cast<std::uint32_t>(entries_.size());
-  names_.append(name);
-  name_ends_.push_back(static_cast<std::uint32_t>(names_.size()));
+  const std::uint32_t end = store_name(name);
+  Page& page = pages_.back();
+  page.entries.push_back(Entry{file, size});
+  page.name_ends.push_back(end);
+  index_[slot] = static_cast<std::uint32_t>(++size_);
   bytes_ += size;
   return true;
+}
+
+std::string_view ObservedCatalogue::name(std::size_t i) const noexcept {
+  const std::size_t end = name_end(i);
+  std::size_t begin = i == 0 ? 0 : name_end(i - 1);
+  if (end == begin) return {};
+  // A name follows the previous one only where it fits in the rest of that
+  // page; otherwise store_name started it on the next page number.
+  if (end - begin > kNamePageBytes - begin % kNamePageBytes) {
+    begin = (begin + kNamePageBytes - 1) / kNamePageBytes * kNamePageBytes;
+  }
+  return {name_pages_[begin / kNamePageBytes].get() + begin % kNamePageBytes,
+          end - begin};
 }
 
 void ObservedCatalogue::grow() {
   index_.assign(std::max<std::size_t>(16, 2 * index_.size()), 0);
   const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    std::size_t slot = slot_hash(entries_[i].file) & mask;
+  for (std::size_t i = 0; i < size_; ++i) {
+    std::size_t slot = slot_hash(entry(i).file) & mask;
     while (index_[slot] != 0) slot = (slot + 1) & mask;
     index_[slot] = static_cast<std::uint32_t>(i + 1);
   }
 }
 
+std::uint32_t ObservedCatalogue::store_name(std::string_view name) {
+  // An empty name fits anywhere and takes no bytes.
+  const bool fits = name.size() <= name_room_;
+  const std::size_t begin =
+      fits ? name_cursor_ : name_pages_.size() * kNamePageBytes;
+  if (begin + name.size() > kLimit) {
+    throw std::length_error("observed catalogue full");
+  }
+  if (fits) {
+    if (!name.empty()) {
+      std::memcpy(name_pages_.back().get() + begin % kNamePageBytes,
+                  name.data(), name.size());
+    }
+    name_room_ -= name.size();
+  } else {
+    const std::size_t length = std::max(name.size(), kNamePageBytes);
+    auto page = std::make_unique_for_overwrite<char[]>(length);
+    std::memcpy(page.get(), name.data(), name.size());
+    const std::size_t first = name_pages_.size();
+    name_pages_.resize(first + (length + kNamePageBytes - 1) / kNamePageBytes);
+    name_pages_[first] = std::move(page);
+    name_room_ = length - name.size();
+  }
+  name_cursor_ = begin + name.size();
+  return static_cast<std::uint32_t>(name_cursor_);
+}
+
 ObservedFiles observed_union(
     std::span<const ObservedCatalogue* const> catalogues) {
+  // Each entry has a fleet-wide number: its catalogue's base plus its index
+  // there.
+  std::vector<std::size_t> bases;
+  bases.reserve(catalogues.size());
   std::size_t total = 0;
-  for (const auto* c : catalogues) total += c->size();
+  for (const auto* c : catalogues) {
+    bases.push_back(total);
+    total += c->size();
+  }
+  if (total > kLimit) throw std::length_error("observed union too large");
+  const auto file_of = [&](std::size_t n) -> const FileId& {
+    // The last catalogue whose base is at most n holds it: an empty
+    // catalogue shares its base with the next one.
+    const auto k = static_cast<std::size_t>(
+        std::upper_bound(bases.begin(), bases.end(), n) - bases.begin() - 1);
+    return catalogues[k]->entry(n - bases[k]).file;
+  };
   // Sized once for every entry, so the load stays at most 1/2 without
-  // growing; a slot points at the winning entry (null = empty).
-  std::vector<const ObservedCatalogue::Entry*> index(std::bit_ceil(2 * total));
+  // growing; a slot holds the winning entry's number + 1 (0 = empty).
+  std::vector<std::uint32_t> index(std::bit_ceil(2 * total));
   const std::size_t mask = index.size() - 1;
   ObservedFiles out;
-  for (const auto* c : catalogues) {
-    for (const auto& e : c->entries()) {
+  for (std::size_t k = 0; k < catalogues.size(); ++k) {
+    const auto& c = *catalogues[k];
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      const auto& e = c.entry(i);
       std::size_t slot = slot_hash(e.file) & mask;
-      while (index[slot] != nullptr && index[slot]->file != e.file) {
+      while (index[slot] != 0 && file_of(index[slot] - 1) != e.file) {
         slot = (slot + 1) & mask;
       }
-      if (index[slot] == nullptr) {
-        index[slot] = &e;
+      if (index[slot] == 0) {
+        index[slot] = static_cast<std::uint32_t>(bases[k] + i + 1);
         ++out.distinct;
         out.bytes += e.size;
       }

@@ -3,18 +3,24 @@
 // "distinct files" and "space used" columns, plus the names the manager
 // exports as an anonymised catalog.
 //
-// Peers (and attackers) can send very large lists, so the catalogue is
-// three flat arrays and never a heap node per file:
-//   - (FileId, size) entries in first-sighting order, 20 bytes each;
+// Peers (and attackers) can send very large lists, so the catalogue keeps
+// no heap node per file. It stores fixed-size pages that are added as it
+// grows and never copied, moved or freed before it dies:
+//   - entry pages of kPageEntries (FileId, size) entries in first-sighting
+//     order, 20 bytes each, with each name's 4-byte end offset;
+//   - name pages of kNamePageBytes bytes. A name that does not fit in what
+//     is left of the current page starts the next one, and a name longer
+//     than a page gets a page of its own length;
 //   - a u32 open-addressing index over the entries (linear probing, load
 //     at most 1/2, slot value = entry index + 1 with 0 marking an empty
-//     slot, so the all-zero FileId stays a valid key);
-//   - every name in one contiguous buffer, addressed by end offsets.
-// An insert allocates nothing beyond amortised vector growth.
+//     slot, so the all-zero FileId stays a valid key). Only the index
+//     doubles and rehashes.
+// Capacity thus tracks content to within one page of each kind.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -29,34 +35,55 @@ class ObservedCatalogue {
     std::uint32_t size = 0;
   };
 
+  /// Entries per entry page.
+  static constexpr std::size_t kPageEntries = 4096;
+  /// Bytes per name page.
+  static constexpr std::size_t kNamePageBytes = 64 * 1024;
+
   /// Record one shared-list entry. The first sighting of `file` fixes its
   /// size and name; later sightings change nothing. Returns true when the
   /// file is new. Throws std::length_error past 2^32 - 1 files or 4 GiB of
-  /// names.
+  /// name pages.
   bool insert(const FileId& file, std::uint32_t size, std::string_view name);
 
   /// Distinct files seen.
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Sum of the distinct files' sizes.
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
-  /// Distinct files in first-sighting order.
-  [[nodiscard]] std::span<const Entry> entries() const noexcept {
-    return entries_;
+  /// Distinct file i (i < size()), in first-sighting order.
+  [[nodiscard]] const Entry& entry(std::size_t i) const noexcept {
+    return pages_[i / kPageEntries].entries[i % kPageEntries];
   }
-  /// Name of entries()[i], as first sighted; valid until the next insert.
-  [[nodiscard]] std::string_view name(std::size_t i) const noexcept {
-    const std::size_t begin = i == 0 ? 0 : name_ends_[i - 1];
-    return std::string_view(names_.data() + begin, name_ends_[i] - begin);
-  }
+  /// Name of entry(i), as first sighted; valid for the catalogue's
+  /// lifetime.
+  [[nodiscard]] std::string_view name(std::size_t i) const noexcept;
 
  private:
+  /// One entry page; both vectors are reserved to kPageEntries once and
+  /// never regrown.
+  struct Page {
+    std::vector<Entry> entries;
+    std::vector<std::uint32_t> name_ends;
+  };
+
+  /// End offset of entry(i)'s name in the name pages, which are numbered
+  /// as one space of kNamePageBytes per page.
+  [[nodiscard]] std::size_t name_end(std::size_t i) const noexcept {
+    return pages_[i / kPageEntries].name_ends[i % kPageEntries];
+  }
   /// Double the index (16 slots at first) and re-seat every entry.
   void grow();
+  /// Copy `name` into the name pages and return its end offset.
+  std::uint32_t store_name(std::string_view name);
 
-  std::vector<Entry> entries_;
+  std::vector<Page> pages_;
   std::vector<std::uint32_t> index_;
-  std::string names_;
-  std::vector<std::uint32_t> name_ends_;
+  /// Name pages by number; a name longer than a page owns the first of the
+  /// numbers it spans, and the rest hold null.
+  std::vector<std::unique_ptr<char[]>> name_pages_;
+  std::size_t name_cursor_ = 0;  ///< end offset of the last name stored
+  std::size_t name_room_ = 0;    ///< bytes left after it in its page
+  std::size_t size_ = 0;
   std::uint64_t bytes_ = 0;
 };
 static_assert(sizeof(ObservedCatalogue::Entry) == 20);
@@ -68,8 +95,9 @@ struct ObservedFiles {
 };
 
 /// Union of catalogues taken in order: a file counts once, with its size
-/// in the first catalogue that holds it. Builds one temporary index over
-/// the entries and copies none of them.
+/// in the first catalogue that holds it. Builds one temporary index of
+/// 4-byte slots over the entries and copies none of them. Throws
+/// std::length_error past 2^32 - 1 entries in all.
 [[nodiscard]] ObservedFiles observed_union(
     std::span<const ObservedCatalogue* const> catalogues);
 
