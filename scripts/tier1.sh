@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 in one command: Release build + tests + the benchmark smoke, then
-# the ASan/UBSan preset.
+# Tier-1 in one command: Release build + tests + the benchmark smoke + one
+# RSS-sampled chaos rep, then the ASan/UBSan preset.
 #
 #   scripts/tier1.sh                # both presets
 #   scripts/tier1.sh --release      # release + benchmark smoke only
@@ -14,15 +14,17 @@
 # shares state with another (a fixed scratch path, say) fails loudly. The
 # benchmark smoke builds benchmark/ — a separate CMake project over the same
 # sources whose rep.cpp is the config API's strictest caller — and checks
-# its pinned outputs at smoke scale.
+# its pinned outputs at smoke scale. One traced smoke-scale chaos rep then
+# runs under scripts/rss_by_span.py, which prints its resident memory span
+# by span and fails if the rep does.
 #
 # The deterministic codec fuzzer, the abuse/admission tests (the
 # ListenerDefense suite runs the one admission gate on both the server and
-# the honeypot), the observed-file catalogue's differential test (it
-# ingests attacker-sized shared lists), the journal entry codec's tests
-# (journal files reach edhp_inspect from disk), the chaos repro parser's
-# tests (repro files reach edhp_inspect and edhp_chaosfuzz --replay from
-# disk) and the log reader's crafted record counts (log files reach
+# the honeypot), the observed-file catalogue's tests (it pages
+# attacker-sized shared lists and their names), the journal entry codec's
+# tests (journal files reach edhp_inspect from disk), the chaos repro
+# parser's tests (repro files reach edhp_inspect and edhp_chaosfuzz --replay
+# from disk) and the log reader's crafted record counts (log files reach
 # edhp_inspect from disk)
 # are ordinary ctest entries, so both presets run them; under the asan
 # preset they double as memory-safety proofs. --fuzz is the focused loop for
@@ -64,6 +66,8 @@ if [ "$want_release" = 1 ]; then
   cmake -S benchmark -B build-bench -DCMAKE_BUILD_TYPE=Release
   cmake --build build-bench -j"$(nproc)"
   ctest --test-dir build-bench -L edhp_bench
+  echo "== tier1: chaos RSS by span (smoke) =="
+  python3 scripts/rss_by_span.py build-bench/edhp_bench chaos --smoke
 fi
 
 if [ "$want_asan" = 1 ]; then
