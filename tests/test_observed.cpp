@@ -1,6 +1,8 @@
 // The observed-file catalogue behind Table I's distinct files and space
 // used: first-sighting semantics per honeypot, first-catalogue-wins union
-// across the fleet, checked against a node-map reference model.
+// across the fleet, checked against a node-map reference model; and its
+// pages: names at page edges, name views that outlive later inserts, and
+// union duplicates past an entry page boundary.
 
 #include <gtest/gtest.h>
 
