@@ -15,7 +15,8 @@
 //     at most 1/2, slot value = entry index + 1 with 0 marking an empty
 //     slot, so the all-zero FileId stays a valid key). Only the index
 //     doubles and rehashes.
-// Capacity thus tracks content to within one page of each kind.
+// Capacity thus tracks content: the slack is the unfilled rest of the last
+// pages and the page tails a name did not fit in.
 
 #include <cstddef>
 #include <cstdint>

@@ -4,9 +4,8 @@
 // the session cap, the per-remote connect bucket, the handshake and idle
 // reaps, the per-session message bucket and the bounded oldest-first inbox
 // with its batched service, also across a restart. Beyond `enabled`, it
-// sets only the session cap,
-// the connect bucket and the reap timeouts; the message bucket and the
-// inbox run on their default policy.
+// sets only the session cap, the connect bucket and the reap timeouts; the
+// message bucket and the inbox run on their default policy.
 
 #include <gtest/gtest.h>
 
