@@ -9,6 +9,7 @@
 
 #include "analysis/log_stats.hpp"
 #include "analysis/report.hpp"
+#include "scenario/calibration.hpp"
 #include "scenario/scenario.hpp"
 
 using namespace edhp;
@@ -24,8 +25,9 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "greedy measurement: 1 honeypot, " << config.days
-            << " days, harvest window " << config.harvest_window / kDay
-            << " day(s), scale " << config.scale << "\n";
+            << " days, harvest window "
+            << scenario::kGreedyHarvestWindow / kDay << " day(s), scale "
+            << config.scale << "\n";
   const auto result = scenario::run_greedy(config, &std::cout);
 
   std::vector<std::pair<std::string, std::string>> rows;

@@ -1,22 +1,24 @@
 #!/usr/bin/env sh
-# Tier-1 in one command: Release build + tests + the benchmark smoke + one
-# RSS-sampled chaos rep, then the ASan/UBSan preset.
+# Tier-1 in one command: the config audit, Release build + tests + the
+# benchmark smoke + one RSS-sampled chaos rep, then the ASan/UBSan preset.
 #
 #   scripts/tier1.sh                # both presets
-#   scripts/tier1.sh --release      # release + benchmark smoke only
+#   scripts/tier1.sh --release      # audit, release + benchmark smoke only
 #   scripts/tier1.sh --asan         # sanitizer only
 #   scripts/tier1.sh --fuzz         # asan preset, codec-hardening tests only
 #   scripts/tier1.sh --chaosfuzz N  # release build, N-point chaos-schedule
 #                                   # fuzz batch (fixed seed, deterministic)
 #                                   # + committed corpus replay
 #
-# The release suite runs parallel, shuffled and twice over, so a test that
-# shares state with another (a fixed scratch path, say) fails loudly. The
-# benchmark smoke builds benchmark/ — a separate CMake project over the same
-# sources whose rep.cpp is the config API's strictest caller — and checks
-# its pinned outputs at smoke scale. One traced smoke-scale chaos rep then
-# runs under scripts/rss_by_span.py, which prints its resident memory span
-# by span and fails if the rep does.
+# The release leg first runs scripts/config_audit.sh, which fails when a
+# config struct in src/ has a field nothing assigns (one value in use: a
+# constant, not a knob). The release suite runs parallel, shuffled and twice
+# over, so a test that shares state with another (a fixed scratch path, say)
+# fails loudly. The benchmark smoke builds benchmark/ — a separate CMake
+# project over the same sources whose rep.cpp is the config API's strictest
+# caller — and checks its pinned outputs at smoke scale. One traced
+# smoke-scale chaos rep then runs under scripts/rss_by_span.py, which prints
+# its resident memory span by span and fails if the rep does.
 #
 # The deterministic codec fuzzer, the abuse/admission tests (the
 # ListenerDefense suite runs the one admission gate on both the server and
@@ -58,6 +60,8 @@ case "${1:-}" in
 esac
 
 if [ "$want_release" = 1 ]; then
+  echo "== tier1: config audit =="
+  scripts/config_audit.sh
   echo "== tier1: release preset =="
   cmake --preset default
   cmake --build --preset default -j

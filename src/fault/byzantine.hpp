@@ -118,7 +118,6 @@ struct ByzantineConfig {
   /// draws), which makes defended/undefended runs directly comparable.
   bool defend = true;
   double quarantine_threshold = 6.0;    ///< health score tripping quarantine
-  Duration quarantine_cooloff = minutes(30);  ///< reinstate after
 };
 
 /// Counters of Byzantine behavior actually delivered by an injector.

@@ -161,12 +161,9 @@ struct ChaosConfig {
   double link_dup = 0;                    ///< datagram duplication probability
   double link_reorder = 0;                ///< datagram reordering probability
 
-  // --- Recovery policy the scenarios apply alongside the plan (the backoff
-  // cap keeps RetryPolicy's default) ---------------------------------------
-  Duration retry_base = 30.0;             ///< honeypot reconnect backoff base
-  std::size_t retry_max = 6;              ///< per outage episode
+  // --- Recovery policy the scenarios apply alongside the plan (the
+  // reconnect backoff and the watchdog's limits are constants) ------------
   Duration spool_period = minutes(10);    ///< log-chunk gathering cadence
-  Duration heartbeat_timeout = hours(2);  ///< manager watchdog stall limit
 
   /// Audit self-test fault: every Nth admitted record is destroyed AFTER
   /// the shed/stream accounting points, i.e. a deliberate silent loss no

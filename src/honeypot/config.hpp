@@ -9,22 +9,8 @@
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "logbook/spool.hpp"
-#include "net/admission.hpp"
 
 namespace edhp::honeypot {
-
-/// Server-reconnect policy a honeypot applies on its own, below the
-/// manager's slower relaunch loop: capped exponential backoff with
-/// deterministic jitter (derived from honeypot id + attempt, never from an
-/// RNG stream, so enabling retries cannot shift unrelated draws). After
-/// `max_retries` failed attempts in one outage episode the honeypot reports
-/// Status::dead and escalation moves to the manager's watchdog.
-struct RetryPolicy {
-  bool enabled = false;
-  Duration base = 30.0;         ///< first-retry delay
-  Duration cap = minutes(30);   ///< backoff ceiling
-  std::size_t max_retries = 6;  ///< per outage episode
-};
 
 /// How a honeypot answers REQUEST-PART queries (Section IV.B of the paper).
 enum class ContentStrategy : std::uint8_t {
@@ -61,29 +47,26 @@ struct HoneypotConfig {
   Duration greedy_harvest_window = days(1);
   std::size_t greedy_max_files = 100000;
 
-  /// Upload slots granted concurrently; 0 = unlimited (the paper's
-  /// honeypots accept everyone to maximise observed queries, but a
-  /// realistic-client disguise can enable queueing).
-  std::size_t max_upload_slots = 0;
-
   /// Stage-1 anonymisation salt, shared measurement-wide by the manager.
   std::string salt = "edhp-measurement";
 
-  /// Self-reconnect policy (disabled by default: a connection loss reports
-  /// Status::dead immediately, the pre-fault-subsystem behaviour).
-  RetryPolicy retry;
+  /// Reconnect to the server on its own after a connection loss, below the
+  /// manager's slower relaunch loop: capped exponential backoff with
+  /// deterministic jitter (derived from honeypot id + attempt, never from an
+  /// RNG stream, so enabling retries cannot shift unrelated draws). After
+  /// the episode's retry budget (honeypot.cpp) the honeypot reports
+  /// Status::dead and escalation moves to the manager's watchdog. Off by
+  /// default: a connection loss reports Status::dead immediately, the
+  /// pre-fault-subsystem behaviour.
+  bool retry = false;
 
   /// Crash-safe log spooling (disabled by default: the whole in-memory log
   /// survives a crash, the pre-fault-subsystem behaviour).
   logbook::SpoolConfig spool;
 
   /// Admission control against hostile peers (disabled by default; the
-  /// manager copies its own defense config here at launch, like the salt).
-  net::DefenseConfig defense;
-
-  /// Hard fd-limit analog on concurrent peer connections, enforced even
-  /// with the defense layer disabled; far above benign concurrency.
-  std::size_t hard_peer_cap = 2048;
+  /// manager copies its own switch here at launch, like the salt).
+  bool defense = false;
 
   /// Resource budgets + degradation policy (all ceilings default 0 =
   /// unlimited: the pre-budget data plane, bit-for-bit). The scenario fills
@@ -102,14 +85,11 @@ struct HoneypotConfig {
   /// canary GET-SOURCES for a hash it never advertised — any non-empty reply
   /// proves the server fabricates sources. A probe miss triggers an
   /// immediate re-advertise (self-heal) and is reported to the manager
-  /// through the probe sink for server health scoring.
+  /// through the probe sink for server health scoring. Probes ride the
+  /// server session's TCP link, so a probe unanswered by its timeout scores
+  /// one miss, and a reply arriving after that is ignored.
   Duration self_probe_period = 0;
   Duration self_probe_timeout = minutes(2);
-  /// Timeout retransmits allowed per probe before a miss is scored (0 = the
-  /// historical one-shot probe). Late duplicate replies from earlier copies
-  /// are recognized and suppressed, so bursty UDP loss costs retries, not
-  /// false "server is lying" verdicts.
-  std::size_t self_probe_retries = 0;
 
   /// Record-level integrity defenses (provenance tainting + forged-list
   /// rejection). Off by default: greedy honeypots adopt harvested catalog

@@ -25,8 +25,18 @@ constexpr std::size_t kSendingPartOverhead = 5 + 1 + 16 + 8;
 /// Period of the OFFER-FILES keep-alive to the server.
 constexpr Duration kOfferKeepalive = minutes(30);
 
+/// Self-reconnect backoff: the first retry waits kRetryBase, each later
+/// one twice the last up to kRetryCap, and after kMaxRetries failed
+/// attempts in one outage episode the honeypot reports Status::dead.
+constexpr Duration kRetryBase = 30.0;
+constexpr Duration kRetryCap = minutes(30);
+constexpr std::size_t kMaxRetries = 6;
 /// +/- fraction of jitter applied deterministically to a retry delay.
 constexpr double kRetryJitter = 0.1;
+
+/// Hard fd-limit analog on concurrent peer connections, enforced even with
+/// the defense layer off; far above benign concurrency.
+constexpr std::size_t kHardPeerCap = 2048;
 
 /// A shared-file list claiming at least this many of the honeypot's own
 /// advertised hashes is treated as forged (honeypot files are fakes nobody
@@ -113,7 +123,7 @@ void Honeypot::attempt_connect() {
 
   net_.connect(self_, server_->node, [this](net::EndpointPtr ep) {
     if (!ep) {
-      if (config_.retry.enabled) {
+      if (config_.retry) {
         schedule_retry();
       } else {
         status_ = Status::dead;
@@ -158,13 +168,6 @@ void Honeypot::on_server_message(net::Bytes packet) {
       probe_result(confirmed);
       return;
     }
-    if (probe_dups_expected_ > 0 && pending_search_adopt_ == 0) {
-      // A retransmitted probe's extra reply landing after the probe already
-      // resolved: recognized and suppressed, never re-scored.
-      ++probe_dup_replies_;
-      --probe_dups_expected_;
-      return;
-    }
     std::size_t adopted = 0;
     for (const auto& f : arena_.of(results->files)) {
       if (adopted >= pending_search_adopt_) break;
@@ -186,11 +189,6 @@ void Honeypot::on_server_message(net::Bytes packet) {
       } else {
         probe_result(true);
       }
-    } else if (found->file == canary_file() && probe_dups_expected_ > 0) {
-      // Late duplicate of an already-resolved canary probe (only our own
-      // probes ever ask about the canary hash).
-      ++probe_dup_replies_;
-      --probe_dups_expected_;
     }
     return;
   }
@@ -223,13 +221,9 @@ void Honeypot::on_server_closed() {
   probe_timer_.reset();
   net_.simulation().cancel(probe_timeout_event_);
   probe_pending_ = probe_await_search_ = probe_await_canary_ = false;
-  // In-flight probe replies (and their dedup window) die with the session.
-  probe_retries_left_ = 0;
-  probe_dups_expected_ = 0;
-  probe_payload_.clear();
   server_ep_.reset();
   end_coverage();
-  if (config_.retry.enabled) {
+  if (config_.retry) {
     // New outage episode: reconnect on our own before involving the
     // manager, like a real client riding out a server restart.
     retries_episode_ = 0;
@@ -240,7 +234,7 @@ void Honeypot::on_server_closed() {
 }
 
 void Honeypot::schedule_retry() {
-  if (retries_episode_ >= config_.retry.max_retries) {
+  if (retries_episode_ >= kMaxRetries) {
     ++counters_.retry_budget_exhausted;
     status_ = Status::dead;
     return;
@@ -254,9 +248,8 @@ void Honeypot::schedule_retry() {
 }
 
 Duration Honeypot::retry_delay(std::size_t attempt) const {
-  const double raw =
-      config_.retry.base * std::pow(2.0, static_cast<double>(attempt));
-  const double capped = std::min(raw, config_.retry.cap);
+  const double raw = kRetryBase * std::pow(2.0, static_cast<double>(attempt));
+  const double capped = std::min(raw, kRetryCap);
   // SplitMix64 of (id, attempt): stable jitter without touching any RNG
   // stream, so retry timing is a pure function of identity and history.
   std::uint64_t x = (static_cast<std::uint64_t>(config_.id) << 32) ^
@@ -485,8 +478,6 @@ void Honeypot::teardown(Status next) {
     if (conn.endpoint) conn.endpoint->close();
   }
   peers_.clear();
-  slots_used_ = 0;
-  upload_queue_.clear();
   gate_.reset();
   status_ = next;
 }
@@ -510,7 +501,7 @@ logbook::LogFile Honeypot::take_log() {
 }
 
 void Honeypot::on_peer_accept(net::EndpointPtr ep) {
-  if (peers_.size() >= config_.hard_peer_cap) {
+  if (peers_.size() >= kHardPeerCap) {
     // The fd-limit analog: even an undefended honeypot cannot hold
     // unbounded peer connections.
     ep->close();
@@ -547,7 +538,6 @@ bool Honeypot::drop_peer(ConnKey key) {
   if (it == peers_.end()) return false;
   gate_.forget(it->second.gate);
   if (it->second.endpoint) it->second.endpoint->close();
-  release_slot(key, it->second);
   peers_.erase(it);
   return true;
 }
@@ -586,7 +576,7 @@ void Honeypot::process_peer(ConnKey key, net::Bytes packet) {
         if constexpr (std::is_same_v<T, proto::HelloView>) {
           handle_hello(conn, m);
         } else if constexpr (std::is_same_v<T, proto::StartUpload>) {
-          handle_start_upload(key, conn, m);
+          handle_start_upload(conn, m);
         } else if constexpr (std::is_same_v<T, proto::RequestParts>) {
           handle_request_parts(conn, m);
         } else if constexpr (std::is_same_v<T, proto::AskSharedFilesAnswerView>) {
@@ -662,7 +652,7 @@ void Honeypot::handle_hello(PeerConn& conn, const proto::HelloView& msg) {
   }
 }
 
-void Honeypot::handle_start_upload(ConnKey key, PeerConn& conn,
+void Honeypot::handle_start_upload(PeerConn& conn,
                                    const proto::StartUpload& msg) {
   std::uint8_t taint = 0;
   if (config_.integrity_defense && !advertised_ids_.contains(msg.file)) {
@@ -674,52 +664,12 @@ void Honeypot::handle_start_upload(ConnKey key, PeerConn& conn,
     taint = logbook::kFlagProvFabricated;
   }
   append_record(conn, logbook::QueryType::start_upload, &msg.file, taint);
-  if (conn.uploading) {
-    // Additional wanted files on an already-granted connection: the slot
-    // covers the connection, just log the query (done above).
-    return;
-  }
-  // Default configuration grants everyone immediately — keeping peers out
-  // of a queue maximises the queries we observe. With a slot cap the
-  // honeypot behaves like a loaded client and queues the peer.
-  if (config_.max_upload_slots == 0 || slots_used_ < config_.max_upload_slots) {
-    grant_slot(key, conn);
-    return;
-  }
-  if (!conn.queued) {
-    conn.queued = true;
-    upload_queue_.push_back(key);
-  }
-  const auto rank = static_cast<std::uint32_t>(upload_queue_.size());
-  conn.endpoint->send(proto::encode(proto::AnyMessage{proto::QueueRank{rank}}));
-  ++counters_.queued_peers;
-}
-
-void Honeypot::grant_slot(ConnKey key, PeerConn& conn) {
-  (void)key;
+  // Additional wanted files on an already-granted connection are only
+  // logged (above). Everyone else is granted at once: keeping peers out of
+  // a queue maximises the queries we observe.
+  if (conn.uploading) return;
   conn.uploading = true;
-  conn.queued = false;
-  ++slots_used_;
   conn.endpoint->send(proto::encode(proto::AnyMessage{proto::AcceptUpload{}}));
-}
-
-void Honeypot::release_slot(ConnKey key, PeerConn& conn) {
-  (void)key;
-  if (!conn.uploading) return;
-  conn.uploading = false;
-  if (slots_used_ > 0) --slots_used_;
-  // Promote the next queued connection that is still alive.
-  while (!upload_queue_.empty()) {
-    const auto next = upload_queue_.front();
-    upload_queue_.pop_front();
-    auto it = peers_.find(next);
-    if (it == peers_.end() || !it->second.queued || !it->second.endpoint) {
-      continue;
-    }
-    grant_slot(next, it->second);
-    ++counters_.promoted_from_queue;
-    break;
-  }
 }
 
 void Honeypot::handle_request_parts(PeerConn& conn, const proto::RequestParts& msg) {
@@ -850,8 +800,8 @@ void Honeypot::run_self_probe() {
   const bool canary = (probe_seq_++ % 2) == 1;
   if (canary) {
     probe_await_canary_ = true;
-    probe_payload_ =
-        proto::encode(proto::AnyMessage{proto::GetSources{canary_file()}});
+    server_ep_->send(
+        proto::encode(proto::AnyMessage{proto::GetSources{canary_file()}}));
   } else {
     if (advertised_.empty()) {
       --probe_seq_;  // nothing to verify yet; keep the alternation phase
@@ -860,34 +810,15 @@ void Honeypot::run_self_probe() {
     const auto& f = advertised_[probe_cursor_++ % advertised_.size()];
     probe_file_ = f.id;
     probe_await_search_ = true;
-    probe_payload_ =
-        proto::encode(proto::AnyMessage{proto::SearchRequest{f.name}});
+    server_ep_->send(
+        proto::encode(proto::AnyMessage{proto::SearchRequest{f.name}}));
   }
-  // The encoded probe is kept verbatim for timeout retransmits.
-  server_ep_->send(probe_payload_);
   probe_pending_ = true;
-  probe_retries_left_ = config_.self_probe_retries;
   ++integrity_.probes_sent;
+  // The server session is a reliable link, so an unanswered probe is a
+  // miss; a reply that arrives after it is no longer awaited and ignored.
   probe_timeout_event_ = net_.simulation().schedule_in(
-      config_.self_probe_timeout, [this] { on_probe_timeout(); });
-}
-
-void Honeypot::on_probe_timeout() {
-  if (!probe_pending_) return;
-  if (probe_retries_left_ > 0 && status_ == Status::connected && server_ep_ &&
-      server_ep_->open()) {
-    // Re-send the identical probe instead of scoring a miss: under bursty
-    // loss the request (or its reply) often just vanished. The earlier
-    // copy may still be answered, so widen the duplicate-reply window.
-    --probe_retries_left_;
-    ++probe_retransmits_;
-    ++probe_dups_expected_;
-    server_ep_->send(probe_payload_);
-    probe_timeout_event_ = net_.simulation().schedule_in(
-        config_.self_probe_timeout, [this] { on_probe_timeout(); });
-    return;
-  }
-  probe_result(false);
+      config_.self_probe_timeout, [this] { probe_result(false); });
 }
 
 void Honeypot::probe_result(bool confirmed) {

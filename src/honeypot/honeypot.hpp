@@ -14,7 +14,7 @@
 // pass through stage-1 anonymisation before entering the log.
 //
 // Failure handling (all off by default, enabled by the chaos campaigns):
-// with a RetryPolicy the honeypot reconnects to its server on its own with
+// with `retry` on the honeypot reconnects to its server on its own with
 // capped exponential backoff before reporting Status::dead to the manager;
 // with a SpoolConfig it periodically cuts its log tail into sequence-
 // numbered chunks handed to the manager, so a crash destroys at most the
@@ -23,7 +23,6 @@
 // re-sent on relaunch with their original sequence numbers and
 // deduplicated manager-side.
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -34,6 +33,7 @@
 #include "honeypot/integrity.hpp"
 #include "honeypot/observed.hpp"
 #include "logbook/record.hpp"
+#include "net/admission.hpp"
 #include "net/network.hpp"
 #include "proto/messages.hpp"
 
@@ -192,16 +192,6 @@ class Honeypot {
   /// The canary hash this honeypot GET-SOURCES-probes (never advertised; a
   /// server returning sources for it is fabricating). Exposed for tests.
   [[nodiscard]] FileId canary_file() const;
-  /// Probe copies re-sent after a timeout (config.self_probe_retries caps
-  /// the per-probe budget).
-  [[nodiscard]] std::uint64_t probe_retransmits() const noexcept {
-    return probe_retransmits_;
-  }
-  /// Duplicate probe replies recognized and suppressed (late copies after
-  /// the probe already resolved, e.g. under bursty loss + retransmit).
-  [[nodiscard]] std::uint64_t probe_dup_replies() const noexcept {
-    return probe_dup_replies_;
-  }
 
   // --- Overload & degradation ---------------------------------------------
 
@@ -251,8 +241,6 @@ class Honeypot {
     std::uint64_t retry_budget_exhausted = 0;
     std::uint64_t chunks_resent = 0;
     std::uint64_t shared_lists_received = 0;
-    std::uint64_t queued_peers = 0;           ///< QUEUE-RANK answers sent
-    std::uint64_t promoted_from_queue = 0;
     std::uint64_t blocks_sent = 0;            ///< random-content blocks
   };
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
@@ -288,8 +276,7 @@ class Honeypot {
     std::uint16_t name_ref = 0;
     std::uint32_t version = 0;
     bool hello_seen = false;
-    bool uploading = false;  ///< holds an upload slot
-    bool queued = false;     ///< waiting for a slot
+    bool uploading = false;  ///< ACCEPT-UPLOAD sent
     std::uint8_t taint = 0;  ///< provenance flags applied to new records
     Time connected_at = 0;   ///< accept time (bounds retroactive tainting)
     net::GateSession gate;   ///< message budget + reap timer (defense)
@@ -321,8 +308,7 @@ class Honeypot {
   void teardown(Status next);
 
   void handle_hello(PeerConn& conn, const proto::HelloView& msg);
-  void handle_start_upload(ConnKey key, PeerConn& conn,
-                           const proto::StartUpload& msg);
+  void handle_start_upload(PeerConn& conn, const proto::StartUpload& msg);
   void handle_request_parts(PeerConn& conn, const proto::RequestParts& msg);
   void handle_shared_list(PeerConn& conn,
                           const proto::AskSharedFilesAnswerView& msg);
@@ -332,9 +318,6 @@ class Honeypot {
   /// One advertise-and-verify self-probe tick: alternates a keyword search
   /// for an own advertised file with a canary GET-SOURCES.
   void run_self_probe();
-  /// Probe deadline hit: either re-send the same probe (retry budget left)
-  /// or declare the miss.
-  void on_probe_timeout();
   /// Resolve the in-flight probe; a miss re-advertises (self-heal) and both
   /// outcomes reach the manager through the probe sink.
   void probe_result(bool confirmed);
@@ -356,8 +339,6 @@ class Honeypot {
   [[nodiscard]] std::uint64_t effective_mem_budget() const;
   std::uint16_t intern_name(const std::string& name);
   [[nodiscard]] bool in_harvest_window() const;
-  void grant_slot(ConnKey key, PeerConn& conn);
-  void release_slot(ConnKey key, PeerConn& conn);
 
   net::Network& net_;
   net::NodeId self_;
@@ -381,10 +362,8 @@ class Honeypot {
 
   std::unordered_map<ConnKey, PeerConn> peers_;
   ConnKey next_conn_ = 1;
-  std::size_t slots_used_ = 0;
-  std::deque<ConnKey> upload_queue_;
 
-  /// Admission control (dormant unless config_.defense.enabled).
+  /// Admission control (dormant unless config_.defense).
   net::AdmissionGate gate_;
 
   logbook::LogFile log_;
@@ -456,13 +435,6 @@ class Honeypot {
   std::uint64_t probe_seq_ = 0;     ///< alternates search / canary probes
   std::size_t probe_cursor_ = 0;    ///< round-robin over advertised files
   FileId probe_file_{};             ///< file the pending search probe expects
-  net::Bytes probe_payload_;        ///< encoded probe, kept for retransmit
-  std::size_t probe_retries_left_ = 0;
-  std::uint64_t probe_retransmits_ = 0;
-  std::uint64_t probe_dup_replies_ = 0;
-  /// Extra replies still possibly in flight after the probe resolved (one
-  /// per retransmit of the resolved probe) — the dedup window.
-  std::uint64_t probe_dups_expected_ = 0;
 
   Counters counters_;
 };

@@ -21,13 +21,28 @@ namespace {
 /// the quarantined server, which still yields quarantined-record evidence).
 constexpr std::size_t kQuarantineRefCap = 64;
 
+/// Status-poll period (the manager "regularly checks the status of each
+/// honeypot").
+constexpr Duration kStatusPoll = minutes(10);
+
+/// Delay between receiving a spool chunk and the honeypot learning it is
+/// safe to drop it (models the out-of-band transfer round-trip); a crash
+/// inside this window causes a duplicate re-send on relaunch.
+constexpr Duration kSpoolAckDelay = 30.0;
+
+/// Health-score decay applied by each confirmed probe (honest servers that
+/// occasionally race a keep-alive recover instead of accumulating).
+constexpr double kProbeConfirmDecay = 0.25;
+/// How long a quarantined server stays benched before its displaced
+/// honeypots are reassigned back (checked by the poll loop).
+constexpr Duration kQuarantineCooloff = minutes(30);
+
 /// The state change of each journaled transition, one overload per entry
 /// type, shared by the live commit and by replay. Replay reconstructs state
 /// and never re-decides: a probe verdict that crossed the quarantine
 /// threshold has its own quarantine entry.
 struct Apply {
   journal::Checkpoint& s;
-  double probe_confirm_decay;
 
   void operator()(const journal::Checkpoint& e) { s = e; }
   void operator()(const journal::Launch& e) {
@@ -77,7 +92,7 @@ struct Apply {
     auto& health = s.health[e.server];
     if (e.confirmed) {
       ++health.confirms;
-      health.score = std::max(0.0, health.score - probe_confirm_decay);
+      health.score = std::max(0.0, health.score - kProbeConfirmDecay);
     } else {
       ++health.misses;
       health.score += 1.0;
@@ -118,7 +133,7 @@ void Manager::commit(const Entry& entry) {
   if (config_.journal) {
     config_.journal->append(Entry::kType, journal::encode(entry));
   }
-  Apply{state_, config_.probe_confirm_decay}(entry);
+  Apply{state_}(entry);
 }
 
 // --- Live transitions ----------------------------------------------------------
@@ -153,7 +168,7 @@ void Manager::wire_spool_sink(Honeypot& honeypot) {
     // honeypot's resend window up by one chunk, so a recovery's backlog
     // drains at the store's pace instead of in one burst.
     const std::uint32_t credit = config_.resend_credit;
-    net_.simulation().schedule_in(config_.spool.ack_delay, [hp, seq, credit] {
+    net_.simulation().schedule_in(kSpoolAckDelay, [hp, seq, credit] {
       hp->ack_spooled(seq);
       if (credit > 0) hp->resend_spool(std::size_t{1});
     });
@@ -222,7 +237,7 @@ void Manager::quarantine_server(const std::string& name) {
   if (targets.empty()) return;
   journal::ServerQuarantine q;
   q.server_name = name;
-  q.until = net_.simulation().now() + config_.quarantine_cooloff;
+  q.until = net_.simulation().now() + kQuarantineCooloff;
   for (std::size_t i = 0; i < state_.fleet.size(); ++i) {
     if (state_.fleet[i].server.name != name) continue;
     if (q.displaced.empty()) q.original = state_.fleet[i].server;
@@ -288,18 +303,15 @@ void Manager::survey_servers(std::vector<ServerRef> candidates,
   struct Survey {
     std::vector<ServerRef> candidates;
     std::vector<std::optional<proto::ServStatResponse>> answers;
-    bool closed = false;  ///< timeout fired; retransmit rounds stand down
   };
   auto survey = std::make_shared<Survey>();
   survey->candidates = std::move(candidates);
   survey->answers.resize(survey->candidates.size());
 
-  // The probe callbacks deliberately capture the network (and the shared
-  // counters), never `this`: a survey outstanding while the manager crashes
-  // (and possibly a new incarnation replaces it) must still time out and
-  // deliver cleanly.
-  auto counters = survey_counters_;
-  net_.listen_datagram(probe_node, [&net = net_, survey, counters, probe_node](
+  // The probe callbacks deliberately capture the network, never `this`: a
+  // survey outstanding while the manager crashes (and possibly a new
+  // incarnation replaces it) must still time out and deliver cleanly.
+  net_.listen_datagram(probe_node, [&net = net_, survey, probe_node](
                                        net::NodeId, net::Bytes datagram) {
     proto::AnyUdpMessage msg;
     try {
@@ -309,15 +321,11 @@ void Manager::survey_servers(std::vector<ServerRef> candidates,
       return;
     }
     if (const auto* res = std::get_if<proto::ServStatResponse>(&msg)) {
-      // The challenge encodes the candidate index.
-      if (res->challenge < survey->answers.size()) {
-        if (survey->answers[res->challenge]) {
-          // Late duplicate (a retransmitted request answered twice, or a
-          // network-level duplicated datagram): the first copy won.
-          ++counters->dups;
-        } else {
-          survey->answers[res->challenge] = *res;
-        }
+      // The challenge encodes the candidate index. A duplicated datagram
+      // changes nothing: the first copy won.
+      if (res->challenge < survey->answers.size() &&
+          !survey->answers[res->challenge]) {
+        survey->answers[res->challenge] = *res;
       }
     }
   });
@@ -329,29 +337,8 @@ void Manager::survey_servers(std::vector<ServerRef> candidates,
                        proto::encode_udp(req));
   }
 
-  // Capped retransmit rounds: each re-asks only the still-silent candidates,
-  // so one lost UDP request costs a retry instead of a missing survey row.
-  // Default-off (survey_retries = 0) keeps the historical single-shot
-  // survey's network draw sequence bit-exact.
-  for (std::size_t round = 1; round <= config_.survey_retries; ++round) {
-    net_.simulation().schedule_in(
-        config_.survey_retry_interval * static_cast<double>(round),
-        [&net = net_, survey, counters, probe_node] {
-          if (survey->closed) return;
-          for (std::size_t i = 0; i < survey->candidates.size(); ++i) {
-            if (survey->answers[i]) continue;
-            proto::ServStatRequest req;
-            req.challenge = static_cast<std::uint32_t>(i);
-            ++counters->retries;
-            net.send_datagram(probe_node, survey->candidates[i].node,
-                              proto::encode_udp(req));
-          }
-        });
-  }
-
   net_.simulation().schedule_in(
       timeout, [&net = net_, survey, probe_node, done = std::move(done)] {
-        survey->closed = true;
         net.stop_listening_datagram(probe_node);
         std::vector<ServerSurveyEntry> out;
         for (std::size_t i = 0; i < survey->candidates.size(); ++i) {
@@ -399,7 +386,7 @@ void Manager::start() {
   if (poll_timer_) return;
   if (!state_.started) commit(journal::Start{});
   poll_timer_ = std::make_unique<sim::PeriodicTimer>(
-      net_.simulation(), config_.status_poll, [this] { poll(); });
+      net_.simulation(), kStatusPoll, [this] { poll(); });
   poll_timer_->start();
 }
 
@@ -435,10 +422,6 @@ std::size_t Manager::crash() {
   recovery_ = RecoveryStats{};
   records_excluded_ = 0;
   time_integrity_ = logbook::TimeIntegrityStats{};
-  // The counters shared with in-flight survey closures survive the crash on
-  // purpose (a pending retransmit round still fires and still counts); only
-  // this incarnation's handle to them is re-zeroed.
-  survey_counters_ = std::make_shared<SurveyCounters>();
   return orphans_.size();
 }
 
@@ -459,8 +442,7 @@ void Manager::replay_journal() {
   std::uint64_t applied = 0;
   for (std::size_t i = begin; i < scan.entries.size(); ++i) {
     try {
-      journal::visit(scan.entries[i],
-                     Apply{state_, config_.probe_confirm_decay});
+      journal::visit(scan.entries[i], Apply{state_});
       ++applied;
     } catch (const DecodeError&) {
       // A frame that passed its checksum but fails to decode is a schema
@@ -536,7 +518,7 @@ void Manager::recover(Time crashed_at) {
   checkpoint();
   if (state_.started) {
     poll_timer_ = std::make_unique<sim::PeriodicTimer>(
-        net_.simulation(), config_.status_poll, [this] { poll(); });
+        net_.simulation(), kStatusPoll, [this] { poll(); });
     poll_timer_->start();
   }
 }
@@ -715,13 +697,9 @@ RecoveryStats Manager::recovery_stats() const {
   }
   const Time now = net_.simulation().now();
   std::uint64_t kept = 0;
-  out.probe_retries = survey_counters_->retries;
-  out.probe_dups_suppressed = survey_counters_->dups;
   const auto tally = [&](const Honeypot& hp) {
     out.honeypot_retries += hp.retries();
     out.records_lost_tail += hp.records_lost_tail();
-    out.probe_retries += hp.probe_retransmits();
-    out.probe_dups_suppressed += hp.probe_dup_replies();
     kept += hp.log().records.size();
   };
   for (const auto& slot : live_) {

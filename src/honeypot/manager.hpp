@@ -21,9 +21,6 @@
 namespace edhp::honeypot {
 
 struct ManagerConfig {
-  /// Status-poll period (the manager "regularly checks the status of each
-  /// honeypot").
-  Duration status_poll = minutes(10);
   /// Measurement-wide stage-1 anonymisation salt pushed to every honeypot.
   std::string salt = "edhp-measurement-salt";
 
@@ -43,45 +40,35 @@ struct ManagerConfig {
   /// 0 = disabled.
   Duration heartbeat_timeout = 0;
 
-  /// Self-reconnect policy injected into every launched honeypot.
-  RetryPolicy retry;
+  /// Self-reconnect switch injected into every launched honeypot.
+  bool retry = false;
   /// Log-spooling policy injected into every launched honeypot; when
   /// enabled the manager wires itself as the chunk sink and acknowledges
-  /// chunks after spool.ack_delay.
+  /// each chunk a fixed transfer round-trip after receiving it.
   logbook::SpoolConfig spool;
   /// Credit window for recovery resends: when re-adopting orphans, at most
   /// this many spooled chunks are in flight per honeypot at once, and each
   /// ack releases one more credit. 0 = unlimited (the legacy burst), which
   /// can re-trigger the very overload that crashed the manager.
   std::uint32_t resend_credit = 0;
-  /// Admission-control policy injected into every launched honeypot.
-  net::DefenseConfig defense;
+  /// Admission-control switch injected into every launched honeypot.
+  bool defense = false;
 
   /// Harvest clock observations from exchanges the manager already has
   /// (heartbeat polls, freshly-cut spool chunks) and run the skew-corrected
   /// merge. Off by default: the historical pipeline trusts timestamps, and
   /// clock-off campaigns append no extra journal entries.
   bool track_clocks = false;
-  /// UDP server-survey retransmit rounds for candidates that have not
-  /// answered yet (0 = the historical single-shot survey). Duplicate
-  /// replies are deduped by challenge, not double-counted.
-  std::size_t survey_retries = 0;
-  Duration survey_retry_interval = 5.0;
 
   // --- Server-health scoring (Byzantine defense). Threshold 0 = disabled:
   // --- probe verdicts are still journaled for audit, but never acted on.
 
-  /// A probe miss adds 1.0 to the reporting server's health score; at this
+  /// A probe miss adds 1.0 to the reporting server's health score, and a
+  /// confirmed probe takes a fixed decay off it (manager.cpp); at this
   /// score the server is quarantined — every slot assigned to it moves to a
-  /// backup server — until the cooloff expires. High enough by default that
-  /// transient outages (which also miss probes) never trip it.
+  /// backup server — until a fixed cooloff expires. High enough by default
+  /// that transient outages (which also miss probes) never trip it.
   double quarantine_threshold = 0;
-  /// Score decay applied by each confirmed probe (honest servers that
-  /// occasionally race a keep-alive recover instead of accumulating).
-  double probe_confirm_decay = 0.25;
-  /// How long a quarantined server stays benched before its displaced
-  /// honeypots are reassigned back (checked by the poll loop).
-  Duration quarantine_cooloff = minutes(30);
 
   // --- Control-plane durability. Both null by default: the historical
   // --- purely-in-memory manager, byte-identical behaviour.
@@ -124,10 +111,6 @@ struct RecoveryStats {
   std::uint64_t journal_bytes = 0;      ///< WAL size
   std::uint64_t journal_replayed = 0;   ///< entries applied by the last replay
   std::uint64_t journal_tail_lost = 0;  ///< torn-tail bytes at the last replay
-
-  // --- Probe/survey retransmit accounting (zero unless retries enabled).
-  std::uint64_t probe_retries = 0;          ///< probe + survey re-sends
-  std::uint64_t probe_dups_suppressed = 0;  ///< duplicate replies recognized
 };
 
 /// Owns and coordinates a fleet of honeypots.
@@ -404,15 +387,6 @@ class Manager {
   /// Ledger of the last skew-corrected merge (mutable for the same reason
   /// as records_excluded_).
   mutable logbook::TimeIntegrityStats time_integrity_;
-
-  /// Survey retransmit accounting, shared with in-flight survey closures
-  /// (which deliberately never capture `this`).
-  struct SurveyCounters {
-    std::uint64_t retries = 0;
-    std::uint64_t dups = 0;
-  };
-  std::shared_ptr<SurveyCounters> survey_counters_ =
-      std::make_shared<SurveyCounters>();
 };
 
 }  // namespace edhp::honeypot

@@ -34,10 +34,6 @@ struct SpoolConfig {
   bool enabled = false;
   /// Chunk-cutting cadence (the paper's periodic log gathering).
   Duration period = minutes(10);
-  /// Delay between the manager receiving a chunk and the honeypot learning
-  /// it is safe to drop it (models the out-of-band transfer round-trip); a
-  /// crash inside this window causes a duplicate re-send on relaunch.
-  Duration ack_delay = 30.0;
 };
 
 /// One sequence-numbered batch of log records. `names` carries the tail of
@@ -100,12 +96,6 @@ class SpoolStore {
   /// enter a reassembled log — a corrupted transfer must be re-sent, so the
   /// caller should not acknowledge it.
   Ingest ingest(const LogChunk& chunk);
-
-  /// Ingest one chunk. Returns true when the chunk was new, false for a
-  /// duplicate (already-accepted sequence number) or a quarantined one.
-  bool accept(const LogChunk& chunk) {
-    return ingest(chunk) == Ingest::stored;
-  }
 
   /// Rebuild one honeypot's log from its accepted chunks, in sequence
   /// order. Unknown honeypots yield an empty log.

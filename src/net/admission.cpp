@@ -18,6 +18,23 @@ DefenseStats& DefenseStats::operator+=(const DefenseStats& other) noexcept {
 
 namespace {
 
+/// Session cap with LIFO shedding: once this many sessions are live, the
+/// newest arrival is shed — established (older) sessions, which carry the
+/// measurement, are never sacrificed to a flood.
+constexpr std::size_t kMaxSessions = 256;
+
+/// Per-remote-node connect token bucket (refill per second / burst).
+constexpr double kConnectRate = 0.5;
+constexpr double kConnectBurst = 12.0;
+
+/// A session that has not produced one valid message within this window
+/// is reaped (kills flood holds and pre-HELLO slowloris).
+constexpr Duration kHandshakeTimeout = 30.0;
+/// A session idle this long after its last valid message is reaped. Must
+/// exceed every benign quiet period (the honeypot's 30-minute OFFER
+/// keep-alive on its server link being the longest).
+constexpr Duration kIdleTimeout = hours(2);
+
 /// Per-session message token bucket (refill per second / burst); messages
 /// beyond it are dropped (counted, not fatal — a later in-budget message
 /// still works).
@@ -70,25 +87,23 @@ bool TokenBucket::try_take(Time now, double cost) {
   return true;
 }
 
-AdmissionGate::AdmissionGate(Network& network, NodeId self,
-                             const DefenseConfig& config, Process process,
-                             Reap reap)
+AdmissionGate::AdmissionGate(Network& network, NodeId self, bool enabled,
+                             Process process, Reap reap)
     : net_(network),
       self_(self),
-      config_(config),
+      enabled_(enabled),
       process_(std::move(process)),
       reap_(std::move(reap)) {}
 
 bool AdmissionGate::admit(std::size_t live, NodeId remote) {
-  if (!config_.enabled) return true;
-  if (live >= config_.max_sessions) {
+  if (!enabled_) return true;
+  if (live >= kMaxSessions) {
     stats_.shed += 1;
     return false;
   }
   const Time now = net_.simulation().now();
   auto bucket = connect_buckets_
-                    .try_emplace(remote, config_.connect_rate,
-                                 config_.connect_burst, now)
+                    .try_emplace(remote, kConnectRate, kConnectBurst, now)
                     .first;
   if (!bucket->second.try_take(now)) {
     stats_.rate_limited += 1;
@@ -98,11 +113,11 @@ bool AdmissionGate::admit(std::size_t live, NodeId remote) {
 }
 
 void AdmissionGate::open(Key key, GateSession& session) {
-  if (!config_.enabled) return;
+  if (!enabled_) return;
   stats_.accepted += 1;
   session.bucket =
       TokenBucket(kMessageRate, kMessageBurst, net_.simulation().now());
-  arm_reap(key, session, config_.handshake_timeout);
+  arm_reap(key, session, kHandshakeTimeout);
 }
 
 void AdmissionGate::receive(Key key, GateSession& session, Bytes packet) {
@@ -125,8 +140,8 @@ void AdmissionGate::receive(Key key, GateSession& session, Bytes packet) {
 }
 
 void AdmissionGate::touch(Key key, GateSession& session) {
-  if (!config_.enabled) return;
-  arm_reap(key, session, config_.idle_timeout);
+  if (!enabled_) return;
+  arm_reap(key, session, kIdleTimeout);
 }
 
 void AdmissionGate::forget(GateSession& session) {
@@ -150,7 +165,6 @@ void AdmissionGate::reset() {
 void AdmissionGate::arm_reap(Key key, GateSession& session, Duration timeout) {
   auto& sim = net_.simulation();
   sim.cancel(session.reap);  // O(1); harmless on an invalid/spent handle
-  if (timeout <= 0) return;
   session.reap = sim.schedule_in(timeout, [this, key] {
     if (reap_(key)) stats_.reaped += 1;
   });

@@ -7,14 +7,15 @@
 // to keep logging through all of it. Both listeners facing that traffic —
 // the directory server and the honeypot — put the same gate in front of
 // their decoders: this header holds it (AdmissionGate), its lazily-refilled
-// token bucket, the knob set (DefenseConfig) and the decision counters
-// (DefenseStats). The per-session message bucket and the inbox bounds are
-// fixed (kMessageRate … kQueueService in admission.cpp).
+// token bucket and the decision counters (DefenseStats). A listener only
+// switches the gate on or off; its thresholds are fixed (kMaxSessions …
+// kQueueService in admission.cpp), tuned so that benign campaign traffic
+// never trips them while every abuse class in fault::AbuseConfig does.
 //
 // Determinism contract: none of these defenses consume an RNG stream, and
-// with `enabled == false` the owning node schedules no extra events and
-// takes no extra branches that alter traffic — a defense-off run stays
-// bit-identical to a build without this layer.
+// with the gate off the owning node schedules no extra events and takes no
+// extra branches that alter traffic — a defense-off run stays bit-identical
+// to a build without this layer.
 
 #include <cstddef>
 #include <cstdint>
@@ -27,32 +28,6 @@
 #include "net/network.hpp"
 
 namespace edhp::net {
-
-/// Defense knobs for one listening node. Defaults are tuned so that benign
-/// campaign traffic never trips them (sessions stay far below the cap,
-/// legit peers send well under the bucket rate) while the abuse classes in
-/// fault::AbuseConfig all do.
-struct DefenseConfig {
-  bool enabled = false;
-
-  /// Session cap with LIFO shedding: once this many sessions are live, the
-  /// newest arrival is shed — established (older) sessions, which carry the
-  /// measurement, are never sacrificed to a flood.
-  std::size_t max_sessions = 256;
-
-  /// Per-remote-node connect token bucket (refill per second / burst).
-  /// A rate <= 0 disables the bucket.
-  double connect_rate = 0.5;
-  double connect_burst = 12.0;
-
-  /// A session that has not produced one valid message within this window
-  /// is reaped (kills flood holds and pre-HELLO slowloris).
-  Duration handshake_timeout = 30.0;
-  /// A session idle this long after its last valid message is reaped. Must
-  /// exceed every benign quiet period (the honeypot's 30-minute OFFER
-  /// keep-alive on its server link being the longest).
-  Duration idle_timeout = hours(2);
-};
 
 /// One counter per defense decision, aggregated per defender and summed
 /// fleet-wide into scenario::ScenarioResult.
@@ -105,7 +80,7 @@ struct GateSession {
   sim::EventHandle reap;  ///< pending handshake/idle timeout
 };
 
-/// One listener's admission gate: LIFO shedding at `max_sessions`, the
+/// One listener's admission gate: LIFO shedding at the session cap, the
 /// per-remote connect bucket, each session's message bucket and reap timer,
 /// and the bounded oldest-first inbox served in batches. The listener keeps
 /// its own hard caps (checked before admit()), its decoder (`process`) and
@@ -122,14 +97,14 @@ class AdmissionGate {
   /// the listener no longer holds it.
   using Reap = std::function<bool(Key)>;
 
-  AdmissionGate(Network& network, NodeId self, const DefenseConfig& config,
-                Process process, Reap reap);
+  AdmissionGate(Network& network, NodeId self, bool enabled, Process process,
+                Reap reap);
 
   // Scheduled reaps and inbox service capture `this`.
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept { return config_.enabled; }
+  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
   [[nodiscard]] const DefenseStats& stats() const noexcept { return stats_; }
 
   /// Decide one arrival from `remote` while `live` sessions are open: shed
@@ -162,7 +137,7 @@ class AdmissionGate {
 
   Network& net_;
   NodeId self_;
-  DefenseConfig config_;
+  bool enabled_;
   Process process_;
   Reap reap_;
   DefenseStats stats_;

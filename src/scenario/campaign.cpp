@@ -30,22 +30,8 @@ net::LinkModel link_model(const fault::ChaosConfig& chaos) {
   return m;
 }
 
-/// The defense policy a run actually applies: an explicit request wins;
-/// otherwise abuse campaigns get the tuned policy unless the ablation
-/// baseline (`auto_defense == false`) asked to fight bare-handed. The
-/// DefenseConfig defaults ARE the tuned policy (calibrated against the
-/// default abuse mix in test_abuse.cpp); tuning only switches them on.
-net::DefenseConfig effective_defense(const CampaignConfig& config) {
-  if (config.defense.enabled || !config.abuse.enabled || !config.auto_defense) {
-    return config.defense;
-  }
-  net::DefenseConfig tuned;
-  tuned.enabled = true;
-  return tuned;
-}
-
 honeypot::ManagerConfig manager_config(const CampaignConfig& config,
-                                       const net::DefenseConfig& defense) {
+                                       bool defense) {
   honeypot::ManagerConfig mc = chaos_manager_config(config.chaos);
   mc.defense = defense;
   return mc;
@@ -108,7 +94,10 @@ peer::PeerContext World::context(net::NodeId server_node) {
 Campaign::Campaign(const CampaignConfig& config)
     : config_(config),
       world_(config),
-      defense_(effective_defense(config)),
+      // Abuse campaigns run the admission gate (its thresholds are tuned
+      // against the default abuse mix in test_abuse.cpp) unless the
+      // ablation baseline (`auto_defense == false`) fights bare-handed.
+      defense_(config.abuse.enabled && config.auto_defense),
       // The manager's constructor draws nothing and adds no node, so the
       // control plane exists from the start in every scenario.
       manager_(world_.network, manager_config(config, defense_)) {}

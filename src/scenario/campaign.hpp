@@ -113,7 +113,7 @@ class Campaign {
 
   const CampaignConfig& config_;
   World world_;
-  net::DefenseConfig defense_;
+  bool defense_;
   /// Directory servers first, then standbys: the Byzantine plan's numbering.
   std::vector<std::unique_ptr<server::Server>> servers_;
   std::vector<honeypot::ServerRef> directory_refs_;

@@ -21,7 +21,6 @@ honeypot::ManagerConfig chaos_manager_config(const fault::ChaosConfig& chaos) {
     // verdicts and quarantine decisions leave an auditable trail (appends
     // consume no RNG draws and schedule no events).
     mc.quarantine_threshold = chaos.byzantine.quarantine_threshold;
-    mc.quarantine_cooloff = chaos.byzantine.quarantine_cooloff;
     if (!chaos.enabled) {
       mc.journal = std::make_shared<logbook::Journal>();
     }
@@ -30,10 +29,8 @@ honeypot::ManagerConfig chaos_manager_config(const fault::ChaosConfig& chaos) {
   mc.relaunch_backoff_base = minutes(10);
   mc.relaunch_backoff_cap = hours(2);
   mc.escalate_after = 3;
-  mc.heartbeat_timeout = chaos.heartbeat_timeout;
-  mc.retry.enabled = true;
-  mc.retry.base = chaos.retry_base;
-  mc.retry.max_retries = chaos.retry_max;
+  mc.heartbeat_timeout = hours(2);  // the watchdog's stall limit
+  mc.retry = true;
   mc.spool.enabled = true;
   mc.spool.period = chaos.spool_period;
   mc.resend_credit = chaos.resend_credit;
@@ -199,7 +196,7 @@ ScenarioResult run_greedy(const GreedyConfig& config, std::ostream* progress) {
   hp.strategy = honeypot::ContentStrategy::no_content;  // sent no content
   hp.harvest_shared_lists = true;
   hp.greedy = true;
-  hp.greedy_harvest_window = config.harvest_window;
+  hp.greedy_harvest_window = kGreedyHarvestWindow;
   hp.greedy_max_files = std::max<std::size_t>(
       kGreedyAdvertisedFloor,
       static_cast<std::size_t>(

@@ -54,12 +54,10 @@ struct CampaignConfig {
   /// peers (byte corruptors, connection flooders, slowloris sessions,
   /// oversize-message abusers) against every honeypot and directory server.
   fault::AbuseConfig abuse;
-  /// Admission-control policy for the servers and every honeypot. Disabled
-  /// by default; when `abuse.enabled` and this is left disabled, the tuned
-  /// policy (the DefenseConfig defaults, switched on) is applied.
-  net::DefenseConfig defense;
-  /// Set false to run an abuse campaign with no admission control at all
-  /// (the ablation baseline); ignored unless `abuse.enabled`.
+  /// Admission control (net::AdmissionGate) guards the servers and every
+  /// honeypot exactly when `abuse.enabled` and this flag are both set; set
+  /// it false to run an abuse campaign with no admission control at all
+  /// (the ablation baseline).
   bool auto_defense = true;
   peer::BehaviorParams behavior;  ///< defaults to behavior_2008()
   /// Live-peer storage strategy; both modes produce bit-identical campaign
@@ -102,8 +100,6 @@ struct DistributedConfig : CampaignConfig {
 };
 
 struct GreedyConfig : CampaignConfig {
-  Duration harvest_window = kDay;
-
   GreedyConfig();
 };
 

@@ -13,6 +13,11 @@ static_assert(kMaxSourcesPerReply <= 255);
 /// Cap on search results per reply.
 constexpr std::size_t kMaxSearchResults = 200;
 
+/// Hard fd-limit analog on live sessions, enforced even with the defense
+/// layer off. Far above anything benign traffic reaches, so an undefended
+/// server is still genuinely harmed by a flood (sessions pile up to here).
+constexpr std::size_t kHardSessionCap = 4096;
+
 /// SplitMix64 step: deterministic forged identities without an RNG object
 /// (lie content must be a pure function of the injected seed + sequence).
 std::uint64_t mix64(std::uint64_t x) {
@@ -65,7 +70,7 @@ void Server::stop() {
 }
 
 void Server::on_accept(net::EndpointPtr endpoint) {
-  if (sessions_.size() >= config_.hard_session_cap) {
+  if (sessions_.size() >= kHardSessionCap) {
     // The fd-limit analog: even an undefended server cannot hold unbounded
     // sessions, it just sheds indiscriminately once the kernel says no.
     endpoint->close();

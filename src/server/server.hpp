@@ -21,12 +21,8 @@ namespace edhp::server {
 struct ServerConfig {
   std::string name = "edhp directory server";
   std::string description = "simulated lugdunum-style server";
-  /// Admission-control knobs (off by default; see net/admission.hpp).
-  net::DefenseConfig defense;
-  /// Hard fd-limit analog, enforced even with the defense layer disabled.
-  /// Far above anything benign traffic reaches, so an undefended server is
-  /// still genuinely harmed by a flood (sessions pile up to here).
-  std::size_t hard_session_cap = 4096;
+  /// Admission control (off by default; see net/admission.hpp).
+  bool defense = false;
 };
 
 /// Injected Byzantine misbehavior switches — modeled faults, not bugs. The

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -209,22 +210,19 @@ TEST(Corruption, NoteMalformedCountsPerNodeAndTotal) {
 
 // --- Server admission control ----------------------------------------------
 
+// The server's session cap with the defense layer off (the fd-limit analog,
+// server.cpp). The defended listener's admission decisions are pinned by
+// the ListenerDefense suite (test_listener_defense.cpp).
+constexpr std::size_t kHardSessionCap = 4096;
+
+/// A directory server with its default configuration: defense off.
 struct ServerRig {
   sim::Simulation simulation{1};
   net::Network network{simulation};
-  net::NodeId server_node;
-  std::unique_ptr<server::Server> server;
+  net::NodeId server_node = network.add_node(true);
+  server::Server server{network, server_node, {}};
 
-  explicit ServerRig(
-      const net::DefenseConfig& defense,
-      std::size_t hard_session_cap = server::ServerConfig{}.hard_session_cap) {
-    server_node = network.add_node(true);
-    server::ServerConfig sc;
-    sc.defense = defense;
-    sc.hard_session_cap = hard_session_cap;
-    server = std::make_unique<server::Server>(network, server_node, sc);
-    server->start();
-  }
+  ServerRig() { server.start(); }
 };
 
 /// One client connection that logs in and counts the server's ID-CHANGE
@@ -254,133 +252,42 @@ void connect_and_login(ServerRig& rig, LoginClient& client) {
 // past the cap is closed at accept, the admitted sessions are still served,
 // and a session that closes frees its place for a new one.
 TEST(ServerDefense, HardSessionCapHoldsWithDefenseOff) {
-  const net::DefenseConfig defense{};  // disabled
-  ASSERT_FALSE(defense.enabled);
-  ServerRig rig(defense, /*hard_session_cap=*/2);
+  ServerRig rig;
+  ASSERT_FALSE(rig.server.config().defense);
 
-  LoginClient first, second, third;
-  connect_and_login(rig, first);
-  connect_and_login(rig, second);
-  connect_and_login(rig, third);
+  std::vector<LoginClient> clients(kHardSessionCap + 1);
+  for (auto& client : clients) connect_and_login(rig, client);
   rig.simulation.run_until(10.0);
 
-  EXPECT_EQ(rig.server->session_count(), 2u);
-  EXPECT_TRUE(first.ep->open());
-  EXPECT_TRUE(second.ep->open());
-  EXPECT_FALSE(third.ep->open());
-  EXPECT_EQ(first.id_changes, 1);
-  EXPECT_EQ(second.id_changes, 1);
-  EXPECT_EQ(third.id_changes, 0);
-  EXPECT_EQ(rig.server->counters().logins, 2u);
+  EXPECT_EQ(rig.server.session_count(), kHardSessionCap);
+  const auto open = static_cast<std::size_t>(
+      std::count_if(clients.begin(), clients.end(),
+                    [](const LoginClient& c) { return c.ep->open(); }));
+  EXPECT_EQ(open, kHardSessionCap);
+  for (const auto& client : clients) {
+    EXPECT_EQ(client.id_changes, client.ep->open() ? 1 : 0);
+  }
+  EXPECT_EQ(rig.server.counters().logins, kHardSessionCap);
 
-  first.ep->close();
+  const auto admitted =
+      std::find_if(clients.begin(), clients.end(),
+                   [](const LoginClient& c) { return c.ep->open(); });
+  ASSERT_NE(admitted, clients.end());
+  admitted->ep->close();
   rig.simulation.run_until(20.0);
-  EXPECT_EQ(rig.server->session_count(), 1u);
+  EXPECT_EQ(rig.server.session_count(), kHardSessionCap - 1);
 
-  LoginClient fourth;
-  connect_and_login(rig, fourth);
+  LoginClient late;
+  connect_and_login(rig, late);
   rig.simulation.run_until(30.0);
-  EXPECT_TRUE(fourth.ep->open());
-  EXPECT_EQ(fourth.id_changes, 1);
-  EXPECT_EQ(rig.server->session_count(), 2u);
-  EXPECT_EQ(rig.server->defense_stats().accepted, 0u);  // defense dormant
-}
-
-TEST(ServerDefense, SessionCapShedsNewestConnections) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  defense.max_sessions = 4;
-  defense.connect_rate = 0;  // isolate the cap from the rate limiter
-  defense.handshake_timeout = 0;
-  ServerRig rig(defense);
-
-  const auto attacker = rig.network.add_node(false);
-  std::vector<net::EndpointPtr> conns;
-  for (int i = 0; i < 10; ++i) {
-    rig.network.connect(attacker, rig.server_node,
-                        [&conns](net::EndpointPtr ep) {
-                          if (ep) conns.push_back(std::move(ep));
-                        });
-  }
-  rig.simulation.run_until(10.0);
-
-  EXPECT_EQ(rig.server->defense_stats().accepted, 4u);
-  EXPECT_EQ(rig.server->defense_stats().shed, 6u);
-  EXPECT_EQ(rig.server->session_count(), 4u);
-}
-
-TEST(ServerDefense, ConnectRateLimiterBitesOneHotSource) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  defense.max_sessions = 1000;
-  defense.connect_rate = 0.01;
-  defense.connect_burst = 2.0;
-  defense.handshake_timeout = 0;
-  ServerRig rig(defense);
-
-  const auto flooder = rig.network.add_node(false);
-  const auto honest = rig.network.add_node(false);
-  for (int i = 0; i < 10; ++i) {
-    rig.network.connect(flooder, rig.server_node, [](net::EndpointPtr) {});
-  }
-  // A different source has its own bucket and sails through.
-  rig.network.connect(honest, rig.server_node, [](net::EndpointPtr) {});
-  rig.simulation.run_until(10.0);
-
-  EXPECT_EQ(rig.server->defense_stats().accepted, 3u);  // 2 flood + 1 honest
-  EXPECT_EQ(rig.server->defense_stats().rate_limited, 8u);
-  EXPECT_EQ(rig.server->session_count(), 3u);
-}
-
-TEST(ServerDefense, HandshakeTimeoutReapsSilentSessions) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  defense.handshake_timeout = 30.0;
-  ServerRig rig(defense);
-
-  const auto attacker = rig.network.add_node(false);
-  for (int i = 0; i < 3; ++i) {
-    rig.network.connect(attacker, rig.server_node, [](net::EndpointPtr) {});
-  }
-  rig.simulation.run_until(5.0);
-  EXPECT_EQ(rig.server->session_count(), 3u);
-
-  rig.simulation.run_until(100.0);
-  EXPECT_EQ(rig.server->defense_stats().reaped, 3u);
-  EXPECT_EQ(rig.server->session_count(), 0u);
-}
-
-TEST(ServerDefense, IdleTimeoutReapsAfterLogin) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  defense.handshake_timeout = 30.0;
-  defense.idle_timeout = 600.0;
-  ServerRig rig(defense);
-
-  const auto client = rig.network.add_node(true);
-  net::EndpointPtr ep;
-  rig.network.connect(client, rig.server_node, [&ep](net::EndpointPtr e) {
-    ASSERT_TRUE(e);
-    ep = std::move(e);
-    proto::LoginRequest login;
-    login.user = UserId::from_words(1, 2);
-    login.port = 4662;
-    ep->send(proto::encode(proto::AnyMessage{login}));
-  });
-  rig.simulation.run_until(5.0);
-  EXPECT_EQ(rig.server->session_count(), 1u);
-
-  // The login re-armed the reap to the idle timeout; it outlives the
-  // handshake deadline but not ten minutes of silence.
-  rig.simulation.run_until(100.0);
-  EXPECT_EQ(rig.server->session_count(), 1u);
-  rig.simulation.run_until(1000.0);
-  EXPECT_EQ(rig.server->defense_stats().reaped, 1u);
-  EXPECT_EQ(rig.server->session_count(), 0u);
+  EXPECT_TRUE(late.ep->open());
+  EXPECT_EQ(late.id_changes, 1);
+  EXPECT_EQ(rig.server.session_count(), kHardSessionCap);
+  EXPECT_EQ(rig.server.defense_stats().accepted, 0u);  // defense dormant
 }
 
 TEST(ServerDefense, MalformedPacketsCountedEvenWithoutDefense) {
-  ServerRig rig(net::DefenseConfig{});  // defense disabled
+  ServerRig rig;  // defense disabled
   const auto client = rig.network.add_node(true);
   net::EndpointPtr ep;
   rig.network.connect(client, rig.server_node, [&ep](net::EndpointPtr e) {
@@ -390,9 +297,9 @@ TEST(ServerDefense, MalformedPacketsCountedEvenWithoutDefense) {
   });
   rig.simulation.run_until(10.0);
 
-  EXPECT_EQ(rig.server->defense_stats().malformed, 1u);
+  EXPECT_EQ(rig.server.defense_stats().malformed, 1u);
   EXPECT_EQ(rig.network.counters(rig.server_node).malformed_packets, 1u);
-  EXPECT_EQ(rig.server->defense_stats().accepted, 0u);  // dormant otherwise
+  EXPECT_EQ(rig.server.defense_stats().accepted, 0u);  // dormant otherwise
 }
 
 // --- Scenario integration ---------------------------------------------------

@@ -160,29 +160,6 @@ class QueueTest : public ::testing::Test {
   }
 };
 
-TEST_F(QueueTest, SlotCapQueuesExtraPeers) {
-  honeypot::HoneypotConfig c;
-  c.name = "queued-hp";
-  c.max_upload_slots = 1;
-  c.harvest_shared_lists = false;
-  honeypot::Honeypot hp(net, net.add_node(true), c);
-  hp.connect_to_server(honeypot::ServerRef{server_node, "srv", 4661});
-  settle();
-
-  auto first = contact_and_request(hp);
-  auto second = contact_and_request(hp);
-  EXPECT_TRUE(got<proto::AcceptUpload>(first));
-  EXPECT_FALSE(got<proto::AcceptUpload>(second));
-  EXPECT_TRUE(got<proto::QueueRank>(second));
-  EXPECT_EQ(hp.counters().queued_peers, 1u);
-
-  // The slot holder leaves: the queued peer gets promoted.
-  first.ep->close();
-  settle();
-  EXPECT_TRUE(got<proto::AcceptUpload>(second));
-  EXPECT_EQ(hp.counters().promoted_from_queue, 1u);
-}
-
 TEST_F(QueueTest, UnlimitedSlotsByDefault) {
   honeypot::HoneypotConfig c;
   c.name = "open-hp";
@@ -193,10 +170,10 @@ TEST_F(QueueTest, UnlimitedSlotsByDefault) {
   auto first = contact_and_request(hp);
   auto second = contact_and_request(hp);
   auto third = contact_and_request(hp);
-  EXPECT_TRUE(got<proto::AcceptUpload>(first));
-  EXPECT_TRUE(got<proto::AcceptUpload>(second));
-  EXPECT_TRUE(got<proto::AcceptUpload>(third));
-  EXPECT_EQ(hp.counters().queued_peers, 0u);
+  for (const auto* peer : {&first, &second, &third}) {
+    EXPECT_TRUE(got<proto::AcceptUpload>(*peer));
+    EXPECT_FALSE(got<proto::QueueRank>(*peer));
+  }
 }
 
 }  // namespace

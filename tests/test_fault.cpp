@@ -197,10 +197,7 @@ TEST(Recovery, HoneypotRetriesThroughUplinkOutage) {
   const auto hp_node = net.add_node(true);
   honeypot::HoneypotConfig hc;
   hc.name = "hp-retry";
-  hc.retry.enabled = true;
-  hc.retry.base = 5.0;
-  hc.retry.cap = 60.0;
-  hc.retry.max_retries = 8;
+  hc.retry = true;
   honeypot::Honeypot hp{net, hp_node, hc};
   hp.connect_to_server(ref);
   s.run_until(60.0);
@@ -243,20 +240,22 @@ TEST(Recovery, RetryBudgetExhaustionReportsDead) {
 
   const auto hp_node = net.add_node(true);
   honeypot::HoneypotConfig hc;
-  hc.retry.enabled = true;
-  hc.retry.base = 2.0;
-  hc.retry.cap = 10.0;
-  hc.retry.max_retries = 3;
+  hc.retry = true;
   honeypot::Honeypot hp{net, hp_node, hc};
   hp.connect_to_server(ref);
   s.run_until(60.0);
   ASSERT_EQ(hp.status(), honeypot::Status::connected);
 
-  server.stop();  // permanent: every retry fails
-  s.run_until(s.now() + minutes(10));
+  // Permanent: every retry fails. Six retries back off 30 s, doubling, with
+  // up to 10% jitter each: 1890 s in all, give or take 189 s.
+  server.stop();
+  const Time stopped = s.now();
+  s.run_until(stopped + 1890.0 * 0.9 - 1.0);
+  EXPECT_NE(hp.status(), honeypot::Status::dead);
+  s.run_until(stopped + 1890.0 * 1.1 + 10.0);
   EXPECT_EQ(hp.status(), honeypot::Status::dead);
   EXPECT_EQ(hp.counters().retry_budget_exhausted, 1u);
-  EXPECT_GE(hp.retries(), 3u);
+  EXPECT_EQ(hp.retries(), 6u);
 }
 
 // Backoff jitter is derived from (honeypot id, attempt), not an RNG
@@ -271,10 +270,7 @@ TEST(Recovery, RetryScheduleIsDeterministic) {
     server.start();
     const honeypot::ServerRef ref{server_node, "srv", 4661};
     honeypot::HoneypotConfig hc;
-    hc.retry.enabled = true;
-    hc.retry.base = 3.0;
-    hc.retry.cap = 50.0;
-    hc.retry.max_retries = 5;
+    hc.retry = true;
     honeypot::Honeypot hp{net, net.add_node(true), hc};
     hp.connect_to_server(ref);
     s.run_until(30.0);
@@ -329,7 +325,6 @@ TEST_F(SpoolTest, CrashLosesOnlyTheUnspooledTail) {
   honeypot::ManagerConfig mc;
   mc.spool.enabled = true;
   mc.spool.period = hours(1);  // manual spool_now() controls the cuts
-  mc.spool.ack_delay = 5.0;
   honeypot::Manager manager{net, mc};
   honeypot::HoneypotConfig c;
   c.name = "hp-spool";
@@ -341,7 +336,7 @@ TEST_F(SpoolTest, CrashLosesOnlyTheUnspooledTail) {
   feed_hellos(hp, 3);
   ASSERT_EQ(hp.log().records.size(), 3u);
   hp.spool_now();
-  settle(30.0);  // chunk delivered and acknowledged
+  settle(60.0);  // chunk delivered and, 30 s later, acknowledged
   EXPECT_EQ(hp.pending_spool(), 0u);
 
   feed_hellos(hp, 2);
@@ -366,7 +361,6 @@ TEST_F(SpoolTest, CrashInsideAckWindowResendsAndDedups) {
   honeypot::ManagerConfig mc;
   mc.spool.enabled = true;
   mc.spool.period = hours(1);
-  mc.spool.ack_delay = 30.0;
   honeypot::Manager manager{net, mc};
   honeypot::HoneypotConfig c;
   c.name = "hp-dedup";
@@ -601,20 +595,16 @@ TEST(ChaosScenario, GreedyChaosVariantRuns) {
 
 TEST(ChaosScenario, ChaosManagerConfigMapsKnobs) {
   fault::ChaosConfig chaos;
-  EXPECT_FALSE(chaos_manager_config(chaos).retry.enabled);
+  EXPECT_FALSE(chaos_manager_config(chaos).retry);
   EXPECT_EQ(chaos_manager_config(chaos).relaunch_backoff_base, 0.0);
+  EXPECT_EQ(chaos_manager_config(chaos).heartbeat_timeout, 0.0);
   chaos.enabled = true;
-  chaos.retry_base = 12.0;
-  chaos.retry_max = 4;
   chaos.spool_period = minutes(7);
-  chaos.heartbeat_timeout = hours(1);
   const auto mc = chaos_manager_config(chaos);
-  EXPECT_TRUE(mc.retry.enabled);
-  EXPECT_EQ(mc.retry.base, 12.0);
-  EXPECT_EQ(mc.retry.max_retries, 4u);
+  EXPECT_TRUE(mc.retry);
   EXPECT_TRUE(mc.spool.enabled);
   EXPECT_EQ(mc.spool.period, minutes(7));
-  EXPECT_EQ(mc.heartbeat_timeout, hours(1));
+  EXPECT_EQ(mc.heartbeat_timeout, hours(2));
   EXPECT_GT(mc.relaunch_backoff_base, 0.0);
   EXPECT_GT(mc.escalate_after, 0u);
 }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "honeypot/honeypot.hpp"
 #include "proto/filehash.hpp"
 #include "server/server.hpp"
@@ -47,11 +50,19 @@ class HoneypotTest : public ::testing::Test {
   FakePeer contact(Honeypot& hp, bool send_hello = true,
                    std::uint32_t client_id = 0x7F000001) {
     FakePeer p;
-    const auto node = net.add_node(true);
-    net.connect(node, hp.node(), [&, client_id](net::EndpointPtr ep) {
+    open_contact(hp, p, send_hello, client_id);
+    settle();
+    return p;
+  }
+
+  /// Connect `p` to the honeypot from a fresh node without waiting: the
+  /// endpoint (and its HELLO) arrive as the simulation runs.
+  void open_contact(Honeypot& hp, FakePeer& p, bool send_hello = true,
+                    std::uint32_t client_id = 0x7F000001) {
+    const auto on_connect = [&p, send_hello, client_id](net::EndpointPtr ep) {
       p.ep = std::move(ep);
       ASSERT_TRUE(p.ep) << "honeypot not listening";
-      p.ep->on_message([&](net::Bytes bytes) {
+      p.ep->on_message([&p](net::Bytes bytes) {
         p.inbox.push_back(proto::decode(Channel::client_client, bytes));
       });
       if (send_hello) {
@@ -63,9 +74,8 @@ class HoneypotTest : public ::testing::Test {
                       proto::Tag::u32_tag(proto::kTagVersion, 0x31)};
         p.ep->send(proto::encode(AnyMessage{hello}));
       }
-    });
-    settle();
-    return p;
+    };
+    net.connect(net.add_node(true), hp.node(), on_connect);
   }
 };
 
@@ -175,16 +185,21 @@ TEST_F(HoneypotTest, AcceptsUploadAndLogsStartUpload) {
   settle();
   auto peer = contact(hp);
   peer.ep->send(proto::encode(AnyMessage{proto::StartUpload{fake.id}}));
+  // A second wanted file on the same connection is logged, not re-granted.
+  const auto other = FileId::from_words(0xCC, 0xDD);
+  peer.ep->send(proto::encode(AnyMessage{proto::StartUpload{other}}));
   settle();
-  bool accepted = false;
-  for (const auto& m : peer.inbox) {
-    if (std::holds_alternative<proto::AcceptUpload>(m)) accepted = true;
-  }
-  EXPECT_TRUE(accepted);
-  ASSERT_EQ(hp.log().records.size(), 2u);
+  EXPECT_EQ(std::count_if(peer.inbox.begin(), peer.inbox.end(),
+                          [](const AnyMessage& m) {
+                            return std::holds_alternative<proto::AcceptUpload>(m);
+                          }),
+            1);
+  ASSERT_EQ(hp.log().records.size(), 3u);
   EXPECT_EQ(hp.log().records[1].type, logbook::QueryType::start_upload);
   EXPECT_EQ(hp.log().records[1].file, fake.id);
   EXPECT_TRUE(hp.log().records[1].has_file());
+  EXPECT_EQ(hp.log().records[2].type, logbook::QueryType::start_upload);
+  EXPECT_EQ(hp.log().records[2].file, other);
 }
 
 TEST_F(HoneypotTest, NoContentStrategyStaysSilentOnRequestPart) {
@@ -364,33 +379,40 @@ TEST_F(HoneypotTest, MalformedPeerTrafficDropsConnection) {
 // The fd-limit analog holds with the defense layer off: the peer past the
 // cap is closed at accept, the admitted peers are still logged, and a peer
 // that closes frees its place for a new one.
-class HoneypotDefense : public HoneypotTest {};
+class HoneypotDefense : public HoneypotTest {
+ protected:
+  /// The honeypot's peer cap with the defense layer off (honeypot.cpp).
+  static constexpr std::size_t kHardPeerCap = 2048;
+};
 
 TEST_F(HoneypotDefense, HardPeerCapHoldsWithDefenseOff) {
-  auto c = config(ContentStrategy::no_content);
-  c.hard_peer_cap = 2;
-  ASSERT_FALSE(c.defense.enabled);
+  const auto c = config(ContentStrategy::no_content);
+  ASSERT_FALSE(c.defense);
   Honeypot hp(net, net.add_node(true), c);
   hp.connect_to_server(ref);
   settle();
 
-  auto first = contact(hp);
-  auto second = contact(hp);
-  auto third = contact(hp);
-  EXPECT_TRUE(first.ep->open());
-  EXPECT_TRUE(second.ep->open());
-  EXPECT_FALSE(third.ep->open());
-  EXPECT_FALSE(first.inbox.empty());  // HELLO answered
-  EXPECT_FALSE(second.inbox.empty());
-  EXPECT_TRUE(third.inbox.empty());
-  EXPECT_EQ(hp.log().records.size(), 2u);
-
-  first.ep->close();
+  std::vector<FakePeer> peers(kHardPeerCap + 1);
+  for (auto& p : peers) open_contact(hp, p);
   settle();
-  auto fourth = contact(hp);
-  EXPECT_TRUE(fourth.ep->open());
-  EXPECT_FALSE(fourth.inbox.empty());
-  EXPECT_EQ(hp.log().records.size(), 3u);
+  const auto open = static_cast<std::size_t>(
+      std::count_if(peers.begin(), peers.end(),
+                    [](const FakePeer& p) { return p.ep->open(); }));
+  EXPECT_EQ(open, kHardPeerCap);
+  for (const auto& p : peers) {
+    EXPECT_EQ(p.inbox.empty(), !p.ep->open());  // HELLO answered if admitted
+  }
+  EXPECT_EQ(hp.log().records.size(), kHardPeerCap);
+
+  const auto admitted = std::find_if(
+      peers.begin(), peers.end(), [](const FakePeer& p) { return p.ep->open(); });
+  ASSERT_NE(admitted, peers.end());
+  admitted->ep->close();
+  settle();
+  auto late = contact(hp);
+  EXPECT_TRUE(late.ep->open());
+  EXPECT_FALSE(late.inbox.empty());
+  EXPECT_EQ(hp.log().records.size(), kHardPeerCap + 1);
   EXPECT_EQ(hp.defense_stats().accepted, 0u);  // defense dormant
 }
 

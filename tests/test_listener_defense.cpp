@@ -3,9 +3,9 @@
 // listener's public API, pins the same decisions on both: LIFO shedding at
 // the session cap, the per-remote connect bucket, the handshake and idle
 // reaps, the per-session message bucket and the bounded oldest-first inbox
-// with its batched service, also across a restart. Beyond `enabled`, it
-// sets only the session cap, the connect bucket and the reap timeouts; the
-// message bucket and the inbox run on their default policy.
+// with its batched service, also across a restart. A listener only switches
+// the gate on; every case runs on the gate's production thresholds, which
+// the suite pins.
 
 #include <gtest/gtest.h>
 
@@ -23,19 +23,25 @@
 namespace edhp {
 namespace {
 
-// The default per-session policy this suite pins.
-constexpr std::size_t kMessageBurst = 80;  // messages a fresh session may send at once
-constexpr std::size_t kMaxQueue = 512;     // inbox bound, shed oldest-first
-constexpr std::size_t kQueueBatch = 64;    // packets decoded per service slice
-constexpr double kQueueService = 0.05;     // seconds between service slices
+// The gate's thresholds (net/admission.cpp) this suite pins.
+constexpr std::size_t kMaxSessions = 256;   // live sessions before shedding
+constexpr double kConnectRate = 0.5;        // connect tokens per second per remote
+constexpr std::size_t kConnectBurst = 12;   // connects a fresh remote may open at once
+constexpr double kHandshakeTimeout = 30.0;  // silence allowed before a valid message
+constexpr double kIdleTimeout = 7200.0;     // silence allowed after a valid message
+constexpr std::size_t kMessageBurst = 80;   // messages a fresh session may send at once
+constexpr std::size_t kMaxQueue = 512;      // inbox bound, shed oldest-first
+constexpr std::size_t kQueueBatch = 64;     // packets decoded per service slice
+constexpr double kQueueService = 0.05;      // seconds between service slices
 
 /// Upload bandwidth of the suite's clients: fast enough that a burst of
 /// messages leaves within one microsecond, the token buckets' resolution.
 constexpr double kFastUplink = 1e12;
 
 /// A latency factor that puts every link it applies to at the network's
-/// 5 ms one-way latency floor.
+/// one-way latency floor, kOneWay.
 constexpr double kFloorLatency = 1e-3;
+constexpr double kOneWay = 0.005;
 
 enum class Listener { server, honeypot };
 
@@ -72,9 +78,9 @@ class Rig {
 /// logging in the filler.
 class ServerRig final : public Rig {
  public:
-  explicit ServerRig(const net::DefenseConfig& defense) {
+  ServerRig() {
     server::ServerConfig config;
-    config.defense = defense;
+    config.defense = true;
     server_ = std::make_unique<server::Server>(network, node_, config);
     server_->start();
   }
@@ -112,12 +118,12 @@ class ServerRig final : public Rig {
 /// START-UPLOAD the filler; each one handled becomes a log record.
 class HoneypotRig final : public Rig {
  public:
-  explicit HoneypotRig(const net::DefenseConfig& defense) {
+  HoneypotRig() {
     server_.start();
     honeypot::HoneypotConfig config;
     config.id = 1;
     config.name = "hp-defense";
-    config.defense = defense;
+    config.defense = true;
     honeypot_ = std::make_unique<honeypot::Honeypot>(
         network, network.add_node(true), config);
     honeypot_->connect_to_server(server_ref_);
@@ -166,12 +172,27 @@ class HoneypotRig final : public Rig {
 
 class ListenerDefense : public ::testing::TestWithParam<Listener> {
  protected:
-  void make(const net::DefenseConfig& defense) {
+  /// The listener with its gate on. Its end of every link it accepts from
+  /// now on is at the latency floor, so a client made by floor_client()
+  /// connects and sends with exactly kOneWay latency.
+  void SetUp() override {
     if (GetParam() == Listener::server) {
-      rig_ = std::make_unique<ServerRig>(defense);
+      rig_ = std::make_unique<ServerRig>();
     } else {
-      rig_ = std::make_unique<HoneypotRig>(defense);
+      rig_ = std::make_unique<HoneypotRig>();
     }
+    rig_->network.set_latency_factor(rig_->node(), kFloorLatency);
+  }
+
+  net::NodeId floor_client() {
+    const auto node = rig_->network.add_node(true, 0.0, kFastUplink);
+    rig_->network.set_latency_factor(node, kFloorLatency);
+    return node;
+  }
+
+  std::size_t open_count(const std::vector<net::EndpointPtr>& conns) const {
+    return static_cast<std::size_t>(std::count_if(
+        conns.begin(), conns.end(), [](const auto& ep) { return ep->open(); }));
   }
 
   /// Open one connection from `from`; its endpoint is appended to `out`
@@ -210,123 +231,110 @@ class ListenerDefense : public ::testing::TestWithParam<Listener> {
 };
 
 // At the session cap the newest arrival is shed; the sessions already
-// admitted stay open, and one that closes frees its place.
+// admitted stay open, and one that closes frees its place. Each connection
+// comes from its own remote, so no connect bucket runs dry.
 TEST_P(ListenerDefense, ShedsNewestArrivalAtSessionCap) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  defense.max_sessions = 4;
-  defense.connect_rate = 0;  // isolate the cap from the connect bucket
-  defense.handshake_timeout = 0;
-  make(defense);
-
-  const auto attacker = rig_->network.add_node(false);
+  constexpr std::size_t kShed = 10;
   std::vector<net::EndpointPtr> conns;
-  for (int i = 0; i < 10; ++i) connect(attacker, conns);
-  run_until(10.0);
-
-  ASSERT_EQ(conns.size(), 10u);
-  for (std::size_t i = 0; i < conns.size(); ++i) {
-    EXPECT_EQ(conns[i]->open(), i < 4) << "connection " << i;
+  for (std::size_t i = 0; i < kMaxSessions + kShed; ++i) {
+    connect(rig_->network.add_node(false), conns);
   }
-  EXPECT_EQ(rig_->stats().accepted, 4u);
-  EXPECT_EQ(rig_->stats().shed, 6u);
+  run_until(5.0);
+
+  ASSERT_EQ(conns.size(), kMaxSessions + kShed);
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    EXPECT_EQ(conns[i]->open(), i < kMaxSessions) << "connection " << i;
+  }
+  EXPECT_EQ(rig_->stats().accepted, kMaxSessions);
+  EXPECT_EQ(rig_->stats().shed, kShed);
 
   conns[0]->close();
-  run_until(20.0);
+  run_until(10.0);
   std::vector<net::EndpointPtr> late;
-  connect(attacker, late);
-  connect(attacker, late);
-  run_until(30.0);
+  connect(rig_->network.add_node(false), late);
+  connect(rig_->network.add_node(false), late);
+  run_until(15.0);
   ASSERT_EQ(late.size(), 2u);
   EXPECT_TRUE(late[0]->open());
   EXPECT_FALSE(late[1]->open());
-  EXPECT_EQ(rig_->stats().accepted, 5u);
-  EXPECT_EQ(rig_->stats().shed, 7u);
+  EXPECT_EQ(rig_->stats().accepted, kMaxSessions + 1);
+  EXPECT_EQ(rig_->stats().shed, kShed + 1);
   EXPECT_EQ(rig_->stats().reaped, 0u);
 }
 
 // Each remote node has its own connect bucket: a hot source is refused
-// past its burst and earns one connect per 1/connect_rate seconds after.
+// past its burst and earns its next connect exactly 1/kConnectRate seconds
+// after it ran dry.
 TEST_P(ListenerDefense, ConnectBucketLimitsEachRemote) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  defense.max_sessions = 1000;
-  defense.connect_rate = 0.01;
-  defense.connect_burst = 2.0;
-  defense.handshake_timeout = 0;
-  make(defense);
-
-  const auto flooder = rig_->network.add_node(false);
-  const auto honest = rig_->network.add_node(false);
+  constexpr std::size_t kRefused = 8;
+  const auto flooder = floor_client();
+  const auto honest = floor_client();
   std::vector<net::EndpointPtr> flood, fair;
-  for (int i = 0; i < 10; ++i) connect(flooder, flood);
+  for (std::size_t i = 0; i < kConnectBurst + kRefused; ++i) {
+    connect(flooder, flood);
+  }
   connect(honest, fair);
-  run_until(10.0);
+  run_until(1.0);
 
-  ASSERT_EQ(flood.size(), 10u);
-  EXPECT_EQ(std::count_if(flood.begin(), flood.end(),
-                          [](const auto& ep) { return ep->open(); }),
-            2);
+  ASSERT_EQ(flood.size(), kConnectBurst + kRefused);
+  EXPECT_EQ(open_count(flood), kConnectBurst);
   ASSERT_EQ(fair.size(), 1u);
   EXPECT_TRUE(fair[0]->open());
-  EXPECT_EQ(rig_->stats().accepted, 3u);
-  EXPECT_EQ(rig_->stats().rate_limited, 8u);
+  EXPECT_EQ(rig_->stats().accepted, kConnectBurst + 1);
+  EXPECT_EQ(rig_->stats().rate_limited, kRefused);
 
-  // 110 s at 0.01/s refills one token, not two.
-  rig_->simulation.schedule_at(120.0, [&] {
-    connect(flooder, flood);
-    connect(flooder, flood);
-  });
-  run_until(130.0);
-  EXPECT_EQ(rig_->stats().accepted, 4u);
-  EXPECT_EQ(rig_->stats().rate_limited, 9u);
+  // The flood drained the bucket when it arrived, at kOneWay. A connect
+  // arriving 1 ms short of one refill interval later is refused; the next
+  // one, arriving on the interval, takes the token.
+  const Time refill = 1.0 / kConnectRate;
+  rig_->simulation.schedule_at(refill - 0.001, [&] { connect(flooder, flood); });
+  rig_->simulation.schedule_at(refill, [&] { connect(flooder, flood); });
+  run_until(kOneWay + refill - 0.0005);
+  EXPECT_EQ(rig_->stats().accepted, kConnectBurst + 1);
+  EXPECT_EQ(rig_->stats().rate_limited, kRefused + 1);
+  run_until(kOneWay + refill + 1.0);
+  EXPECT_EQ(rig_->stats().accepted, kConnectBurst + 2);
+  EXPECT_EQ(rig_->stats().rate_limited, kRefused + 1);
 }
 
-// A session that sends nothing valid is reaped at the handshake timeout.
+// A session that sends nothing valid is reaped at the handshake timeout,
+// counted from its admission.
 TEST_P(ListenerDefense, ReapsSilentSessionsAtHandshakeTimeout) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  defense.handshake_timeout = 30.0;
-  make(defense);
-
-  const auto attacker = rig_->network.add_node(false);
+  const auto attacker = floor_client();
   std::vector<net::EndpointPtr> conns;
   for (int i = 0; i < 3; ++i) connect(attacker, conns);
-  run_until(29.0);
+  run_until(kOneWay + kHandshakeTimeout - 0.001);
   ASSERT_EQ(conns.size(), 3u);
   for (const auto& ep : conns) EXPECT_TRUE(ep->open());
   EXPECT_EQ(rig_->stats().reaped, 0u);
 
-  run_until(100.0);
+  run_until(kOneWay + kHandshakeTimeout + 0.001);
   for (const auto& ep : conns) EXPECT_FALSE(ep->open());
   EXPECT_EQ(rig_->stats().accepted, 3u);
   EXPECT_EQ(rig_->stats().reaped, 3u);
 }
 
 // A valid message moves the session's deadline from the handshake timeout
-// to the idle timeout, counted from that message.
+// to the idle timeout, counted from the message's decoding.
 TEST_P(ListenerDefense, ReapsIdleSessionAfterValidMessage) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  defense.handshake_timeout = 30.0;
-  defense.idle_timeout = 600.0;
-  make(defense);
-
-  const auto client = rig_->network.add_node(true);
+  const auto client = floor_client();
   net::EndpointPtr ep;
   rig_->network.connect(client, rig_->node(), [&](net::EndpointPtr e) {
     ASSERT_TRUE(e);
     ep = std::move(e);
     ep->send(rig_->marker());
   });
-  run_until(5.0);
+  // The marker arrives after the handshake round trip and one more
+  // one-way latency, and is decoded one service slice later.
+  const Time decoded = 3 * kOneWay + kQueueService;
+  run_until(decoded + 0.001);
   ASSERT_TRUE(ep);
   EXPECT_EQ(rig_->markers(), 1u);
 
-  run_until(590.0);
+  run_until(decoded + kIdleTimeout - 0.001);
   EXPECT_TRUE(ep->open());
   EXPECT_EQ(rig_->stats().reaped, 0u);
-  run_until(700.0);
+  run_until(decoded + kIdleTimeout + 0.001);
   EXPECT_FALSE(ep->open());
   EXPECT_EQ(rig_->stats().reaped, 1u);
 }
@@ -334,10 +342,6 @@ TEST_P(ListenerDefense, ReapsIdleSessionAfterValidMessage) {
 // A burst beyond the per-session message bucket is dropped message by
 // message; the session stays open and a later in-budget message is served.
 TEST_P(ListenerDefense, MessageBucketDropsBurstBeyondBudget) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  make(defense);
-
   const auto client = rig_->network.add_node(true, 0.0, kFastUplink);
   net::EndpointPtr ep;
   rig_->network.connect(client, rig_->node(), [&](net::EndpointPtr e) {
@@ -364,10 +368,6 @@ TEST_P(ListenerDefense, MessageBucketDropsBurstBeyondBudget) {
 // arrived first) is shed, and the rest are decoded at most kQueueBatch per
 // service slice, one slice every kQueueService seconds.
 TEST_P(ListenerDefense, InboxShedsOldestAndServesInBatches) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  make(defense);
-
   // Every client times its send so that it arrives at `arrive`: the
   // handshake round trip, measured from the connect call at t = 0, is two
   // one-way latencies.
@@ -408,20 +408,13 @@ TEST_P(ListenerDefense, InboxShedsOldestAndServesInBatches) {
 // at one batch per slice, starting kQueueService after its first packet
 // arrived; the slice left over from before the restart serves none of it.
 TEST_P(ListenerDefense, RestartDrainsFreshBacklogOneBatchPerSlice) {
-  net::DefenseConfig defense;
-  defense.enabled = true;
-  make(defense);
-
   // Every link at the latency floor, so that clients connecting right
   // after the restart flood it before the old slice would have run.
-  rig_->network.set_latency_factor(rig_->node(), kFloorLatency);
   std::vector<net::EndpointPtr> conns;
   const auto flood = [&](Time arrive) {
     constexpr std::size_t kFlooders = kMaxQueue / kQueueBatch;
     for (std::size_t i = 0; i < kFlooders; ++i) {
-      const auto node = rig_->network.add_node(true, 0.0, kFastUplink);
-      rig_->network.set_latency_factor(node, kFloorLatency);
-      send_at(node, arrive, kQueueBatch, false, conns);
+      send_at(floor_client(), arrive, kQueueBatch, false, conns);
     }
   };
 

@@ -219,7 +219,6 @@ TEST_F(RecoveryTest, JournalProvenChunksAreAckedWithoutResend) {
 TEST_F(RecoveryTest, CountersSurviveAcrossCrash) {
   ManagerConfig mc = durable_config();
   mc.escalate_after = 1;
-  mc.status_poll = minutes(10);
   Manager manager(net, mc);
   manager.set_backup_servers({backup_ref});
   launch_one(manager, ref);
@@ -265,18 +264,16 @@ TEST_F(RecoveryTest, WatchdogKeepsWorkingAfterRecovery) {
 
 TEST_F(RecoveryTest, ReassignDuringRetryBackoffSurvivesCrashRecover) {
   ManagerConfig mc = durable_config();
-  mc.retry.enabled = true;
-  mc.retry.base = minutes(5);
-  mc.retry.cap = minutes(30);
-  mc.retry.max_retries = 6;
+  mc.retry = true;
   Manager manager(net, mc);
   launch_one(manager, ref);
   settle();
   manager.start();
 
-  // Sever the session so the honeypot enters its retry backoff...
+  // Sever the session so the honeypot enters its retry backoff (its first
+  // retry waits 30 s, give or take 10%)...
   server.stop();
-  settle(30.0);
+  settle(10.0);
   // ...reassign mid-backoff, then crash before the backoff elapses.
   manager.reassign(0, backup_ref);
   manager.crash();
@@ -609,8 +606,6 @@ TEST_F(RecoveryTest, ReplayRebuildsLiveState) {
   mc.track_clocks = true;
   mc.escalate_after = 1;
   mc.quarantine_threshold = 2.0;
-  mc.probe_confirm_decay = 0.5;
-  mc.quarantine_cooloff = hours(1);
   Manager m(net, mc);
   m.set_backup_servers({backup_ref, backup2_ref});
   HoneypotConfig probed;

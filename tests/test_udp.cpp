@@ -201,75 +201,36 @@ TEST_F(SurveyTest, RanksServersByUsers) {
   EXPECT_EQ(result[1].users, 0u);
 }
 
-TEST_F(SurveyTest, RetransmitRecoversFromALostRequest) {
-  // A candidate that ignores the first ServStat request (a lost datagram,
-  // from the survey's point of view) but answers the retry round: with
-  // retries enabled the row is recovered instead of missing.
-  honeypot::ManagerConfig mc;
-  mc.survey_retries = 2;
-  mc.survey_retry_interval = 1.0;
-  honeypot::Manager retry_manager{net, mc};
-
-  const auto deaf_once = net.add_node(true);
-  int requests_seen = 0;
-  net.listen_datagram(deaf_once, [&](net::NodeId from, net::Bytes datagram) {
-    const auto msg = proto::decode_udp(datagram);
-    const auto* req = std::get_if<proto::ServStatRequest>(&msg);
-    ASSERT_NE(req, nullptr);
-    if (++requests_seen == 1) return;  // drop the first request on the floor
-    proto::ServStatResponse res;
-    res.challenge = req->challenge;
-    res.users = 7;
-    net.send_datagram(deaf_once, from, proto::encode_udp(res));
-  });
-
-  const auto probe = net.add_node(true);
-  std::vector<honeypot::Manager::ServerSurveyEntry> result;
-  retry_manager.survey_servers({honeypot::ServerRef{deaf_once, "flaky", 4661}},
-                               probe, 5.0,
-                               [&](auto entries) { result = std::move(entries); });
-  s.run();
-
-  EXPECT_GE(requests_seen, 2);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].server.name, "flaky");
-  EXPECT_EQ(result[0].users, 7u);
-  EXPECT_GE(retry_manager.recovery_stats().probe_retries, 1u);
-}
-
 TEST_F(SurveyTest, DuplicateRepliesAreSuppressedFirstCopyWins) {
-  // A candidate that answers every request twice (a duplicated reply on the
-  // wire): the first copy wins, the second is recognized and counted, and
-  // the survey still delivers exactly one row.
-  honeypot::ManagerConfig mc;
-  mc.survey_retries = 1;
-  honeypot::Manager dup_manager{net, mc};
-
+  // A candidate that answers its request twice (a duplicated reply on the
+  // wire), the second copy a second later and with another user count: the
+  // first copy wins and the survey delivers exactly one row.
   const auto chatty = net.add_node(true);
+  int requests_seen = 0;
   net.listen_datagram(chatty, [&](net::NodeId from, net::Bytes datagram) {
     const auto msg = proto::decode_udp(datagram);
     const auto* req = std::get_if<proto::ServStatRequest>(&msg);
     ASSERT_NE(req, nullptr);
-    for (int copy = 0; copy < 2; ++copy) {
+    ++requests_seen;
+    const auto reply = [&, from, challenge = req->challenge](std::uint32_t users) {
       proto::ServStatResponse res;
-      res.challenge = req->challenge;
-      res.users = 3;
+      res.challenge = challenge;
+      res.users = users;
       net.send_datagram(chatty, from, proto::encode_udp(res));
-    }
+    };
+    reply(3);
+    s.schedule_in(1.0, [reply] { reply(9); });
   });
 
   const auto probe = net.add_node(true);
   std::vector<honeypot::Manager::ServerSurveyEntry> result;
-  dup_manager.survey_servers({honeypot::ServerRef{chatty, "chatty", 4661}},
-                             probe, 5.0,
-                             [&](auto entries) { result = std::move(entries); });
+  manager.survey_servers({honeypot::ServerRef{chatty, "chatty", 4661}}, probe,
+                         5.0, [&](auto entries) { result = std::move(entries); });
   s.run();
 
+  EXPECT_EQ(requests_seen, 1);  // the survey asks each candidate once
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].users, 3u);
-  EXPECT_GE(dup_manager.recovery_stats().probe_dups_suppressed, 1u);
-  // The answered candidate is never re-asked: no retry round fired.
-  EXPECT_EQ(dup_manager.recovery_stats().probe_retries, 0u);
 }
 
 TEST_F(SurveyTest, DeadServersOmitted) {
