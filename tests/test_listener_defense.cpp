@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -190,11 +191,6 @@ class ListenerDefense : public ::testing::TestWithParam<Listener> {
     return node;
   }
 
-  std::size_t open_count(const std::vector<net::EndpointPtr>& conns) const {
-    return static_cast<std::size_t>(std::count_if(
-        conns.begin(), conns.end(), [](const auto& ep) { return ep->open(); }));
-  }
-
   /// Open one connection from `from`; its endpoint is appended to `out`
   /// when the handshake completes, so `out` lists the connections in the
   /// order the listener accepted them.
@@ -277,7 +273,9 @@ TEST_P(ListenerDefense, ConnectBucketLimitsEachRemote) {
   run_until(1.0);
 
   ASSERT_EQ(flood.size(), kConnectBurst + kRefused);
-  EXPECT_EQ(open_count(flood), kConnectBurst);
+  EXPECT_EQ(std::count_if(flood.begin(), flood.end(),
+                          [](const auto& ep) { return ep->open(); }),
+            static_cast<std::ptrdiff_t>(kConnectBurst));
   ASSERT_EQ(fair.size(), 1u);
   EXPECT_TRUE(fair[0]->open());
   EXPECT_EQ(rig_->stats().accepted, kConnectBurst + 1);

@@ -212,7 +212,8 @@ TEST_F(SurveyTest, DuplicateRepliesAreSuppressedFirstCopyWins) {
     const auto* req = std::get_if<proto::ServStatRequest>(&msg);
     ASSERT_NE(req, nullptr);
     ++requests_seen;
-    const auto reply = [&, from, challenge = req->challenge](std::uint32_t users) {
+    const std::uint32_t challenge = req->challenge;
+    const auto reply = [&, from, challenge](std::uint32_t users) {
       proto::ServStatResponse res;
       res.challenge = challenge;
       res.users = users;
