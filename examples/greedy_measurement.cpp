@@ -9,7 +9,7 @@
 
 #include "analysis/log_stats.hpp"
 #include "analysis/report.hpp"
-#include "scenario/calibration.hpp"
+#include "honeypot/config.hpp"
 #include "scenario/scenario.hpp"
 
 using namespace edhp;
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   std::cout << "greedy measurement: 1 honeypot, " << config.days
             << " days, harvest window "
-            << scenario::kGreedyHarvestWindow / kDay << " day(s), scale "
+            << honeypot::kGreedyHarvestWindow / kDay << " day(s), scale "
             << config.scale << "\n";
   const auto result = scenario::run_greedy(config, &std::cout);
 

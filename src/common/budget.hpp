@@ -23,13 +23,19 @@
 //
 // This header sits at the bottom of the link graph (edhp_common): it must
 // not depend on logbook/net/fault types, so priority is expressed as a
-// plain user-hash word (BudgetConfig::shed_user_word) the scenario wires to
-// the abuse marker.
+// plain user-hash word (kAbuseUserWord), which the abuse injector stamps on
+// every hostile peer (fault::kAbuseUserWord names it).
 
 #include <cstdint>
 #include <string_view>
 
 namespace edhp::budget {
+
+/// Low 64-bit word of every hostile peer's user hash. Log records store the
+/// low word (see honeypot truncate_user), so attacker-generated records are
+/// exactly those with `record.user == kAbuseUserWord`: the low-priority
+/// records a budget sheds first.
+inline constexpr std::uint64_t kAbuseUserWord = 0x0AB05EBADC0FFEEull;
 
 /// What a component does when a resource budget trips.
 enum class DegradePolicy : std::uint8_t {
@@ -77,10 +83,6 @@ struct BudgetConfig {
   /// active (the fd-limit analog under overload). 0 freezes the ceiling at
   /// the session count observed when the episode begins.
   std::uint32_t session_ceiling = 0;
-  /// Records whose user hash equals this word are low priority and shed
-  /// first (the scenario wires the abuse marker here). 0 = nothing is ever
-  /// shed; budgets then only compact and backpressure.
-  std::uint64_t shed_user_word = 0;
   DegradePolicy policy = DegradePolicy::priority_shed;
 
   /// True when any ceiling is set (degradation can trip organically).

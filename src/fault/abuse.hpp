@@ -29,6 +29,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/budget.hpp"
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -38,11 +39,9 @@
 
 namespace edhp::fault {
 
-/// Low 64-bit word of every hostile peer's user hash. Log records store the
-/// low word (see honeypot truncate_user), so attacker-generated records are
-/// exactly those with `record.user == kAbuseUserWord` — the retention tests
-/// and the ablation bench filter on it.
-inline constexpr std::uint64_t kAbuseUserWord = 0x0AB05EBADC0FFEEull;
+/// Low 64-bit word of every hostile peer's user hash (common/budget.hpp):
+/// the retention tests and the ablation bench filter on it.
+using budget::kAbuseUserWord;
 
 enum class AbuseKind : std::uint8_t {
   corrupt_episode,    ///< garbled-wire burst against one target
@@ -61,9 +60,6 @@ using AbusePlan = Plan<AbuseKind>;
 /// divides every mean inter-arrival time, so one knob scales the whole mix.
 struct AbuseConfig {
   bool enabled = false;
-  /// Mixed into the scenario seed so abuse draws are independent of both
-  /// the behavioural streams and the chaos streams.
-  std::uint64_t seed = splits::kAbuseSeedDefault;
   double intensity = 1.0;
 
   /// Per-target mean time between episodes, per class.

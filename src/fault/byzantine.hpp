@@ -31,10 +31,10 @@
 //                      inflating the distinct-user count.
 //
 // The plan is an adversary plan (fault/plan.hpp) on fresh split()
-// sub-streams of rng.split(byzantine.seed) — enabling Byzantine behaviors
-// never perturbs the fault or abuse schedules — and with `enabled == false`
-// no liar node is created and no draw is consumed, so campaigns stay
-// bit-identical.
+// sub-streams of rng.split(splits::kByzantineSeed) — enabling Byzantine
+// behaviors never perturbs the fault or abuse schedules — and with
+// `enabled == false` no liar node is created and no draw is consumed, so
+// campaigns stay bit-identical.
 //
 // The detection/containment stack lives with the components it defends:
 // honeypot self-probes + provenance tagging (honeypot/honeypot.hpp),
@@ -96,8 +96,6 @@ using ByzantinePlan = Plan<ByzantineKind>;
 /// configures both the attack and its containment.
 struct ByzantineConfig {
   bool enabled = false;
-  /// Mixed into the scenario seed; independent of chaos and abuse streams.
-  std::uint64_t seed = splits::kByzantineSeedDefault;
 
   // --- Server misbehaviors (renewal windows per server) ------------------
   Duration offer_drop_mtbf = 0;

@@ -98,9 +98,6 @@ using FaultPlan = Plan<FaultKind>;
 /// 32-day campaign, with everything else off until enabled.
 struct ChaosConfig {
   bool enabled = false;
-  /// Mixed into the scenario seed so chaos draws are independent of the
-  /// behavioural streams.
-  std::uint64_t seed = splits::kChaosSeedDefault;
 
   Duration host_mtbf = days(16);          ///< per-host crash rate
   Duration host_reboot_mean = minutes(20);

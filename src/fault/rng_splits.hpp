@@ -14,11 +14,11 @@
 //                model stream, the campaign world (campaign.cpp), the
 //                scenarios (scenario.cpp / multi_server.cpp) and the seeds
 //                of the three adversary plans;
-//   fault      — category splits of rng.split(chaos.seed) in the fault
+//   fault      — category splits of rng.split(kChaosSeed) in the fault
 //                plan;
-//   abuse      — class splits of rng.split(abuse.seed) in the abuse plan,
+//   abuse      — class splits of rng.split(kAbuseSeed) in the abuse plan,
 //                plus the content split of the injector's own stream;
-//   byzantine  — behavior splits of rng.split(byzantine.seed) in the
+//   byzantine  — behavior splits of rng.split(kByzantineSeed) in the
 //                Byzantine plan, plus the liar-content split.
 //
 // Per-subject second-level splits (`per_subject` in fault/plan.hpp) use the
@@ -52,20 +52,20 @@ inline constexpr std::uint64_t kTopPeer = 0x709;         ///< the Fig 8/9 hypera
 inline constexpr std::uint64_t kGreedyDemand = 0xDE3A;   ///< greedy per-file demand draws
 inline constexpr std::uint64_t kMultiServerResidents = 0x4E5; ///< resident pools per server
 inline constexpr std::uint64_t kNetwork = 0x4e455457;    ///< net::Network latency and loss draws
-inline constexpr std::uint64_t kChaosSeedDefault = 0xFA1757;  ///< ChaosConfig::seed
-inline constexpr std::uint64_t kAbuseSeedDefault = 0xAB05E;   ///< AbuseConfig::seed
-inline constexpr std::uint64_t kByzantineSeedDefault = 0xB15A17; ///< ByzantineConfig::seed
+inline constexpr std::uint64_t kChaosSeed = 0xFA1757;    ///< fault plan stream
+inline constexpr std::uint64_t kAbuseSeed = 0xAB05E;     ///< abuse plan stream
+inline constexpr std::uint64_t kByzantineSeed = 0xB15A17;///< Byzantine plan stream
 
 inline constexpr std::uint64_t kScenarioSplits[] = {
     kCatalog,         kPairWeights,      kFileIds,
     kPopulation,      kLegacyCrashGrid,  kTopPeer,
     kGreedyDemand,    kMultiServerResidents, kNetwork,
-    kChaosSeedDefault, kAbuseSeedDefault, kByzantineSeedDefault,
+    kChaosSeed,       kAbuseSeed,        kByzantineSeed,
 };
 static_assert(detail::all_distinct(kScenarioSplits),
               "scenario-level RNG split collision");
 
-// --- Fault plan: category splits of rng.split(chaos.seed) --------------
+// --- Fault plan: category splits of rng.split(kChaosSeed) --------------
 inline constexpr std::uint64_t kFaultHost = 1;
 inline constexpr std::uint64_t kFaultUplink = 2;
 inline constexpr std::uint64_t kFaultServer = 3;
@@ -88,7 +88,7 @@ inline constexpr std::uint64_t kFaultSplits[] = {
 static_assert(detail::all_distinct(kFaultSplits),
               "FaultPlan category split collision");
 
-// --- Abuse plan: class splits of rng.split(abuse.seed) -----------------
+// --- Abuse plan: class splits of rng.split(kAbuseSeed) -----------------
 // Class c draws from split(kAbuseClassBase + c), c = 0..3; the injector's
 // content stream is a scenario-provided split of the same parent.
 inline constexpr std::uint64_t kAbuseClassBase = 1;  ///< splits 1..4
@@ -98,7 +98,7 @@ inline constexpr std::uint64_t kAbuseContent = 0xEE; ///< injector content strea
 static_assert(kAbuseContent >= kAbuseClassBase + kAbuseClassCount,
               "abuse content split collides with a class split");
 
-// --- Byzantine plan: behavior splits of rng.split(byzantine.seed) ------
+// --- Byzantine plan: behavior splits of rng.split(kByzantineSeed) ------
 inline constexpr std::uint64_t kByzOfferDrop = 1;
 inline constexpr std::uint64_t kByzOfferTruncate = 2;
 inline constexpr std::uint64_t kByzStaleIndex = 3;

@@ -30,21 +30,21 @@ struct AdvertisedFile {
   bool operator==(const AdvertisedFile&) const = default;
 };
 
+/// A greedy honeypot adopts harvested files into its advertised list only
+/// during its first day connected (the greedy measurement's harvest phase).
+inline constexpr Duration kGreedyHarvestWindow = days(1);
+
 /// Per-honeypot configuration, assembled by the manager at launch.
 struct HoneypotConfig {
   std::uint16_t id = 0;
   std::string name = "edhp";          ///< client name shown in handshakes
-  std::uint32_t client_version = 0x3C;  ///< presented protocol version
   ContentStrategy strategy = ContentStrategy::no_content;
 
-  /// Ask every contacting peer for its shared-file list (used for the
-  /// distinct-files statistics and by the greedy strategy).
-  bool harvest_shared_lists = true;
-
-  /// Greedy mode: adopt harvested files into the advertised list during the
-  /// harvest window (the greedy measurement's first day).
+  /// Greedy mode: adopt harvested files into the advertised list during
+  /// kGreedyHarvestWindow. Every honeypot asks each contacting peer for its
+  /// shared-file list (the distinct-files statistics); greedy ones also
+  /// grow their advertised list from it.
   bool greedy = false;
-  Duration greedy_harvest_window = days(1);
   std::size_t greedy_max_files = 100000;
 
   /// Stage-1 anonymisation salt, shared measurement-wide by the manager.
@@ -79,17 +79,17 @@ struct HoneypotConfig {
   /// the audit ledger must flag. Copied from ChaosConfig by the scenarios.
   std::uint32_t audit_selftest_drop = 0;
 
-  /// Advertise-and-verify self-probes (0 = off, the default). Every period
-  /// the honeypot alternates between (a) searching the server for one of its
-  /// own advertised files — the reply must contain that file id — and (b) a
-  /// canary GET-SOURCES for a hash it never advertised — any non-empty reply
-  /// proves the server fabricates sources. A probe miss triggers an
-  /// immediate re-advertise (self-heal) and is reported to the manager
-  /// through the probe sink for server health scoring. Probes ride the
-  /// server session's TCP link, so a probe unanswered by its timeout scores
-  /// one miss, and a reply arriving after that is ignored.
-  Duration self_probe_period = 0;
-  Duration self_probe_timeout = minutes(2);
+  /// Advertise-and-verify self-probes (off by default). Every probe period
+  /// (honeypot.cpp) the honeypot alternates between (a) searching the
+  /// server for one of its own advertised files — the reply must contain
+  /// that file id — and (b) a canary GET-SOURCES for a hash it never
+  /// advertised — any non-empty reply proves the server fabricates sources.
+  /// A probe miss triggers an immediate re-advertise (self-heal) and is
+  /// reported to the manager through the probe sink for server health
+  /// scoring. Probes ride the server session's TCP link, so a probe
+  /// unanswered by its timeout scores one miss, and a reply arriving after
+  /// that is ignored.
+  bool self_probes = false;
 
   /// Record-level integrity defenses (provenance tainting + forged-list
   /// rejection). Off by default: greedy honeypots adopt harvested catalog

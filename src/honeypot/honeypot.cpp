@@ -22,8 +22,16 @@ std::uint64_t truncate_user(const UserId& user) {
 /// offsets), used when accounting the un-materialized block body.
 constexpr std::size_t kSendingPartOverhead = 5 + 1 + 16 + 8;
 
+/// Protocol version presented in the server login and HELLO-ANSWER.
+constexpr std::uint32_t kClientVersion = 0x3C;
+
 /// Period of the OFFER-FILES keep-alive to the server.
 constexpr Duration kOfferKeepalive = minutes(30);
+
+/// Advertise-and-verify cadence of a honeypot with self_probes on.
+constexpr Duration kProbePeriod = minutes(10);
+/// An unanswered probe is a miss.
+constexpr Duration kProbeTimeout = minutes(2);
 
 /// Self-reconnect backoff: the first retry waits kRetryBase, each later
 /// one twice the last up to kRetryCap, and after kMaxRetries failed
@@ -139,7 +147,7 @@ void Honeypot::attempt_connect() {
     login.client_id = 0;
     login.port = net_.info(self_).port;
     login.tags = {proto::Tag::string_tag(proto::kTagName, config_.name),
-                  proto::Tag::u32_tag(proto::kTagVersion, config_.client_version),
+                  proto::Tag::u32_tag(proto::kTagVersion, kClientVersion),
                   proto::Tag::u32_tag(proto::kTagPort, login.port)};
     server_ep_->send(proto::encode(proto::AnyMessage{login}));
   });
@@ -206,10 +214,9 @@ void Honeypot::on_server_message(net::Bytes packet) {
     offer_timer_ = std::make_unique<sim::PeriodicTimer>(
         net_.simulation(), kOfferKeepalive, [this] { send_offer(); });
     offer_timer_->start();
-    if (config_.self_probe_period > 0) {
+    if (config_.self_probes) {
       probe_timer_ = std::make_unique<sim::PeriodicTimer>(
-          net_.simulation(), config_.self_probe_period,
-          [this] { run_self_probe(); });
+          net_.simulation(), kProbePeriod, [this] { run_self_probe(); });
       probe_timer_->start();
     }
   }
@@ -482,24 +489,6 @@ void Honeypot::teardown(Status next) {
   status_ = next;
 }
 
-logbook::LogFile Honeypot::take_log() {
-  logbook::LogFile out = std::move(log_);
-  log_ = logbook::LogFile{};
-  log_.header = out.header;
-  name_cache_.clear();
-  spooled_mark_ = 0;
-  names_spooled_mark_ = 1;
-  // The marks reset, so every pending chunk's log range is stale: freeze
-  // them as delivered (compaction must never touch them again). The caller
-  // collected the log; the chunks only remain for at-least-once delivery.
-  for (auto& meta : pending_meta_) {
-    meta.delivered = true;
-    meta.rec_begin = 0;
-    meta.rec_end = 0;
-  }
-  return out;
-}
-
 void Honeypot::on_peer_accept(net::EndpointPtr ep) {
   if (peers_.size() >= kHardPeerCap) {
     // The fd-limit analog: even an undefended honeypot cannot hold
@@ -640,16 +629,13 @@ void Honeypot::handle_hello(PeerConn& conn, const proto::HelloView& msg) {
   answer.client_id = client_id_.value();
   answer.port = net_.info(self_).port;
   answer.tags = {proto::Tag::string_tag(proto::kTagName, config_.name),
-                 proto::Tag::u32_tag(proto::kTagVersion, config_.client_version)};
+                 proto::Tag::u32_tag(proto::kTagVersion, kClientVersion)};
   if (server_) {
     answer.server_ip = net_.info(server_->node).ip.value();
     answer.server_port = server_->port;
   }
   conn.endpoint->send(proto::encode(proto::AnyMessage{std::move(answer)}));
-
-  if (config_.harvest_shared_lists) {
-    conn.endpoint->send(proto::encode(proto::AnyMessage{proto::AskSharedFiles{}}));
-  }
+  conn.endpoint->send(proto::encode(proto::AnyMessage{proto::AskSharedFiles{}}));
 }
 
 void Honeypot::handle_start_upload(PeerConn& conn,
@@ -818,7 +804,7 @@ void Honeypot::run_self_probe() {
   // The server session is a reliable link, so an unanswered probe is a
   // miss; a reply that arrives after it is no longer awaited and ignored.
   probe_timeout_event_ = net_.simulation().schedule_in(
-      config_.self_probe_timeout, [this] { probe_result(false); });
+      kProbeTimeout, [this] { probe_result(false); });
 }
 
 void Honeypot::probe_result(bool confirmed) {
@@ -859,7 +845,7 @@ std::uint16_t Honeypot::intern_name(const std::string& name) {
 
 bool Honeypot::in_harvest_window() const {
   if (status_ != Status::connected) return false;
-  return net_.simulation().now() - started_at_ <= config_.greedy_harvest_window;
+  return net_.simulation().now() - started_at_ <= kGreedyHarvestWindow;
 }
 
 std::uint64_t Honeypot::effective_disk_quota() const {
@@ -894,7 +880,7 @@ bool Honeypot::admit_record(std::uint64_t user) {
   const bool disk_over = quota != 0 && spool_resident_bytes_ > quota;
   const bool mem_over = mem != 0 && unspooled_tail() >= mem;
   if (!disk_over && !mem_over) return true;
-  if (b.shed_user_word != 0 && user == b.shed_user_word) {
+  if (user == budget::kAbuseUserWord) {
     // Low-priority record while over budget: shed at the source, declared.
     enter_degraded(disk_over ? budget::DegradeReason::disk_quota
                              : budget::DegradeReason::mem_budget);
@@ -940,12 +926,12 @@ void Honeypot::maybe_compact() {
   const std::size_t lo = pending_meta_[first].rec_begin;
   const std::size_t hi = spooled_mark_;
   std::size_t removed = 0;
-  if (b.shed_user_word != 0 && hi > lo) {
+  if (hi > lo) {
     const auto begin = log_.records.begin() + static_cast<std::ptrdiff_t>(lo);
     const auto end = log_.records.begin() + static_cast<std::ptrdiff_t>(hi);
     const auto keep_end =
-        std::remove_if(begin, end, [&](const logbook::LogRecord& r) {
-          return r.user == b.shed_user_word;
+        std::remove_if(begin, end, [](const logbook::LogRecord& r) {
+          return r.user == budget::kAbuseUserWord;
         });
     removed = static_cast<std::size_t>(end - keep_end);
     if (removed > 0) {

@@ -221,9 +221,6 @@ class Honeypot {
   // --- Collected data ------------------------------------------------------
 
   [[nodiscard]] const logbook::LogFile& log() const noexcept { return log_; }
-  /// Move the accumulated log out (manager collection); logging continues
-  /// into a fresh log with the same header.
-  [[nodiscard]] logbook::LogFile take_log();
 
   /// Distinct files seen in harvested shared-file lists, with their sizes
   /// and names: Table I's "distinct files" / "space used" and the manager's
@@ -423,8 +420,8 @@ class Honeypot {
   std::uint64_t mem_frozen_budget_ = 0;
   std::size_t session_ceiling_active_ = 0;
 
-  // Measurement-integrity state (dormant unless config_.self_probe_period
-  // or config_.integrity_defense is set).
+  // Measurement-integrity state (dormant unless config_.self_probes or
+  // config_.integrity_defense is set).
   IntegrityStats integrity_;
   std::function<void(bool)> probe_sink_;
   std::unique_ptr<sim::PeriodicTimer> probe_timer_;

@@ -25,6 +25,20 @@ constexpr std::size_t kQuarantineRefCap = 64;
 /// honeypot").
 constexpr Duration kStatusPoll = minutes(10);
 
+/// Backoff between relaunch attempts of a honeypot that keeps failing:
+/// kRelaunchBackoffBase after the first failed relaunch, doubling with each
+/// further one up to kRelaunchBackoffCap, so a honeypot whose server is
+/// down is not reconnected (and recounted) on every poll.
+constexpr Duration kRelaunchBackoffBase = minutes(10);
+constexpr Duration kRelaunchBackoffCap = hours(2);
+/// After this many consecutive failed relaunches the honeypot moves to the
+/// next backup server (round-robin over set_backup_servers; none = never).
+constexpr std::uint32_t kEscalateAfter = 3;
+/// A connected or connecting honeypot whose heartbeat is older than this is
+/// escalated even though its status looks alive (a wedged login, a zombie
+/// session). Every OFFER-FILES keep-alive refreshes the heartbeat.
+constexpr Duration kHeartbeatTimeout = hours(2);
+
 /// Delay between receiving a spool chunk and the honeypot learning it is
 /// safe to drop it (models the out-of-band transfer round-trip); a crash
 /// inside this window causes a duplicate re-send on relaunch.
@@ -550,13 +564,6 @@ void Manager::checkpoint() {
 
 // --- Watchdog --------------------------------------------------------------
 
-Duration Manager::relaunch_backoff(std::size_t failures) const {
-  if (config_.relaunch_backoff_base <= 0 || failures == 0) return 0;
-  const double raw = config_.relaunch_backoff_base *
-                     std::pow(2.0, static_cast<double>(failures - 1));
-  return std::min(raw, config_.relaunch_backoff_cap);
-}
-
 bool Manager::covers(const std::vector<AdvertisedFile>& advertised,
                      const std::vector<AdvertisedFile>& ordered) {
   std::unordered_set<FileId> have;
@@ -625,8 +632,7 @@ void Manager::poll() {
         // open item 8, "Replay the watchdog's reconnect reset").
         state_.fleet[i].consecutive_failures = 0;
       }
-      if (config_.heartbeat_timeout > 0 &&
-          now - hp.last_heartbeat() > config_.heartbeat_timeout) {
+      if (now - hp.last_heartbeat() > kHeartbeatTimeout) {
         // Zombie session: status says connected but nothing has happened
         // for longer than any keep-alive period allows.
         escalate(i, journal::EscalateReason::heartbeat);
@@ -644,8 +650,8 @@ void Manager::poll() {
     if (status != Status::dead) {
       // connecting/idle: the honeypot is handling itself (login in flight
       // or self-retrying); only interfere when its heartbeat went stale.
-      if (config_.heartbeat_timeout > 0 && status == Status::connecting &&
-          now - hp.last_heartbeat() > config_.heartbeat_timeout) {
+      if (status == Status::connecting &&
+          now - hp.last_heartbeat() > kHeartbeatTimeout) {
         escalate(i, journal::EscalateReason::heartbeat);
       }
       continue;
@@ -660,14 +666,18 @@ void Manager::poll() {
       ++recovery_.deferred;
       continue;
     }
-    if (config_.escalate_after > 0 && !state_.backups.empty() &&
-        state_.fleet[i].consecutive_failures >= config_.escalate_after) {
+    if (!state_.backups.empty() &&
+        state_.fleet[i].consecutive_failures >= kEscalateAfter) {
       escalate(i, journal::EscalateReason::failures);
       continue;
     }
     commit(journal::Relaunch{static_cast<std::uint32_t>(i)});
     const auto& slot = state_.fleet[i];
-    live.next_attempt_at = now + relaunch_backoff(slot.consecutive_failures);
+    // The n-th relaunch in a row waits kRelaunchBackoffBase * 2^(n - 1).
+    const double backoff =
+        kRelaunchBackoffBase *
+        std::pow(2.0, static_cast<double>(slot.consecutive_failures) - 1.0);
+    live.next_attempt_at = now + std::min(backoff, kRelaunchBackoffCap);
     // Relaunch: reconnect to the assigned server and re-advertise the file
     // list previously ordered (plus anything the honeypot grew itself in
     // greedy mode, which it kept).

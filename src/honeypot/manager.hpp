@@ -24,22 +24,6 @@ struct ManagerConfig {
   /// Measurement-wide stage-1 anonymisation salt pushed to every honeypot.
   std::string salt = "edhp-measurement-salt";
 
-  // --- Watchdog policy. The defaults reproduce the pre-fault-subsystem
-  // --- manager exactly: relaunch on every poll, never escalate.
-
-  /// Backoff between relaunch attempts of the same honeypot while they keep
-  /// failing (doubling per consecutive failure, capped). 0 = attempt on
-  /// every poll tick — the historical hot-spinning behaviour.
-  Duration relaunch_backoff_base = 0;
-  Duration relaunch_backoff_cap = hours(4);
-  /// After this many consecutive failed relaunches, reassign the honeypot
-  /// to a backup server (round-robin over set_backup_servers). 0 = never.
-  std::size_t escalate_after = 0;
-  /// Escalate a honeypot whose heartbeat is older than this even when its
-  /// status looks alive (catches wedged logins and zombie sessions).
-  /// 0 = disabled.
-  Duration heartbeat_timeout = 0;
-
   /// Self-reconnect switch injected into every launched honeypot.
   bool retry = false;
   /// Log-spooling policy injected into every launched honeypot; when
@@ -149,7 +133,7 @@ class Manager {
   void reassign(std::size_t index, const ServerRef& server);
 
   /// Standby servers for watchdog escalation, used round-robin when a
-  /// honeypot exhausts `escalate_after` consecutive relaunch failures.
+  /// honeypot exhausts its consecutive relaunch failures (manager.cpp).
   void set_backup_servers(std::vector<ServerRef> backups);
 
   /// Order honeypot `index` to advertise `files`.
@@ -306,8 +290,6 @@ class Manager {
   };
 
   void poll();
-  /// Relaunch backoff for the given consecutive-failure count (1-based).
-  [[nodiscard]] Duration relaunch_backoff(std::size_t failures) const;
   /// Whether every ordered file is present in the advertised list.
   [[nodiscard]] static bool covers(const std::vector<AdvertisedFile>& advertised,
                                    const std::vector<AdvertisedFile>& ordered);

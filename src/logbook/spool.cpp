@@ -54,7 +54,7 @@ void SpoolStore::set_header(std::uint16_t honeypot, const LogHeader& header) {
 
 SpoolStore::Ingest SpoolStore::ingest(const LogChunk& chunk) {
   const auto key = std::make_pair(chunk.honeypot, chunk.seq);
-  if (chunk.checksum != 0 && chunk_checksum(chunk) != chunk.checksum) {
+  if (chunk_checksum(chunk) != chunk.checksum) {
     // The payload does not match what the honeypot stamped: a corrupted
     // transfer. Never merged, never acked — the sender keeps it spooled
     // and a later re-send (or the operator) resolves it.

@@ -54,8 +54,7 @@ struct LogChunk {
   std::vector<std::string> names;
   std::vector<LogRecord> records;
   /// FNV-1a over the payload (see chunk_checksum), stamped by the honeypot
-  /// when it cuts the chunk. 0 = unchecksummed (legacy producers); the
-  /// store then skips verification.
+  /// when it cuts the chunk; the store verifies every chunk against it.
   std::uint64_t checksum = 0;
 };
 

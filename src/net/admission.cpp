@@ -1,6 +1,7 @@
 #include "net/admission.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -57,14 +58,13 @@ std::uint64_t to_micro(double v) {
 }  // namespace
 
 TokenBucket::TokenBucket(double rate_per_sec, double burst, Time now)
-    : rate_utok_(rate_per_sec > 0.0 ? to_micro(rate_per_sec) : 0),
+    : rate_utok_(to_micro(rate_per_sec)),
       burst_utok_(to_micro(std::max(burst, 1.0))),
       tokens_utok_(burst_utok_),
-      last_us_(to_micro(std::max(now, 0.0))),
-      unlimited_(rate_per_sec <= 0.0) {}
+      last_us_(to_micro(std::max(now, 0.0))) {}
 
 bool TokenBucket::try_take(Time now, double cost) {
-  if (unlimited_) return true;
+  assert(rate_utok_ > 0);  // a placeholder bucket was never replaced
   const std::uint64_t now_us = to_micro(std::max(now, 0.0));
   if (now_us > last_us_) {
     const std::uint64_t elapsed = now_us - last_us_;

@@ -43,8 +43,9 @@ struct DefenseStats {
 };
 
 /// Classic token bucket with lazy refill: no timer, no RNG; refilled from
-/// the elapsed simulation time on each take attempt. A rate <= 0 means
-/// "unlimited" (try_take always succeeds).
+/// the elapsed simulation time on each take attempt. The rate must be
+/// positive; a default-constructed bucket is a placeholder that must be
+/// replaced before its first try_take (AdmissionGate::open does).
 ///
 /// Internally the bucket runs on u64 fixed point — time in integer
 /// microseconds, tokens in micro-tokens (1 token = 1'000'000 µtok) — with a
@@ -71,7 +72,6 @@ class TokenBucket {
   std::uint64_t tokens_utok_ = 0;  ///< current fill in µtokens
   std::uint64_t rem_utok_us_ = 0;  ///< refill remainder (µtok·µs carry)
   std::uint64_t last_us_ = 0;      ///< last refill instant in µs
-  bool unlimited_ = true;
 };
 
 /// What the gate keeps per session, inside the listener's session record.

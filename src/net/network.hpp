@@ -60,20 +60,26 @@ struct NodeInfo {
 /// Configuration of the datagram loss, duplication and reordering model.
 /// The latency model and the default uplink are fixed (network.cpp).
 struct LinkModel {
-  double datagram_loss = 0.02;   ///< UDP drop probability (good state)
+  /// UDP drop probability (good state). Kept: the UDP, survey and recovery
+  /// tests set 0 (no random loss) or 1 (every datagram lost).
+  double datagram_loss = 0.02;
 
   // --- Bursty loss: 2-state Gilbert–Elliott per *sender*. With
   // ge_p_enter_bad == 0 (the default) the chain never engages, no extra
   // RNG is drawn, and the i.i.d. model above applies unchanged — runs are
   // bit-identical to a build without the chain.
   double ge_p_enter_bad = 0.0;   ///< per-datagram good→bad transition prob
-  double ge_p_exit_bad = 0.3;    ///< per-datagram bad→good transition prob
+  /// Per-datagram bad→good transition prob. Kept: the burst tests set 0 (a
+  /// sender that never leaves the bad state) and 0.5.
+  double ge_p_exit_bad = 0.3;
   double ge_loss_bad = 0.5;      ///< drop probability while in the bad state
 
   // --- Duplication and reordering (default-off ⇒ zero extra draws).
   double datagram_dup = 0.0;     ///< probability a datagram arrives twice
   double datagram_reorder = 0.0; ///< probability of a late (reordered) copy
-  double reorder_delay = 0.25;   ///< extra latency for reordered datagrams (s)
+  /// Extra latency for reordered datagrams (s). Kept: the reorder test
+  /// sets 2 s, beyond any latency sample, so every late copy is overtaken.
+  double reorder_delay = 0.25;
 };
 
 /// Traffic counters, kept per node and aggregated network-wide.

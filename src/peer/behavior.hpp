@@ -30,7 +30,8 @@ struct BehaviorParams {
 
   /// Fraction of arriving peers that learn their sources through peer
   /// exchange (community cache) instead of querying the server — these are
-  /// the peers the paper notes "are not connected to the server".
+  /// the peers the paper notes "are not connected to the server". Kept:
+  /// PopulationTest.PexPeersSkipTheServer needs 1.0, the fixture 0.0.
   double pex_prob = 0.12;
 
   // --- Sessions --------------------------------------------------------------

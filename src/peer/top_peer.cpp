@@ -5,6 +5,21 @@
 namespace edhp::peer {
 namespace {
 
+// The crawler's calibration (Figs 8/9).
+/// REQUEST-PART rounds per encounter.
+constexpr std::uint32_t kRoundsPerEncounter = 2;
+/// Mean gap before re-visiting a source that delivered data.
+constexpr Duration kGapAfterData = minutes(70);
+/// Mean gap before re-visiting a source that timed out (lower priority).
+constexpr Duration kGapAfterTimeout = minutes(105);
+/// Client timeout per REQUEST-PART.
+constexpr Duration kRequestTimeout = 45.0;
+/// Mean length of an active period before an idle plateau.
+constexpr Duration kActivePeriodMean = days(4);
+/// Idle plateau length bounds.
+constexpr Duration kPauseMin = hours(10);
+constexpr Duration kPauseMax = hours(40);
+
 proto::RequestParts crawler_round(const FileId& file, std::uint64_t offset) {
   proto::RequestParts rp;
   rp.file = file;
@@ -22,12 +37,11 @@ proto::RequestParts crawler_round(const FileId& file, std::uint64_t offset) {
 }  // namespace
 
 TopPeer::TopPeer(net::Network& network, net::NodeId server_node,
-                 PeerProfile profile, FileId target, TopPeerParams params, Rng rng)
+                 PeerProfile profile, FileId target, Rng rng)
     : net_(network),
       server_node_(server_node),
       profile_(std::move(profile)),
       target_(target),
-      params_(params),
       rng_(rng) {
   node_ = net_.add_node(profile_.reachable, profile_.tz_offset_hours,
                         profile_.upload_bps);
@@ -88,7 +102,7 @@ void TopPeer::on_server_message(net::Bytes packet) {
     for (std::size_t i = 0; i < sources_.size(); ++i) {
       sources_stats_[i].client_id = sources_[i].client_id;
       encounters_[i].index = i;
-      schedule_encounter(i, rng_.exponential(params_.gap_after_data));
+      schedule_encounter(i, rng_.exponential(kGapAfterData));
     }
     server_ep_->close();
     server_ep_.reset();
@@ -100,7 +114,7 @@ void TopPeer::schedule_encounter(std::size_t index, Duration gap) {
     if (!running_) return;
     if (paused_) {
       // Re-check after the plateau; keeps per-source chains alive.
-      schedule_encounter(index, params_.pause_min / 2);
+      schedule_encounter(index, kPauseMin / 2);
       return;
     }
     run_encounter(index);
@@ -110,13 +124,13 @@ void TopPeer::schedule_encounter(std::size_t index, Duration gap) {
 void TopPeer::run_encounter(std::size_t index) {
   const auto target_node = net_.find_by_ip(sources_[index].client_id);
   if (!target_node) {
-    schedule_encounter(index, params_.gap_after_timeout);
+    schedule_encounter(index, kGapAfterTimeout);
     return;
   }
   net_.connect(node_, *target_node, [this, index](net::EndpointPtr ep) {
     if (!running_) return;
     if (!ep) {
-      schedule_encounter(index, rng_.exponential(params_.gap_after_timeout));
+      schedule_encounter(index, rng_.exponential(kGapAfterTimeout));
       return;
     }
     Encounter& e = encounters_[index];
@@ -135,7 +149,7 @@ void TopPeer::run_encounter(std::size_t index) {
       net_.simulation().cancel(enc.timeout);
       enc.endpoint.reset();
       if (running_) {
-        schedule_encounter(index, rng_.exponential(params_.gap_after_timeout));
+        schedule_encounter(index, rng_.exponential(kGapAfterTimeout));
       }
     });
 
@@ -176,7 +190,7 @@ void TopPeer::on_message(std::size_t index, net::Bytes packet) {
           e.offset += m.end - m.begin;
           if (e.received >= e.expected) {
             net_.simulation().cancel(e.timeout);
-            if (e.rounds >= params_.rounds_per_encounter) {
+            if (e.rounds >= kRoundsPerEncounter) {
               finish_encounter(index);
             } else {
               send_round(index);
@@ -199,11 +213,11 @@ void TopPeer::send_round(std::size_t index) {
   e.received = 0;
   e.endpoint->send(proto::encode(proto::AnyMessage{rp}));
   ++sources_stats_[index].request_parts;
-  e.timeout = net_.simulation().schedule_in(params_.request_timeout, [this, index] {
+  e.timeout = net_.simulation().schedule_in(kRequestTimeout, [this, index] {
     Encounter& enc = encounters_[index];
     if (!enc.endpoint) return;
     enc.timed_out = true;
-    if (enc.rounds >= params_.rounds_per_encounter) {
+    if (enc.rounds >= kRoundsPerEncounter) {
       finish_encounter(index);
     } else {
       send_round(index);
@@ -220,15 +234,15 @@ void TopPeer::finish_encounter(std::size_t index) {
     e.endpoint.reset();
   }
   const Duration mean =
-      timed_out ? params_.gap_after_timeout : params_.gap_after_data;
+      timed_out ? kGapAfterTimeout : kGapAfterData;
   schedule_encounter(index, rng_.exponential(mean));
 }
 
 void TopPeer::toggle_activity() {
   if (!running_) return;
   const Duration span =
-      paused_ ? rng_.uniform(params_.pause_min, params_.pause_max)
-              : rng_.exponential(params_.active_period_mean);
+      paused_ ? rng_.uniform(kPauseMin, kPauseMax)
+              : rng_.exponential(kActivePeriodMean);
   net_.simulation().schedule_in(span, [this] {
     paused_ = !paused_;
     toggle_activity();

@@ -18,22 +18,6 @@
 
 namespace edhp::peer {
 
-struct TopPeerParams {
-  /// REQUEST-PART rounds per encounter.
-  std::uint32_t rounds_per_encounter = 2;
-  /// Mean gap before re-visiting a source that delivered data.
-  Duration gap_after_data = minutes(70);
-  /// Mean gap before re-visiting a source that timed out (lower priority).
-  Duration gap_after_timeout = minutes(105);
-  /// Client timeout per REQUEST-PART.
-  Duration request_timeout = 45.0;
-  /// Mean length of an active period before an idle plateau.
-  Duration active_period_mean = days(4);
-  /// Idle plateau length bounds.
-  Duration pause_min = hours(10);
-  Duration pause_max = hours(40);
-};
-
 /// Per-source counters, exported for the Fig 8/9 series.
 struct TopPeerSourceStats {
   std::uint32_t client_id = 0;
@@ -45,7 +29,7 @@ struct TopPeerSourceStats {
 class TopPeer {
  public:
   TopPeer(net::Network& network, net::NodeId server_node, PeerProfile profile,
-          FileId target, TopPeerParams params, Rng rng);
+          FileId target, Rng rng);
   ~TopPeer();
 
   TopPeer(const TopPeer&) = delete;
@@ -86,7 +70,6 @@ class TopPeer {
   net::NodeId server_node_;
   PeerProfile profile_;
   FileId target_;
-  TopPeerParams params_;
   Rng rng_;
   /// Scratch for zero-copy decode of the packet currently being handled.
   proto::MessageArena arena_;

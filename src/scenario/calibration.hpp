@@ -83,7 +83,4 @@ inline constexpr double kGreedyPoolFactor = 1.4;  // pool = 15d-demand*factor
 /// Seed files the greedy honeypot starts from (catalog ranks).
 inline constexpr std::size_t kGreedySeeds[3] = {40, 310, 1200};
 
-/// The greedy honeypot adopts harvested files only during its first day.
-inline constexpr Duration kGreedyHarvestWindow = kDay;
-
 }  // namespace edhp::scenario

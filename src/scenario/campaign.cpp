@@ -13,10 +13,6 @@ namespace {
 
 /// Standby servers for escalation.
 constexpr std::size_t kBackupServers = 1;
-/// Advertise-and-verify cadence of a defended Byzantine campaign.
-constexpr Duration kProbePeriod = minutes(10);
-/// An unanswered probe is a miss.
-constexpr Duration kProbeTimeout = minutes(2);
 
 /// Project the chaos link knobs onto the network's link model. All-default
 /// knobs yield the default model (no extra RNG draws), so link-clean runs
@@ -145,11 +141,9 @@ honeypot::Honeypot& Campaign::launch(honeypot::HoneypotConfig hp,
   hp.budget.mem_budget_records = chaos.mem_budget_records;
   hp.budget.session_ceiling = chaos.session_ceiling;
   hp.budget.policy = chaos.degrade_policy;
-  hp.budget.shed_user_word = fault::kAbuseUserWord;
   hp.audit_selftest_drop = chaos.audit_selftest_drop;
   if (chaos.byzantine.enabled && chaos.byzantine.defend) {
-    hp.self_probe_period = kProbePeriod;
-    hp.self_probe_timeout = kProbeTimeout;
+    hp.self_probes = true;
     hp.integrity_defense = integrity_defense;
   }
   random_content_.push_back(hp.strategy ==
@@ -187,7 +181,7 @@ void Campaign::arm_faults(Duration legacy_host_mtbf) {
   // status poll, exactly the paper's relaunch mechanism.
   auto plan = fault::make_plan(config_.chaos, hosts_.size(),
                                directory_refs_.size(), config_.days * kDay,
-                               rng.split(config_.chaos.seed));
+                               rng.split(fault::splits::kChaosSeed));
   fault::Injector::Bindings bind;
   bind.host_count = hosts_.size();
   // Host bindings go through the stable pointers, not the manager's fleet
@@ -225,7 +219,8 @@ void Campaign::arm_abuse() {
   // Hostile peers against every honeypot and directory server. The
   // injector (and its attacker nodes) exists only when abuse is enabled.
   if (!config_.abuse.enabled) return;
-  const Rng abuse_rng = world_.simulation.rng().split(config_.abuse.seed);
+  const Rng abuse_rng =
+      world_.simulation.rng().split(fault::splits::kAbuseSeed);
   auto plan = fault::make_plan(config_.abuse, hosts_.size(),
                                directory_refs_.size(), config_.days * kDay,
                                abuse_rng);
@@ -247,7 +242,8 @@ void Campaign::arm_byzantine() {
   // peers run against the honeypots. Gated exactly like abuse.
   const auto& byz = config_.chaos.byzantine;
   if (!byz.enabled) return;
-  const Rng byz_rng = world_.simulation.rng().split(byz.seed);
+  const Rng byz_rng =
+      world_.simulation.rng().split(fault::splits::kByzantineSeed);
   auto plan = fault::make_plan(byz, hosts_.size(), servers_.size(),
                                config_.days * kDay, byz_rng);
   fault::ByzantineInjector::Bindings bind;

@@ -16,7 +16,8 @@ namespace edhp::scenario {
 
 struct MultiServerConfig : CampaignConfig {
   std::size_t honeypots = 8;
-  /// Relative size (resident user share) of each simulated server.
+  /// Relative size (resident user share) of each simulated server. Kept:
+  /// the multi-server goldens pin a {0.5, 0.3, 0.2} campaign.
   std::vector<double> server_sizes = {0.45, 0.3, 0.15, 0.1};
 
   MultiServerConfig();

@@ -26,10 +26,6 @@ honeypot::ManagerConfig chaos_manager_config(const fault::ChaosConfig& chaos) {
     }
   }
   if (!chaos.enabled) return mc;
-  mc.relaunch_backoff_base = minutes(10);
-  mc.relaunch_backoff_cap = hours(2);
-  mc.escalate_after = 3;
-  mc.heartbeat_timeout = hours(2);  // the watchdog's stall limit
   mc.retry = true;
   mc.spool.enabled = true;
   mc.spool.period = chaos.spool_period;
@@ -99,7 +95,6 @@ ScenarioResult run_distributed(const DistributedConfig& config,
     hp.strategy = h >= config.honeypots / 2
                       ? honeypot::ContentStrategy::random_content
                       : honeypot::ContentStrategy::no_content;
-    hp.harvest_shared_lists = true;
     hp.stream_records = config.stream_records;
     const auto host = campaign.launch(std::move(hp), server).node();
     // Per-honeypot visibility weight (uptime, bandwidth, position in
@@ -171,8 +166,7 @@ ScenarioResult run_distributed(const DistributedConfig& config,
         peer::sample_profile(top_rng, config.behavior, world.diurnal);
     profile.client_name = "MLDonkey 2.9";  // crawler-ish client
     top = std::make_unique<peer::TopPeer>(world.network, server.node, profile,
-                                          files[0].id, peer::TopPeerParams{},
-                                          top_rng.split(7));
+                                          files[0].id, top_rng.split(7));
     world.simulation.schedule_at(hours(6), [&top] { top->start(); });
   }
 
@@ -194,9 +188,7 @@ ScenarioResult run_greedy(const GreedyConfig& config, std::ostream* progress) {
   hp.id = 0;
   hp.name = "hp-greedy";
   hp.strategy = honeypot::ContentStrategy::no_content;  // sent no content
-  hp.harvest_shared_lists = true;
   hp.greedy = true;
-  hp.greedy_harvest_window = kGreedyHarvestWindow;
   hp.greedy_max_files = std::max<std::size_t>(
       kGreedyAdvertisedFloor,
       static_cast<std::size_t>(

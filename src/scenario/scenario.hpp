@@ -175,10 +175,11 @@ struct ScenarioResult {
   std::uint64_t stream_fingerprint = 0;
 };
 
-/// Manager policy used by the chaos variants of the campaigns: relaunch
-/// backoff, escalation after repeated failures, heartbeat watchdog, and the
-/// retry/spool knobs copied from the chaos config. Returns the plain
-/// default (legacy) ManagerConfig when `chaos.enabled` is false.
+/// Manager policy used by the chaos variants of the campaigns: the
+/// retry/spool knobs copied from the chaos config, the journal and clock
+/// tracking, and quarantine scoring under a defended Byzantine model.
+/// Returns the plain default ManagerConfig when neither is on. The watchdog
+/// (relaunch backoff, escalation, heartbeat) has no knob: it is always on.
 [[nodiscard]] honeypot::ManagerConfig chaos_manager_config(
     const fault::ChaosConfig& chaos);
 

@@ -13,6 +13,9 @@ static_assert(kMaxSourcesPerReply <= 255);
 /// Cap on search results per reply.
 constexpr std::size_t kMaxSearchResults = 200;
 
+/// Free-text description in the UDP SERVER-DESC answer.
+constexpr std::string_view kDescription = "simulated lugdunum-style server";
+
 /// Hard fd-limit analog on live sessions, enforced even with the defense
 /// layer off. Far above anything benign traffic reaches, so an undefended
 /// server is still genuinely harmed by a flood (sessions pile up to here).
@@ -119,7 +122,7 @@ void Server::on_datagram(net::NodeId from, net::Bytes datagram) {
   if (std::holds_alternative<proto::ServDescRequest>(msg)) {
     proto::ServDescResponse res;
     res.name = config_.name;
-    res.description = config_.description;
+    res.description = kDescription;
     net_.send_datagram(self_, from, proto::encode_udp(std::move(res)));
   }
 }

@@ -20,7 +20,6 @@ namespace edhp::server {
 
 struct ServerConfig {
   std::string name = "edhp directory server";
-  std::string description = "simulated lugdunum-style server";
   /// Admission control (off by default; see net/admission.hpp).
   bool defense = false;
 };

@@ -302,6 +302,12 @@ net::LinkModel lossless() {
   return m;
 }
 
+/// Latency factors for a honeypot's host that put its server round trip
+/// just past the 2 minute probe timeout (2-3 min) or just inside it
+/// (1-2 min) at this fixture's seed; each test asserts its window.
+constexpr double kLateFactor = 2800.0;
+constexpr double kSlowFactor = 1700.0;
+
 class ByzantineDefenseTest : public ::testing::Test {
  protected:
   void settle(double span = 180.0) { s.run_until(s.now() + span); }
@@ -310,16 +316,25 @@ class ByzantineDefenseTest : public ::testing::Test {
     HoneypotConfig c;
     c.name = name;
     c.strategy = ContentStrategy::no_content;
-    c.harvest_shared_lists = true;
     c.integrity_defense = true;
-    c.self_probe_period = minutes(5);
-    c.self_probe_timeout = minutes(1);
+    c.self_probes = true;
     return c;
   }
 
   std::vector<AdvertisedFile> bait() {
     return {AdvertisedFile{FileId::from_words(0xA, 0xA), "bait-a.avi", 1000},
             AdvertisedFile{FileId::from_words(0xB, 0xB), "bait-b.avi", 2000}};
+  }
+
+  /// Run in one-second steps until `hp` has logged in (for at most an
+  /// hour); the time that took: two round trips to the server, the
+  /// transport handshake and then LOGIN / ID-CHANGE.
+  Duration login_time(const Honeypot& hp) {
+    const Time from = s.now();
+    while (hp.status() != Status::connected && s.now() < from + hours(1)) {
+      settle(1.0);
+    }
+    return s.now() - from;
   }
 
   /// Run in one-minute steps until the manager benches the server named
@@ -381,7 +396,8 @@ TEST_F(ByzantineDefenseTest, SelfProbesConfirmAgainstHonestServer) {
   settle(hours(2));
 
   const auto stats = m.integrity_stats();
-  EXPECT_GT(stats.probes_sent, 10u);
+  // One probe every 10 minutes from the login, a fraction of a second in.
+  EXPECT_EQ(stats.probes_sent, 12u);
   EXPECT_EQ(stats.probes_missed, 0u);
   EXPECT_GE(stats.probes_confirmed + 1, stats.probes_sent);  // last may pend
   EXPECT_EQ(stats.fabricated_sources_detected, 0u);
@@ -400,20 +416,22 @@ TEST_F(ByzantineDefenseTest, SelfProbesConfirmAgainstHonestServer) {
 }
 
 TEST_F(ByzantineDefenseTest, ProbeTimeoutScoresOneMissAndIgnoresLateReplies) {
-  // A probe timeout shorter than the link's minimum RTT makes the race
-  // deterministic: every probe times out before its reply can land, so it
-  // scores exactly one miss, and the honest reply that arrives afterwards
-  // scores nothing: no confirm, no fabrication, no adopted search result.
-  auto c = defended_config("hp-late");
-  c.self_probe_timeout = 0.001;  // < kMinLatency (5 ms): reply always loses
+  // A server session whose round trip exceeds the 2 minute probe timeout:
+  // every probe times out before its reply can land, so it scores exactly
+  // one miss, and the honest reply that arrives afterwards scores nothing:
+  // no confirm, no fabrication, no adopted search result.
   ManagerConfig mc;
   mc.journal = journal;
   Manager m(net, mc);
-  const auto idx = m.launch(std::move(c), net.add_node(true), ref);
+  const auto host = net.add_node(true);
+  net.set_latency_factor(host, kLateFactor);  // before the session exists
+  const auto idx = m.launch(defended_config("hp-late"), host, ref);
+  const Duration rtt = login_time(m.honeypot(idx)) / 2;
+  ASSERT_GT(rtt, minutes(2));
+  ASSERT_LT(rtt, minutes(3));
   m.start();
-  settle();
   m.advertise(idx, bait());
-  settle(hours(1));
+  settle(hours(3) + minutes(5));  // ends between two probes' timeouts
 
   const auto stats = m.integrity_stats();
   EXPECT_GT(stats.probes_sent, 10u);
@@ -436,6 +454,30 @@ TEST_F(ByzantineDefenseTest, ProbeTimeoutScoresOneMissAndIgnoresLateReplies) {
     EXPECT_FALSE(journal::decode<journal::ProbeVerdict>(e.payload).confirmed);
   }
   EXPECT_EQ(verdicts, stats.probes_sent);
+}
+
+TEST_F(ByzantineDefenseTest, SlowReplyInsideProbeTimeoutConfirms) {
+  // The mirror case: a round trip between 1 and 2 minutes still beats the
+  // probe timeout, so every probe is confirmed.
+  ManagerConfig mc;
+  mc.journal = journal;
+  Manager m(net, mc);
+  const auto host = net.add_node(true);
+  net.set_latency_factor(host, kSlowFactor);
+  const auto idx = m.launch(defended_config("hp-slow"), host, ref);
+  const Duration rtt = login_time(m.honeypot(idx)) / 2;
+  ASSERT_GT(rtt, minutes(1));
+  ASSERT_LT(rtt, minutes(2));
+  m.start();
+  m.advertise(idx, bait());
+  settle(hours(3));
+
+  const auto stats = m.integrity_stats();
+  EXPECT_GT(stats.probes_sent, 10u);
+  EXPECT_EQ(stats.probes_missed, 0u);
+  EXPECT_GE(stats.probes_confirmed + 1, stats.probes_sent);  // last may pend
+  EXPECT_EQ(m.server_health("srv"), 0.0);
+  m.stop();
 }
 
 TEST_F(ByzantineDefenseTest, CanaryProbeCatchesFabricatedSources) {
@@ -569,7 +611,6 @@ TEST_F(ByzantineDefenseTest, QuarantineStateSurvivesCrashRecover) {
   ManagerConfig mc;
   mc.journal = journal;
   mc.quarantine_threshold = 2.0;
-  mc.escalate_after = 1;
   Manager m(net, mc);
   m.set_backup_servers({backup_ref, backup2_ref});
   const auto idx = m.launch(defended_config("hp-cq"), net.add_node(true), ref);
@@ -595,11 +636,16 @@ TEST_F(ByzantineDefenseTest, QuarantineStateSurvivesCrashRecover) {
   EXPECT_EQ(m.server_of(idx).name, "honest-backup");
 
   // The quarantine took the first backup in the rotation, so the next
-  // escalation takes the second, as it would without the crash. Two polls
-  // after the death: one failed relaunch, then exactly one escalation.
+  // escalation takes the second, as it would without the crash. With the
+  // backup and srv both down (the cooloff's reinstate moves the slot back
+  // to srv), three relaunches fail, 10 and 20 minutes apart, and the poll
+  // after the third one's 40 minute backoff escalates, exactly once.
+  const auto relaunched = m.recovery_stats().relaunches;
   backup.stop();
+  server.stop();
   m.honeypot(idx).crash();
-  settle(minutes(25));
+  settle(minutes(85));
+  EXPECT_EQ(m.recovery_stats().relaunches - relaunched, 3u);
   EXPECT_EQ(m.recovery_stats().escalations, 1u);
   EXPECT_EQ(m.server_of(idx).name, "honest-backup-2");
   m.stop();

@@ -163,7 +163,6 @@ class QueueTest : public ::testing::Test {
 TEST_F(QueueTest, UnlimitedSlotsByDefault) {
   honeypot::HoneypotConfig c;
   c.name = "open-hp";
-  c.harvest_shared_lists = false;
   honeypot::Honeypot hp(net, net.add_node(true), c);
   hp.connect_to_server(honeypot::ServerRef{server_node, "srv", 4661});
   settle();

@@ -438,15 +438,6 @@ TEST(ChaosScenario, DeterministicForFixedSeed) {
   EXPECT_EQ(a.merged.records, b.merged.records);
 }
 
-TEST(ChaosScenario, ChaosSeedChangesFaultScheduleOnly) {
-  auto config = small_chaos_config();
-  const auto a = run_distributed(config);
-  config.chaos.seed += 1;
-  const auto b = run_distributed(config);
-  // A different chaos stream injects a different schedule.
-  EXPECT_NE(a.merged.records, b.merged.records);
-}
-
 TEST(ChaosScenario, RecoveryMachineryEngages) {
   const auto r = run_distributed(small_chaos_config());
   EXPECT_GT(r.faults.host_crashes, 0u);
@@ -596,17 +587,12 @@ TEST(ChaosScenario, GreedyChaosVariantRuns) {
 TEST(ChaosScenario, ChaosManagerConfigMapsKnobs) {
   fault::ChaosConfig chaos;
   EXPECT_FALSE(chaos_manager_config(chaos).retry);
-  EXPECT_EQ(chaos_manager_config(chaos).relaunch_backoff_base, 0.0);
-  EXPECT_EQ(chaos_manager_config(chaos).heartbeat_timeout, 0.0);
   chaos.enabled = true;
   chaos.spool_period = minutes(7);
   const auto mc = chaos_manager_config(chaos);
   EXPECT_TRUE(mc.retry);
   EXPECT_TRUE(mc.spool.enabled);
   EXPECT_EQ(mc.spool.period, minutes(7));
-  EXPECT_EQ(mc.heartbeat_timeout, hours(2));
-  EXPECT_GT(mc.relaunch_backoff_base, 0.0);
-  EXPECT_GT(mc.escalate_after, 0u);
 }
 
 }  // namespace

@@ -275,7 +275,6 @@ TEST_F(HoneypotTest, HarvestsSharedListsAndAggregates) {
 TEST_F(HoneypotTest, GreedyModeAdoptsHarvestedFiles) {
   auto c = config(ContentStrategy::no_content);
   c.greedy = true;
-  c.greedy_harvest_window = days(1);
   Honeypot hp(net, net.add_node(true), c);
   hp.connect_to_server(ref);
   settle();
@@ -299,23 +298,34 @@ TEST_F(HoneypotTest, GreedyModeAdoptsHarvestedFiles) {
 TEST_F(HoneypotTest, GreedyStopsAfterHarvestWindow) {
   auto c = config(ContentStrategy::no_content);
   c.greedy = true;
-  c.greedy_harvest_window = hours(1);
   Honeypot hp(net, net.add_node(true), c);
+  // The window opens at login, a fraction of a second after this.
+  const Time login = s.now();
   hp.connect_to_server(ref);
   settle();
-  s.run_until(s.now() + hours(2));
+  auto early = contact(hp);
+  auto late = contact(hp);
+  const auto share = [](FakePeer& peer, std::uint64_t word, const char* name) {
+    proto::AskSharedFilesAnswer answer;
+    proto::PublishedFile f;
+    f.file = FileId::from_words(word, word);
+    f.name = name;
+    answer.files.push_back(f);
+    peer.ep->send(proto::encode(AnyMessage{answer}));
+  };
 
-  auto peer = contact(hp);
-  proto::AskSharedFilesAnswer answer;
-  proto::PublishedFile f;
-  f.file = FileId::from_words(0xEE, 0xFF);
-  f.name = "late.avi";
-  answer.files.push_back(f);
-  peer.ep->send(proto::encode(AnyMessage{answer}));
+  // The window is one day: 30 s before it closes a list is still adopted,
+  // 30 s after it is only observed.
+  s.run_until(login + days(1) - 30.0);
+  share(early, 0xEE, "last.avi");
+  s.run_until(login + days(1) + 30.0);
+  ASSERT_EQ(hp.advertised().size(), 1u);
+  EXPECT_EQ(hp.advertised()[0].name, "last.avi");
+  share(late, 0xFF, "late.avi");
   settle();
-  EXPECT_TRUE(hp.advertised().empty());
+  EXPECT_EQ(hp.advertised().size(), 1u);
   // Still *observed* for the distinct-files statistics.
-  EXPECT_EQ(hp.observed().size(), 1u);
+  EXPECT_EQ(hp.observed().size(), 2u);
 }
 
 TEST_F(HoneypotTest, AnswersSharedFilesBrowsing) {
@@ -349,20 +359,6 @@ TEST_F(HoneypotTest, CrashAndRelaunchKeepsLog) {
   settle();
   EXPECT_EQ(hp.status(), Status::connected);
   EXPECT_EQ(hp.log().records.size(), 1u);  // log survived the crash
-}
-
-TEST_F(HoneypotTest, TakeLogDrainsButKeepsHeader) {
-  Honeypot hp(net, net.add_node(true), config(ContentStrategy::random_content));
-  hp.connect_to_server(ref);
-  settle();
-  auto peer = contact(hp);
-  auto taken = hp.take_log();
-  EXPECT_EQ(taken.records.size(), 1u);
-  EXPECT_TRUE(hp.log().records.empty());
-  EXPECT_EQ(hp.log().header.strategy, "random-content");
-  // Logging continues into the fresh log.
-  auto peer2 = contact(hp);
-  EXPECT_EQ(hp.log().records.size(), 1u);
 }
 
 TEST_F(HoneypotTest, MalformedPeerTrafficDropsConnection) {

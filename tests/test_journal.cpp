@@ -291,17 +291,22 @@ TEST(SpoolCost, DeterministicAcrossPlatformsAndGrowsWithPayload) {
   EXPECT_EQ(chunk_cost_bytes(more), chunk_cost_bytes(chunk) + 56);
 }
 
-TEST(SpoolIntegrity, DuplicateStillDetectedAndLegacyChunksSkipVerification) {
+TEST(SpoolIntegrity, DuplicateStillDetected) {
   SpoolStore store;
   EXPECT_EQ(store.ingest(make_chunk(2, 0)), SpoolStore::Ingest::stored);
   EXPECT_EQ(store.ingest(make_chunk(2, 0)), SpoolStore::Ingest::duplicate);
+}
 
-  // checksum == 0 marks a pre-checksum chunk: verification is skipped.
-  auto legacy = make_chunk(2, 1);
-  legacy.records[0].user ^= 0xBEEF;
-  legacy.checksum = 0;
-  EXPECT_EQ(store.ingest(legacy), SpoolStore::Ingest::stored);
-  EXPECT_EQ(store.chunks_quarantined(), 0u);
+TEST(SpoolIntegrity, ZeroedChecksumIsStillVerified) {
+  // A zero checksum exempts nothing: a corrupted chunk whose checksum was
+  // zeroed as well is quarantined like any other mismatch.
+  SpoolStore store;
+  auto zeroed = make_chunk(2, 1);
+  zeroed.records[0].user ^= 0xBEEF;
+  zeroed.checksum = 0;
+  EXPECT_EQ(store.ingest(zeroed), SpoolStore::Ingest::quarantined);
+  EXPECT_EQ(store.chunks_quarantined(), 1u);
+  EXPECT_EQ(store.records_stored(), 0u);
 }
 
 }  // namespace

@@ -211,35 +211,37 @@ TEST_F(ManagerTest, ExportObservedNamesAnonymises) {
 namespace edhp::honeypot {
 namespace {
 
-// Regression (hot-spin): with a backoff configured, a honeypot whose server
-// stays down is NOT reconnected on every poll tick — attempts are gated and
-// the skipped polls are accounted as deferred.
+// Regression (hot-spin): a honeypot whose server stays down is NOT
+// reconnected on every poll tick. After the n-th failed relaunch the
+// backoff is 10 min doubled n - 1 times, capped at 2 h, and the manager
+// relaunches at the first poll by which it has expired; the polls in
+// between are accounted as deferred.
 TEST_F(ManagerTest, RelaunchBackoffBoundsAttemptsWhileServerDown) {
-  ManagerConfig mc;
-  mc.relaunch_backoff_base = minutes(20);
-  mc.relaunch_backoff_cap = hours(2);
-  Manager wd{net, mc};
-  HoneypotConfig c;
-  c.name = "hp-backoff";
-  wd.launch(std::move(c), net.add_node(true), ref);
+  launch_one();
   settle();
-  ASSERT_EQ(wd.honeypot(0).status(), Status::connected);
-  wd.start();
+  ASSERT_EQ(manager.honeypot(0).status(), Status::connected);
+  manager.start();  // polls every 10 minutes from here
 
-  server.stop();  // the server is gone for four hours
-  s.run_until(s.now() + hours(4));
-  const auto rec = wd.recovery_stats();
-  // 24 polls happened; backoff doubling (20, 40, 80, 120 min) limits the
-  // actual reconnect attempts to a handful, the rest are deferred.
-  EXPECT_GE(rec.relaunches, 2u);
-  EXPECT_LE(rec.relaunches, 8u);
-  EXPECT_GE(rec.deferred, 10u);
-  EXPECT_EQ(wd.honeypot(0).status(), Status::dead);
-  EXPECT_GT(rec.total_downtime, hours(3));
+  server.stop();  // the server is gone for 41 polls
+  std::vector<int> relaunch_polls;
+  std::uint64_t relaunches = 0;
+  for (int poll = 1; poll <= 41; ++poll) {
+    s.run_until(s.now() + minutes(10));
+    const auto n = manager.recovery_stats().relaunches;
+    if (n != relaunches) relaunch_polls.push_back(poll);
+    relaunches = n;
+  }
+  // Backoffs of 10, 20, 40, 80, then 120, 120 minutes.
+  EXPECT_EQ(relaunch_polls, (std::vector<int>{1, 2, 4, 8, 16, 28, 40}));
+  const auto rec = manager.recovery_stats();
+  EXPECT_EQ(rec.deferred, 34u);
+  EXPECT_EQ(manager.honeypot(0).status(), Status::dead);
+  EXPECT_GT(rec.total_downtime, hours(6));
 
   server.start();
-  s.run_until(s.now() + hours(3));  // next gated attempt reconnects
-  EXPECT_EQ(wd.honeypot(0).status(), Status::connected);
+  s.run_until(s.now() + minutes(110) + 1.0);  // poll 52 reconnects
+  EXPECT_EQ(manager.honeypot(0).status(), Status::connected);
+  EXPECT_EQ(manager.recovery_stats().relaunches, 8u);
 }
 
 // Regression (lost advertise order): an advertise issued while the honeypot
@@ -267,9 +269,7 @@ TEST_F(ManagerTest, EscalatesToBackupAfterConsecutiveFailures) {
   backup.start();
   const ServerRef backup_ref{backup_node, "backup", 4661};
 
-  ManagerConfig mc;
-  mc.escalate_after = 2;
-  Manager wd{net, mc};
+  Manager wd{net, {}};
   wd.set_backup_servers({backup_ref});
   HoneypotConfig c;
   c.name = "hp-escalate";
@@ -279,38 +279,63 @@ TEST_F(ManagerTest, EscalatesToBackupAfterConsecutiveFailures) {
   wd.start();
 
   server.stop();  // the primary never comes back
-  s.run_until(s.now() + hours(2));
+  // Relaunches at polls 1, 2 and 4 fail; the third one's backoff expires
+  // at poll 8, which escalates instead of relaunching.
+  s.run_until(s.now() + minutes(80) - 1.0);
+  EXPECT_EQ(wd.recovery_stats().relaunches, 3u);
+  EXPECT_EQ(wd.recovery_stats().escalations, 0u);
+  s.run_until(s.now() + minutes(2));
+  EXPECT_EQ(wd.recovery_stats().escalations, 1u);
+  s.run_until(s.now() + hours(1));
   EXPECT_EQ(wd.honeypot(0).status(), Status::connected);
   EXPECT_EQ(wd.honeypot(0).log().header.server_name, "backup");
-  EXPECT_GE(wd.recovery_stats().escalations, 1u);
+  EXPECT_EQ(wd.recovery_stats().relaunches, 3u);
+  EXPECT_EQ(wd.recovery_stats().escalations, 1u);
   EXPECT_GT(wd.recovery_stats().total_downtime, 0.0);
 }
 
 // A honeypot whose SYN raced a server shutdown is wedged in `connecting`
 // forever (the transport handshake completed, nobody answers the login).
-// Status alone never reports it; the heartbeat watchdog does.
+// Status alone never reports it; the heartbeat watchdog does, at the first
+// poll that finds its heartbeat more than 2 h old.
 TEST_F(ManagerTest, HeartbeatWatchdogUnwedgesStalledLogin) {
   const auto backup_node = net.add_node(true);
   server::Server backup{net, backup_node, {}};
   backup.start();
   const ServerRef backup_ref{backup_node, "backup", 4661};
 
-  ManagerConfig mc;
-  mc.heartbeat_timeout = minutes(30);
-  Manager wd{net, mc};
+  Manager wd{net, {}};
   wd.set_backup_servers({backup_ref});
-  HoneypotConfig c;
-  c.name = "hp-wedged";
-  wd.launch(std::move(c), net.add_node(true), ref);
-  server.stop();  // SYN in flight: accept never happens, login unanswered
-  wd.start();
+  // Wedge a honeypot whose last heartbeat is its launch, now.
+  const auto wedge = [&](const char* name) {
+    HoneypotConfig c;
+    c.name = name;
+    const auto index = wd.launch(std::move(c), net.add_node(true), ref);
+    server.stop();  // SYN in flight: accept never happens, login unanswered
+    return index;
+  };
+  const Time start = s.now();
+  const auto early = wedge("hp-wedged-early");
+  wd.start();  // polls every 10 minutes from here
+  // The second one beats 9.5 minutes in, so 2 h later a poll is only
+  // 30 s away; the first one's limit falls exactly on a poll.
+  s.run_until(start + minutes(9.5));
+  server.start();
+  const auto late = wedge("hp-wedged-late");
   s.run_until(s.now() + minutes(5));
-  ASSERT_EQ(wd.honeypot(0).status(), Status::connecting) << "not wedged";
+  ASSERT_EQ(wd.honeypot(early).status(), Status::connecting) << "not wedged";
+  ASSERT_EQ(wd.honeypot(late).status(), Status::connecting) << "not wedged";
 
-  s.run_until(s.now() + hours(2));
-  EXPECT_GE(wd.recovery_stats().heartbeat_escalations, 1u);
-  EXPECT_EQ(wd.honeypot(0).status(), Status::connected);
-  EXPECT_EQ(wd.honeypot(0).log().header.server_name, "backup");
+  // The poll at 2 h finds the first heartbeat exactly 2 h old, which is
+  // not stale yet; the poll at 2 h 10 min escalates both.
+  s.run_until(start + hours(2) + minutes(5));
+  EXPECT_EQ(wd.recovery_stats().heartbeat_escalations, 0u);
+  s.run_until(start + hours(2) + minutes(15));
+  EXPECT_EQ(wd.recovery_stats().heartbeat_escalations, 2u);
+  for (const auto index : {early, late}) {
+    EXPECT_EQ(wd.honeypot(index).status(), Status::connected);
+    EXPECT_EQ(wd.honeypot(index).log().header.server_name, "backup");
+  }
 }
 
 TEST(ManagerSurvey, CrashedCandidateTimesOutOnlyRespondersDelivered) {

@@ -217,9 +217,7 @@ TEST_F(RecoveryTest, JournalProvenChunksAreAckedWithoutResend) {
 }
 
 TEST_F(RecoveryTest, CountersSurviveAcrossCrash) {
-  ManagerConfig mc = durable_config();
-  mc.escalate_after = 1;
-  Manager manager(net, mc);
+  Manager manager(net, durable_config());
   manager.set_backup_servers({backup_ref});
   launch_one(manager, ref);
   settle();
@@ -490,7 +488,6 @@ TEST_F(RecoveryTest, ClockObservationsSurviveCrashAndReplay) {
 TEST_F(RecoveryTest, ScriptedSessionJournalIsPinned) {
   ManagerConfig mc = durable_config();
   mc.track_clocks = true;
-  mc.escalate_after = 1;
   Manager manager(net, mc);
   launch_one(manager, ref);
   launch_one(manager, ref);
@@ -509,11 +506,12 @@ TEST_F(RecoveryTest, ScriptedSessionJournalIsPinned) {
   // Repair: the honeypot lost its ordered list behind the manager's back.
   manager.honeypot(0).advertise({});
   s.run_until(s.now() + minutes(15));
-  // Escalation: the honeypot dies again with its server down, so the
-  // relaunch fails and the next poll moves it to the backup.
+  // Escalation: the honeypot dies again with its server down, so three
+  // relaunches fail (10 and 20 min apart) and the poll after the third
+  // one's 40 min backoff moves it to the backup.
   server.stop();
   manager.honeypot(0).crash();
-  s.run_until(s.now() + hours(1));
+  s.run_until(s.now() + hours(2));
   manager.stop();
   manager.crash();
   manager.recover(s.now());
@@ -529,8 +527,10 @@ TEST_F(RecoveryTest, ScriptedSessionJournalIsPinned) {
         T::chunk_stored, T::recovered, T::clock_observation}) {
     EXPECT_GT(by_type[type], 0u) << logbook::to_string(type);
   }
-  EXPECT_EQ(journal->size_bytes(), 1610u);
-  EXPECT_EQ(logbook::fnv1a(journal->bytes()), 0xb4c1925ab7c855d4ull);
+  EXPECT_EQ(manager.recovery_stats().relaunches, 4u);
+  EXPECT_EQ(manager.recovery_stats().escalations, 1u);
+  EXPECT_EQ(journal->size_bytes(), 1938u);
+  EXPECT_EQ(logbook::fnv1a(journal->bytes()), 0xf5cde904fc0d9a81ull);
 }
 
 // --- Crafted frames ------------------------------------------------------------
@@ -604,7 +604,6 @@ TEST_F(RecoveryTest, ReplayRebuildsLiveState) {
 
   ManagerConfig mc = durable_config();
   mc.track_clocks = true;
-  mc.escalate_after = 1;
   mc.quarantine_threshold = 2.0;
   Manager m(net, mc);
   m.set_backup_servers({backup_ref, backup2_ref});
@@ -612,8 +611,7 @@ TEST_F(RecoveryTest, ReplayRebuildsLiveState) {
   probed.name = "hp-probed";
   probed.strategy = ContentStrategy::no_content;
   probed.integrity_defense = true;
-  probed.self_probe_period = minutes(5);
-  probed.self_probe_timeout = minutes(1);
+  probed.self_probes = true;
   m.launch(probed, net.add_node(true), ref);
   launch_one(m, ref);
   m.start();
@@ -708,8 +706,7 @@ TEST_F(RecoveryTest, RecoveryRacesPendingSelfProbe) {
     c.name = "hp-probe-race";
     c.strategy = ContentStrategy::no_content;
     c.integrity_defense = true;
-    c.self_probe_period = minutes(5);
-    c.self_probe_timeout = minutes(2);
+    c.self_probes = true;
     return c;
   };
   auto first = std::make_unique<Manager>(net, durable_config());

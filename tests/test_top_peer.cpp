@@ -30,7 +30,6 @@ class TopPeerTest : public ::testing::Test {
     c.id = static_cast<std::uint16_t>(pots.size());
     c.name = "hp-" + std::to_string(pots.size());
     c.strategy = strategy;
-    c.harvest_shared_lists = false;
     pots.push_back(std::make_unique<honeypot::Honeypot>(
         net, net.add_node(true), std::move(c)));
     pots.back()->connect_to_server(honeypot::ServerRef{server_node, "srv", 4661});
@@ -50,16 +49,6 @@ class TopPeerTest : public ::testing::Test {
     return p;
   }
 
-  TopPeerParams fast_params() {
-    TopPeerParams p;
-    p.rounds_per_encounter = 2;
-    p.gap_after_data = minutes(10);
-    p.gap_after_timeout = minutes(15);
-    p.request_timeout = 30.0;
-    p.active_period_mean = days(30);  // no plateaus unless tested
-    return p;
-  }
-
   std::uint64_t hellos_logged(const honeypot::Honeypot& hp) {
     std::uint64_t n = 0;
     for (const auto& r : hp.log().records) {
@@ -72,8 +61,7 @@ class TopPeerTest : public ::testing::Test {
 TEST_F(TopPeerTest, DiscoversAllProvidersViaServer) {
   auto& nc = spawn_honeypot(honeypot::ContentStrategy::no_content);
   auto& rc = spawn_honeypot(honeypot::ContentStrategy::random_content);
-  TopPeer crawler(net, server_node, crawler_profile(), target, fast_params(),
-                  Rng(1));
+  TopPeer crawler(net, server_node, crawler_profile(), target, Rng(1));
   crawler.start();
   s.run_until(s.now() + days(1));
   ASSERT_EQ(crawler.per_source().size(), 2u);
@@ -87,8 +75,7 @@ TEST_F(TopPeerTest, DiscoversAllProvidersViaServer) {
 TEST_F(TopPeerTest, RandomContentGetsMoreQueriesThanNoContent) {
   auto& nc = spawn_honeypot(honeypot::ContentStrategy::no_content);
   auto& rc = spawn_honeypot(honeypot::ContentStrategy::random_content);
-  TopPeer crawler(net, server_node, crawler_profile(), target, fast_params(),
-                  Rng(2));
+  TopPeer crawler(net, server_node, crawler_profile(), target, Rng(2));
   crawler.start();
   s.run_until(s.now() + days(4));
   crawler.stop();
@@ -108,8 +95,7 @@ TEST_F(TopPeerTest, RandomContentGetsMoreQueriesThanNoContent) {
 
 TEST_F(TopPeerTest, QueriesArriveInHoneypotLogs) {
   auto& hp = spawn_honeypot(honeypot::ContentStrategy::random_content);
-  TopPeer crawler(net, server_node, crawler_profile(), target, fast_params(),
-                  Rng(3));
+  TopPeer crawler(net, server_node, crawler_profile(), target, Rng(3));
   crawler.start();
   s.run_until(s.now() + days(1));
   crawler.stop();
@@ -124,17 +110,14 @@ TEST_F(TopPeerTest, QueriesArriveInHoneypotLogs) {
 
 TEST_F(TopPeerTest, PlateausSuppressActivity) {
   spawn_honeypot(honeypot::ContentStrategy::random_content);
-  auto params = fast_params();
-  params.active_period_mean = hours(6);
-  params.pause_min = hours(24);
-  params.pause_max = hours(30);
-  TopPeer crawler(net, server_node, crawler_profile(), target, params, Rng(4));
+  TopPeer crawler(net, server_node, crawler_profile(), target, Rng(4));
   crawler.start();
-  // Track activity per 6h window over 4 days; with ~6h active periods and
-  // day-long pauses there must be at least one silent window.
+  // Track activity per 6h window over 8 days; with active periods of ~4
+  // days and pauses of 10 to 40 hours there must be at least one silent
+  // window.
   std::vector<std::uint64_t> per_window;
   std::uint64_t last = 0;
-  for (int w = 0; w < 16; ++w) {
+  for (int w = 0; w < 32; ++w) {
     s.run_until(s.now() + hours(6));
     const auto total = crawler.per_source().empty()
                            ? 0
@@ -151,8 +134,7 @@ TEST_F(TopPeerTest, PlateausSuppressActivity) {
 
 TEST_F(TopPeerTest, SurvivesProviderCrash) {
   auto& hp = spawn_honeypot(honeypot::ContentStrategy::random_content);
-  TopPeer crawler(net, server_node, crawler_profile(), target, fast_params(),
-                  Rng(5));
+  TopPeer crawler(net, server_node, crawler_profile(), target, Rng(5));
   crawler.start();
   s.run_until(s.now() + hours(2));
   hp.crash();
@@ -163,8 +145,7 @@ TEST_F(TopPeerTest, SurvivesProviderCrash) {
 }
 
 TEST_F(TopPeerTest, NoProvidersIsGraceful) {
-  TopPeer crawler(net, server_node, crawler_profile(), target, fast_params(),
-                  Rng(6));
+  TopPeer crawler(net, server_node, crawler_profile(), target, Rng(6));
   crawler.start();
   EXPECT_NO_THROW(s.run_until(s.now() + days(1)));
   EXPECT_TRUE(crawler.per_source().empty());
