@@ -317,8 +317,8 @@ TEST_F(ManagerTest, HeartbeatWatchdogUnwedgesStalledLogin) {
   const Time start = s.now();
   const auto early = wedge("hp-wedged-early");
   wd.start();  // polls every 10 minutes from here
-  // The second one beats 9.5 minutes in, so 2 h later a poll is only
-  // 30 s away; the first one's limit falls exactly on a poll.
+  // The second one's heartbeat is 9.5 minutes in, so 2 h later the next
+  // poll is only 30 s away; the first one's limit falls exactly on a poll.
   s.run_until(start + minutes(9.5));
   server.start();
   const auto late = wedge("hp-wedged-late");
