@@ -10,9 +10,6 @@
 //
 // Usage mirrors the other ablations: --scale/--days/--seed/--quiet.
 
-#include <chrono>
-#include <cstdio>
-
 #include "bench_common.hpp"
 #include "fault/abuse.hpp"
 
@@ -36,11 +33,8 @@ Outcome run_with(const bench::Options& opt, bool abuse, double intensity,
   config.abuse.enabled = abuse;
   config.abuse.intensity = intensity;
   config.auto_defense = defended;
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = scenario::run_distributed(config);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const auto run = bench::timed_run(config);
+  const auto& result = run.result;
   Outcome o{};
   for (const auto& rec : result.merged.records) {
     if (rec.user == fault::kAbuseUserWord) {
@@ -51,7 +45,7 @@ Outcome run_with(const bench::Options& opt, bool abuse, double intensity,
   }
   o.abuse = result.abuse;
   o.defense = result.defense;
-  o.events_per_sec = static_cast<double>(result.engine.events_executed) / elapsed;
+  o.events_per_sec = run.events_per_sec;
   return o;
 }
 
@@ -104,16 +98,13 @@ int main(int argc, char** argv) {
       static_cast<double>(baseline.benign_records);
   // One machine-readable line for the perf trajectory (BENCH_abuse.json):
   // the defended nominal-intensity run.
-  std::printf(
-      "{\"bench\":\"abuse\",\"benign_retained_pct\":%.3f,"
-      "\"hostile_connects\":%llu,\"shed\":%llu,\"rate_limited\":%llu,"
-      "\"reaped\":%llu,\"malformed\":%llu,\"events_per_sec\":%.0f}\n",
-      100.0 * nominal_retained,
-      static_cast<unsigned long long>(nominal.abuse.connections_opened),
-      static_cast<unsigned long long>(nominal.defense.shed),
-      static_cast<unsigned long long>(nominal.defense.rate_limited),
-      static_cast<unsigned long long>(nominal.defense.reaped),
-      static_cast<unsigned long long>(nominal.defense.malformed),
-      nominal.events_per_sec);
+  bench::print_record(
+      "abuse", {{"benign_retained_pct", 100.0 * nominal_retained, 3},
+                {"hostile_connects", nominal.abuse.connections_opened},
+                {"shed", nominal.defense.shed},
+                {"rate_limited", nominal.defense.rate_limited},
+                {"reaped", nominal.defense.reaped},
+                {"malformed", nominal.defense.malformed},
+                {"events_per_sec", nominal.events_per_sec, 0}});
   return 0;
 }

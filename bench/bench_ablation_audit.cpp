@@ -16,8 +16,6 @@
 // Usage mirrors the other ablations: --scale/--days/--seed/--quiet.
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <string_view>
 #include <vector>
 
@@ -26,17 +24,6 @@
 using namespace edhp;
 
 namespace {
-
-double one_run(const scenario::DistributedConfig& config,
-               std::uint64_t* events) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto r = scenario::run_distributed(config);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  *events = r.engine.events_executed;
-  return static_cast<double>(r.engine.events_executed) / elapsed;
-}
 
 /// Audit-on/off throughput comparison robust to machine noise: seven
 /// back-to-back (off, on) pairs after one untimed warm-up. Each pair shares
@@ -48,9 +35,14 @@ double one_run(const scenario::DistributedConfig& config,
 double timed_twins(scenario::DistributedConfig config, double* rate_off,
                    double* rate_on, std::uint64_t* events_off,
                    std::uint64_t* events_on) {
-  std::uint64_t scratch = 0;
+  const auto run = [&config](bool audit, std::uint64_t* events) {
+    config.audit = audit;
+    const auto timed = bench::timed_run(config);
+    *events = timed.result.engine.events_executed;
+    return timed.events_per_sec;
+  };
   config.audit = false;
-  (void)one_run(config, &scratch);  // warm-up, untimed
+  (void)scenario::run_distributed(config);  // warm-up, untimed
   *rate_off = *rate_on = 0;
   std::vector<double> ratios;
   for (int rep = 0; rep < 7; ++rep) {
@@ -58,15 +50,11 @@ double timed_twins(scenario::DistributedConfig config, double* rate_off,
     // ramp, background load decay) biases neither side.
     double off = 0, on = 0;
     if (rep % 2 == 0) {
-      config.audit = false;
-      off = one_run(config, events_off);
-      config.audit = true;
-      on = one_run(config, events_on);
+      off = run(false, events_off);
+      on = run(true, events_on);
     } else {
-      config.audit = true;
-      on = one_run(config, events_on);
-      config.audit = false;
-      off = one_run(config, events_off);
+      on = run(true, events_on);
+      off = run(false, events_off);
     }
     *rate_off = std::max(*rate_off, off);
     *rate_on = std::max(*rate_on, on);
@@ -198,14 +186,12 @@ int main(int argc, char** argv) {
                "every sweep row balanced, losses in named dispositions\n";
   if (!all_ok) std::cout << "ACCEPTANCE FAILED (see rows above)\n";
   // One machine-readable line for the perf trajectory (BENCH_audit.json).
-  std::printf(
-      "{\"bench\":\"audit\",\"overhead_pct\":%.2f,"
-      "\"events_per_sec_on\":%.0f,\"events_per_sec_off\":%.0f,"
-      "\"sweep_cases\":%zu,\"sweep_born\":%llu,\"sweep_accounted\":%llu,"
-      "\"unaccounted_total\":%lld}\n",
-      overhead_pct, rate_on, rate_off, std::size(cases),
-      static_cast<unsigned long long>(sweep_born),
-      static_cast<unsigned long long>(sweep_accounted),
-      static_cast<long long>(unaccounted_total));
+  bench::print_record("audit", {{"overhead_pct", overhead_pct, 2},
+                                {"events_per_sec_on", rate_on, 0},
+                                {"events_per_sec_off", rate_off, 0},
+                                {"sweep_cases", std::size(cases)},
+                                {"sweep_born", sweep_born},
+                                {"sweep_accounted", sweep_accounted},
+                                {"unaccounted_total", unaccounted_total}});
   return all_ok ? 0 : 1;
 }

@@ -18,9 +18,6 @@
 //
 // Usage mirrors the other ablations: --scale/--days/--seed/--quiet.
 
-#include <chrono>
-#include <cstdio>
-
 #include "bench_common.hpp"
 #include "fault/byzantine.hpp"
 
@@ -54,11 +51,8 @@ Outcome run_with(const bench::Options& opt, bool byzantine, Duration lie_mtbf,
   // Exclusion, not displacement: the whole peer population sits on the one
   // big server, so benching it would hide every honeypot for the cooloff.
   b.quarantine_threshold = 0;
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = scenario::run_distributed(config);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const auto run = bench::timed_run(config);
+  const auto& result = run.result;
   Outcome o{};
   for (const auto& rec : result.merged.records) {
     if (fault::is_byzantine_user(rec.user)) {
@@ -69,7 +63,7 @@ Outcome run_with(const bench::Options& opt, bool byzantine, Duration lie_mtbf,
   }
   o.byzantine = result.byzantine;
   o.integrity = result.integrity;
-  o.events_per_sec = static_cast<double>(result.engine.events_executed) / elapsed;
+  o.events_per_sec = run.events_per_sec;
   return o;
 }
 
@@ -130,19 +124,15 @@ int main(int argc, char** argv) {
                           static_cast<double>(undefended.true_records);
   // One machine-readable line for the perf trajectory
   // (BENCH_byzantine.json): the defended nominal-MTBF run.
-  std::printf(
-      "{\"bench\":\"byzantine\",\"true_retained_pct\":%.3f,"
-      "\"leaked_records\":%llu,\"undefended_leaked\":%llu,"
-      "\"records_excluded\":%llu,\"forged_lists_rejected\":%llu,"
-      "\"replayed_hellos_rejected\":%llu,\"probes_sent\":%llu,"
-      "\"events_per_sec\":%.0f}\n",
-      100.0 * retained, static_cast<unsigned long long>(nominal.liar_records),
-      static_cast<unsigned long long>(undefended.liar_records),
-      static_cast<unsigned long long>(nominal.integrity.records_excluded),
-      static_cast<unsigned long long>(nominal.integrity.forged_lists_rejected),
-      static_cast<unsigned long long>(
-          nominal.integrity.replayed_hellos_rejected),
-      static_cast<unsigned long long>(nominal.integrity.probes_sent),
-      nominal.events_per_sec);
+  bench::print_record(
+      "byzantine",
+      {{"true_retained_pct", 100.0 * retained, 3},
+       {"leaked_records", nominal.liar_records},
+       {"undefended_leaked", undefended.liar_records},
+       {"records_excluded", nominal.integrity.records_excluded},
+       {"forged_lists_rejected", nominal.integrity.forged_lists_rejected},
+       {"replayed_hellos_rejected", nominal.integrity.replayed_hellos_rejected},
+       {"probes_sent", nominal.integrity.probes_sent},
+       {"events_per_sec", nominal.events_per_sec, 0}});
   return 0;
 }

@@ -19,8 +19,6 @@
 //
 // Usage mirrors the other ablations: --scale/--days/--seed/--quiet.
 
-#include <chrono>
-#include <cstdio>
 #include <map>
 #include <vector>
 
@@ -113,16 +111,13 @@ Outcome run_case(const bench::Options& opt, const ClockCase& c,
   config.chaos.clock_step_mtbf = c.step_mtbf;
   config.chaos.clock_step_max = c.step_max;
   config.chaos.clock_freeze_mtbf = c.freeze_mtbf;
-  const auto start = std::chrono::steady_clock::now();
-  const auto skewed = scenario::run_distributed(config);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const auto run = bench::timed_run(config);
+  const auto& skewed = run.result;
 
   Outcome o;
   o.records = skewed.merged.records.size();
   o.integrity = skewed.time_integrity;
-  o.events_per_sec = static_cast<double>(skewed.engine.events_executed) / elapsed;
+  o.events_per_sec = run.events_per_sec;
 
   // True rank of the skewed run's records: position in the clock-off twin's
   // merged order, identified by (honeypot, occurrence index).
@@ -246,22 +241,17 @@ int main(int argc, char** argv) {
   }
   // One machine-readable line for the perf trajectory (BENCH_clock.json):
   // the nominal drift+step run.
-  std::printf(
-      "{\"bench\":\"clock\",\"pair_accuracy_pct\":%.4f,"
-      "\"cross_inversions\":%llu,\"unaccounted_reorders\":%llu,"
-      "\"same_hp_order_preserved\":%d,\"records\":%llu,"
-      "\"observations\":%llu,\"records_corrected\":%llu,"
-      "\"monotonicity_violations\":%llu,\"max_abs_correction_s\":%.3f,"
-      "\"events_per_sec\":%.0f}\n",
-      nominal.pair_accuracy_pct,
-      static_cast<unsigned long long>(nominal.cross_inversions),
-      static_cast<unsigned long long>(nominal.unaccounted_reorders),
-      nominal.same_hp_order_preserved ? 1 : 0,
-      static_cast<unsigned long long>(nominal.records),
-      static_cast<unsigned long long>(nominal.integrity.observations_used),
-      static_cast<unsigned long long>(nominal.integrity.records_corrected),
-      static_cast<unsigned long long>(
-          nominal.integrity.monotonicity_violations),
-      nominal.integrity.max_abs_correction, nominal.events_per_sec);
+  bench::print_record(
+      "clock",
+      {{"pair_accuracy_pct", nominal.pair_accuracy_pct, 4},
+       {"cross_inversions", nominal.cross_inversions},
+       {"unaccounted_reorders", nominal.unaccounted_reorders},
+       {"same_hp_order_preserved", nominal.same_hp_order_preserved},
+       {"records", nominal.records},
+       {"observations", nominal.integrity.observations_used},
+       {"records_corrected", nominal.integrity.records_corrected},
+       {"monotonicity_violations", nominal.integrity.monotonicity_violations},
+       {"max_abs_correction_s", nominal.integrity.max_abs_correction, 3},
+       {"events_per_sec", nominal.events_per_sec, 0}});
   return all_ok ? 0 : 1;
 }

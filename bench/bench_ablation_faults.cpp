@@ -7,9 +7,6 @@
 // baseline and reports the retained record fraction, the recovery work the
 // fleet performed, and the engine throughput under chaos.
 
-#include <chrono>
-#include <cstdio>
-
 #include "bench_common.hpp"
 
 using namespace edhp;
@@ -34,11 +31,8 @@ Outcome run_with(const bench::Options& opt, bool chaos, Duration host_mtbf) {
   config.chaos.enabled = chaos;
   config.chaos.host_mtbf = host_mtbf;
   if (!chaos) config.host_mtbf = 0;  // crash-free baseline
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = scenario::run_distributed(config);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const auto run = bench::timed_run(config);
+  const auto& result = run.result;
   return Outcome{
       result.merged.records.size(),
       result.faults.host_crashes,
@@ -48,7 +42,7 @@ Outcome run_with(const bench::Options& opt, bool chaos, Duration host_mtbf) {
       result.recovery.records_lost_tail,
       result.recovery.retained_fraction,
       result.recovery.total_downtime / 3600.0,
-      static_cast<double>(result.engine.events_executed) / elapsed};
+      run.events_per_sec};
 }
 
 }  // namespace
@@ -93,12 +87,9 @@ int main(int argc, char** argv) {
                "counts grow roughly inversely with MTBF\n";
   // One machine-readable line for the perf trajectory (BENCH_faults.json):
   // the paper-MTBF chaos run.
-  std::printf(
-      "{\"bench\":\"faults\",\"retained_pct\":%.3f,\"relaunches\":%llu,"
-      "\"escalations\":%llu,\"events_per_sec\":%.0f}\n",
-      100.0 * paper.retained,
-      static_cast<unsigned long long>(paper.relaunches),
-      static_cast<unsigned long long>(paper.escalations),
-      paper.events_per_sec);
+  bench::print_record("faults", {{"retained_pct", 100.0 * paper.retained, 3},
+                                 {"relaunches", paper.relaunches},
+                                 {"escalations", paper.escalations},
+                                 {"events_per_sec", paper.events_per_sec, 0}});
   return 0;
 }

@@ -14,7 +14,6 @@
 // regardless of history length.
 
 #include <chrono>
-#include <cstdio>
 
 #include "bench_common.hpp"
 #include "logbook/journal.hpp"
@@ -149,14 +148,12 @@ int main(int argc, char** argv) {
   std::cout << "\nexpected: replay time scales with journal length (itself "
                "linear in fleet x churn); the checkpointed recovery replays "
                "a snapshot plus a constant-size tail\n";
-  std::printf(
-      "{\"bench\":\"journal\",\"append_per_sec\":%.0f,"
-      "\"append_mb_per_sec\":%.1f,\"journal_entries_fleet24\":%llu,"
-      "\"recover_ms_fleet24\":%.3f,\"recover_ckpt_ms_fleet24\":%.3f,"
-      "\"replayed_after_checkpoint\":%llu}\n",
-      append.entries_per_sec, append.mb_per_sec,
-      static_cast<unsigned long long>(paper.entries), paper.recover_ms,
-      paper.recover_ckpt_ms,
-      static_cast<unsigned long long>(paper.replayed_ckpt));
+  bench::print_record("journal",
+                      {{"append_per_sec", append.entries_per_sec, 0},
+                       {"append_mb_per_sec", append.mb_per_sec, 1},
+                       {"journal_entries_fleet24", paper.entries},
+                       {"recover_ms_fleet24", paper.recover_ms, 3},
+                       {"recover_ckpt_ms_fleet24", paper.recover_ckpt_ms, 3},
+                       {"replayed_after_checkpoint", paper.replayed_ckpt}});
   return 0;
 }

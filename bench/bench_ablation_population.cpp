@@ -20,8 +20,6 @@
 // snapshot is the true maximum), and the eager contrast last (its RSS
 // reading is contaminated by the 1M run and is reported as counters only).
 
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -47,22 +45,13 @@ scenario::DistributedConfig campaign(const bench::Options& opt,
   return config;
 }
 
-struct RunOutcome {
-  scenario::ScenarioResult result;
-  double wall_seconds = 0;
-};
-
-RunOutcome run(const bench::Options& opt, const char* label,
-               std::uint64_t population, peer::PopulationMode mode) {
-  using clock = std::chrono::steady_clock;
+bench::TimedRun run(const bench::Options& opt, const char* label,
+                    std::uint64_t population, peer::PopulationMode mode) {
   const auto config = campaign(opt, population, mode);
   std::cout << "  " << label << ": pool " << population << ", "
             << config.days << " days, " << config.honeypots
             << " honeypots...\n";
-  const auto start = clock::now();
-  RunOutcome o;
-  o.result = scenario::run_distributed(config);
-  o.wall_seconds = std::chrono::duration<double>(clock::now() - start).count();
+  auto o = bench::timed_run(config);
   const auto& r = o.result;
   std::cout << "    arrivals " << r.population_arrivals << ", peak active "
             << r.population_peak_active << ", slab slots "
@@ -72,8 +61,7 @@ RunOutcome run(const bench::Options& opt, const char* label,
             << r.records_streamed << " (fingerprint 0x" << std::hex
             << r.stream_fingerprint << std::dec << "), peak RSS "
             << r.peak_rss_bytes / (1024 * 1024) << " MiB, "
-            << static_cast<std::uint64_t>(static_cast<double>(r.engine.events_executed) /
-                                          o.wall_seconds)
+            << static_cast<std::uint64_t>(o.events_per_sec)
             << " events/s, wall " << o.wall_seconds << " s\n";
   return o;
 }
@@ -84,12 +72,10 @@ int main(int argc, char** argv) {
   const auto opt = bench::parse_options(argc, argv, /*default_scale=*/1.0);
   std::cout << "ablation: population memory scaling (lazy slab, 100k vs 1M)\n\n";
 
-  const RunOutcome small = run(opt, "lazy 100k", 100000,
-                               peer::PopulationMode::lazy);
-  const RunOutcome large = run(opt, "lazy 1M", 1000000,
-                               peer::PopulationMode::lazy);
-  const RunOutcome eager = run(opt, "eager 100k (contrast)", 100000,
-                               peer::PopulationMode::legacy_eager);
+  const auto small = run(opt, "lazy 100k", 100000, peer::PopulationMode::lazy);
+  const auto large = run(opt, "lazy 1M", 1000000, peer::PopulationMode::lazy);
+  const auto eager = run(opt, "eager 100k (contrast)", 100000,
+                         peer::PopulationMode::legacy_eager);
 
   const double ratio =
       small.result.peak_rss_bytes > 0
@@ -111,26 +97,18 @@ int main(int argc, char** argv) {
                "live-peer memory tracks peak concurrency (slab slots ~= peak "
                "active), not pool size or total arrivals\n";
 
-  const double events_per_sec =
-      large.wall_seconds > 0
-          ? static_cast<double>(large.result.engine.events_executed) / large.wall_seconds
-          : 0.0;
-  std::printf(
-      "{\"bench\":\"population\",\"rss_100k_bytes\":%llu,"
-      "\"rss_1m_bytes\":%llu,\"rss_ratio\":%.3f,"
-      "\"arrivals_100k\":%llu,\"arrivals_1m\":%llu,"
-      "\"peak_active_1m\":%llu,\"slab_slots_1m\":%llu,"
-      "\"peak_live_nodes_1m\":%llu,\"nodes_retired_1m\":%llu,"
-      "\"records_streamed_1m\":%llu,\"events_per_sec_1m\":%.0f}\n",
-      static_cast<unsigned long long>(small.result.peak_rss_bytes),
-      static_cast<unsigned long long>(large.result.peak_rss_bytes), ratio,
-      static_cast<unsigned long long>(small.result.population_arrivals),
-      static_cast<unsigned long long>(large.result.population_arrivals),
-      static_cast<unsigned long long>(large.result.population_peak_active),
-      static_cast<unsigned long long>(large.result.population_slab_slots),
-      static_cast<unsigned long long>(large.result.net_peak_live_nodes),
-      static_cast<unsigned long long>(large.result.net_nodes_retired),
-      static_cast<unsigned long long>(large.result.records_streamed),
-      events_per_sec);
+  const auto& lr = large.result;
+  bench::print_record("population",
+                      {{"rss_100k_bytes", small.result.peak_rss_bytes},
+                       {"rss_1m_bytes", lr.peak_rss_bytes},
+                       {"rss_ratio", ratio, 3},
+                       {"arrivals_100k", small.result.population_arrivals},
+                       {"arrivals_1m", lr.population_arrivals},
+                       {"peak_active_1m", lr.population_peak_active},
+                       {"slab_slots_1m", lr.population_slab_slots},
+                       {"peak_live_nodes_1m", lr.net_peak_live_nodes},
+                       {"nodes_retired_1m", lr.net_nodes_retired},
+                       {"records_streamed_1m", lr.records_streamed},
+                       {"events_per_sec_1m", large.events_per_sec, 0}});
   return 0;
 }

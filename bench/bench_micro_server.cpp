@@ -3,8 +3,8 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdio>
 
+#include "bench_common.hpp"
 #include "common/memstat.hpp"
 #include "common/rng.hpp"
 #include "server/index.hpp"
@@ -125,11 +125,12 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // One machine-readable line for the perf trajectory (BENCH_*.json).
-  std::printf(
-      "{\"bench\":\"micro_server\",\"events_per_sec\":%.0f,"
-      "\"peak_rss_bytes\":%llu}\n",
-      measure_offers_per_sec(),
-      static_cast<unsigned long long>(edhp::peak_rss_bytes()));
+  // One machine-readable line for the perf trajectory (BENCH_*.json). Its
+  // peak RSS is read before the headline loop runs, as in every committed
+  // record.
+  const auto rss = edhp::peak_rss_bytes();
+  edhp::bench::print_record("micro_server",
+                            {{"events_per_sec", measure_offers_per_sec(), 0},
+                             {"peak_rss_bytes", rss}});
   return 0;
 }
