@@ -212,23 +212,6 @@ bool Network::node_up(NodeId id) const {
   return slot != nullptr && slot->up != 0;
 }
 
-std::uint64_t Network::link_key(NodeId a, NodeId b) noexcept {
-  const auto lo = static_cast<std::uint64_t>(a < b ? a : b);
-  const auto hi = static_cast<std::uint64_t>(a < b ? b : a);
-  return (hi << 32) | lo;
-}
-
-void Network::block_link(NodeId a, NodeId b) {
-  if (a >= node_slot_.size() || b >= node_slot_.size()) {
-    throw std::out_of_range("Network::block_link: unknown node");
-  }
-  blocked_links_.insert(link_key(a, b));
-}
-
-void Network::unblock_link(NodeId a, NodeId b) {
-  blocked_links_.erase(link_key(a, b));
-}
-
 void Network::set_partition(NodeId id, std::uint32_t group) {
   if (NodeSlot* slot = known_slot(id, "Network::set_partition: unknown node")) {
     slot->partition = group;
@@ -251,8 +234,7 @@ bool Network::link_usable(NodeId from, NodeId to) const {
   const NodeSlot* f = slot_of(from);
   const NodeSlot* t = slot_of(to);
   if (f == nullptr || t == nullptr || f->up == 0 || t->up == 0) return false;
-  if (f->partition != t->partition) return false;
-  return blocked_links_.empty() || !blocked_links_.contains(link_key(from, to));
+  return f->partition == t->partition;
 }
 
 double Network::latency_factor(NodeId from, NodeId to) const {

@@ -21,8 +21,8 @@
 //
 // Fault injection (driven by fault::Injector) is layered on top without
 // perturbing the fault-free path: a node can be marked down (connect refusal
-// in both directions, datagram blackhole), a specific link can be blocked,
-// nodes can be split into partition groups, per-node latency factors model
+// in both directions, datagram blackhole), nodes can be split into
+// partition groups, per-node latency factors model
 // congestion episodes, and established connections can be severed with RST
 // semantics. None of these knobs consume the network's RNG stream unless a
 // fault is actually active, so a run with no faults is bit-identical to one
@@ -34,7 +34,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -222,11 +221,6 @@ class Network {
   void set_node_up(NodeId id, bool up);
   [[nodiscard]] bool node_up(NodeId id) const;
 
-  /// Block / unblock the (unordered) link between two nodes: connects refuse
-  /// and datagrams vanish, in both directions.
-  void block_link(NodeId a, NodeId b);
-  void unblock_link(NodeId a, NodeId b);
-
   /// Assign a node to a partition group (default 0). Nodes in different
   /// groups cannot connect or exchange datagrams; existing cross-group
   /// connections survive until aborted (see abort_cross_partition()).
@@ -302,8 +296,8 @@ class Network {
   void arm_delivery(const std::shared_ptr<Endpoint::Shared>& shared, bool to_a);
   void deliver_head(const std::shared_ptr<Endpoint::Shared>& shared, bool to_a);
 
-  /// Whether traffic may flow between two nodes (both up, link not blocked,
-  /// same partition group). Never consumes RNG.
+  /// Whether traffic may flow between two nodes (both up, same partition
+  /// group). Never consumes RNG.
   [[nodiscard]] bool link_usable(NodeId from, NodeId to) const;
   /// Schedule one datagram copy for delivery after `latency` seconds.
   void schedule_datagram_delivery(NodeId from, NodeId to, Bytes payload,
@@ -313,7 +307,6 @@ class Network {
   void maybe_corrupt(NodeId sender, Bytes& payload);
   /// Effective latency factor of a path (max of the two ends).
   [[nodiscard]] double latency_factor(NodeId from, NodeId to) const;
-  static std::uint64_t link_key(NodeId a, NodeId b) noexcept;
   /// RST every live registered connection matching `pred`; returns count.
   std::size_t abort_matching(
       const std::function<bool(NodeId, NodeId)>& pred);
@@ -352,7 +345,6 @@ class Network {
   std::size_t live_nodes_ = 0;
   std::size_t peak_live_nodes_ = 0;
   std::uint64_t nodes_retired_ = 0;
-  std::unordered_set<std::uint64_t> blocked_links_;
   /// Active wire-corruptors, keyed by sender; each carries its own RNG so
   /// mutation draws never touch rng_ (see maybe_corrupt()).
   struct CorruptionState {

@@ -30,7 +30,6 @@ Population::~Population() = default;
 
 void Population::add_demand(FileDemand demand) {
   demands_.push_back(Demand{demand, ctx_.net->simulation().now(), 0, {}});
-  demand_finished_.emplace_back();
   const double prev =
       demand_cumulative_.empty() ? 0.0 : demand_cumulative_.back();
   demand_cumulative_.push_back(prev +
@@ -127,7 +126,6 @@ std::uint32_t Population::acquire_slot() {
   slot_peer_.emplace_back();
   slot_gen_.push_back(0);
   slot_next_free_.push_back(kNoSlot);
-  slot_demand_.push_back(0);
   return slot;
 }
 
@@ -167,7 +165,6 @@ void Population::spawn(std::size_t demand_index) {
 
   const std::uint32_t slot = acquire_slot();
   const std::uint32_t generation = slot_gen_[slot];
-  slot_demand_[slot] = static_cast<std::uint32_t>(demand_index);
   auto peer = std::make_unique<Peer>(
       ctx_, node, std::move(profile), d.cfg.file, peer_rng.split(1),
       [this, slot, generation] {
@@ -189,9 +186,7 @@ void Population::reclaim(std::uint32_t slot, std::uint32_t generation) {
     return;
   }
   const Peer& peer = *slot_peer_[slot];
-  const PeerStats& s = peer.stats();
-  fold(demand_finished_[slot_demand_[slot]], s);
-  fold(finished_totals_, s);
+  fold(finished_totals_, peer.stats());
   const auto node = peer.node();
   // ~Peer closes every endpoint, nothing ever connects TO a peer node, and
   // peer IPs appear in no provider list — so the node's network state can

@@ -10,18 +10,18 @@
 // Fig 4's day-night oscillation.
 //
 // The population is a statistical process, not a roster: a peer exists only
-// as aggregate per-demand state (arrival counters, folded PeerStats) until
-// its arrival fires, at which point it materializes into a recycling slab
-// slot for the duration of its interaction. On completion its counters fold
-// back into the per-demand aggregates, its slot is recycled, and its
-// network node is retired — so memory tracks the peak SIMULTANEOUS
+// as aggregate per-demand state (arrival counters) until its arrival fires,
+// at which point it materializes into a recycling slab slot for the
+// duration of its interaction. On completion its counters fold into the
+// population's totals, its slot is recycled, and its network node is
+// retired — so memory tracks the peak SIMULTANEOUS
 // population, not the total number of peers a campaign ever spawns.
 // Million-arrival campaigns therefore run at the footprint of their ~tens
 // of thousands of concurrently active peers.
 //
 // The slab keeps the owning Peer pointers (cold) apart from the per-slot
-// scalars the reclaim/accounting paths touch (generation, demand index,
-// free-list link — hot, struct-of-arrays), so bookkeeping scans never pull
+// scalars the reclaim/accounting paths touch (generation, free-list link —
+// hot, struct-of-arrays), so bookkeeping scans never pull
 // whole Peer objects through the cache.
 
 #include <memory>
@@ -94,12 +94,6 @@ class Population {
 
   /// Aggregate behaviour counters (finished peers plus live ones).
   [[nodiscard]] PeerStats totals() const;
-  /// Counters folded from FINISHED peers of one demand (lazy mode; in
-  /// legacy_eager mode finished stats are only tracked population-wide and
-  /// every per-demand entry stays zero).
-  [[nodiscard]] const PeerStats& finished_stats(std::size_t demand_index) const {
-    return demand_finished_.at(demand_index);
-  }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -127,7 +121,6 @@ class Population {
   PopulationMode mode_;
   std::vector<Demand> demands_;
   std::vector<double> demand_cumulative_;  ///< prefix sums of demand rates
-  std::vector<PeerStats> demand_finished_;  ///< aligned with demands_
 
   // Lazy slab. slot_peer_ owns the materialized peers (cold); the parallel
   // vectors are the hot per-slot scalars (SoA). Freed slots chain through
@@ -135,7 +128,6 @@ class Population {
   std::vector<std::unique_ptr<Peer>> slot_peer_;
   std::vector<std::uint32_t> slot_gen_;
   std::vector<std::uint32_t> slot_next_free_;
-  std::vector<std::uint32_t> slot_demand_;
   std::uint32_t free_head_ = kNoSlot;
 
   // legacy_eager storage.

@@ -367,31 +367,6 @@ TEST_F(Fixture, AbortConnectionsRstsBothSides) {
   EXPECT_EQ(net.abort_connections(b), 0u);
 }
 
-TEST_F(Fixture, BlockedLinkRefusesConnectsAndDropsDatagrams) {
-  auto a = net.add_node(true);
-  auto b = net.add_node(true);
-  auto c = net.add_node(true);
-  net.listen(b, [](EndpointPtr) {});
-  net.listen_datagram(b, [](NodeId, Bytes) {});
-  net.block_link(a, b);
-  bool failed = false;
-  net.connect(a, b, [&](EndpointPtr ep) { failed = (ep == nullptr); });
-  net.send_datagram(a, b, Bytes{1});
-  // Other links are untouched.
-  EndpointPtr other;
-  net.connect(c, b, [&](EndpointPtr ep) { other = std::move(ep); });
-  s.run();
-  EXPECT_TRUE(failed);
-  EXPECT_EQ(net.counters(a).datagrams_dropped, 1u);
-  EXPECT_TRUE(other);
-
-  net.unblock_link(a, b);
-  EndpointPtr restored;
-  net.connect(a, b, [&](EndpointPtr ep) { restored = std::move(ep); });
-  s.run();
-  EXPECT_TRUE(restored);
-}
-
 TEST_F(Fixture, PartitionSplitsAndHeals) {
   auto a = net.add_node(true);
   auto b = net.add_node(true);
