@@ -29,18 +29,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
 
+# A bound of `factor` times `field` of the committed BENCH_<name>.json.
+Baseline = namedtuple("Baseline", "factor name field")
 # One checked row; `basis` is the Baseline a bound was computed from, if any.
 Row = namedtuple("Row", "bench metric value op bound basis passed")
-
-
-class Baseline:
-    """`factor` times `field` of the committed BENCH_<name>.json."""
-
-    def __init__(self, factor, name, field):
-        self.factor, self.name, self.field = factor, name, field
-
-    def __str__(self):
-        return f"{self.factor} x BENCH_{self.name}.{self.field}"
 
 
 def throughput_floor(name):
@@ -139,12 +131,10 @@ def check(outputs, baselines):
         status = next((code for code, _ in runs if code != 0), 0)
         rows.append(Row(bench, "exit", status, "==", 0, None, status == 0))
         records = [record_of(stdout) for _, stdout in runs]
-        for metric, op, basis in checks:
-            bound = basis
-            if isinstance(basis, Baseline):
+        for metric, op, bound in checks:
+            basis = bound if isinstance(bound, Baseline) else None
+            if basis:
                 bound = basis.factor * baselines[basis.name][basis.field]
-            else:
-                basis = None
             values = [r.get(metric) if r else None for r in records]
             value = None if None in values else best(values, op, bound)
             passed = value is not None and OPS[op](value, bound)
@@ -177,7 +167,8 @@ def main(argv):
     rows = check(outputs, load_baselines())
     print("\n== bench gate ==")
     for row in rows:
-        basis = f" ({row.basis})" if row.basis else ""
+        b = row.basis
+        basis = f" ({b.factor} x BENCH_{b.name}.{b.field})" if b else ""
         print(f"{row.bench:27} {row.metric:24} {number(row.value):>12} "
               f"{row.op} {number(row.bound)}{basis}  "
               f"{'PASS' if row.passed else 'FAIL'}")

@@ -8,8 +8,10 @@ import importlib.util
 import json
 import math
 import sys
+import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 sys.dont_write_bytecode = True  # keep scripts/ free of __pycache__
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_gate.py"
@@ -162,6 +164,12 @@ class BenchGateTest(unittest.TestCase):
         stdout = '{"bench":"old"}\n{"bench":"new","x":1}\n[1, 2]\ntrailer\n'
         self.assertEqual(gate.record_of(stdout), {"bench": "new", "x": 1})
         self.assertIsNone(gate.record_of("a\nb\n"))
+
+    def test_baseline_is_the_first_line_of_its_file(self):
+        with tempfile.TemporaryDirectory() as d:
+            Path(d, "BENCH_x.json").write_text('{"v": 1}\n{"v": 2}\n')
+            with mock.patch.object(gate, "ROOT", Path(d)):
+                self.assertEqual(gate.load_baselines(), {"x": {"v": 1}})
 
     def test_committed_baselines_hold_every_field_the_table_reads(self):
         baselines = gate.load_baselines()
