@@ -82,6 +82,41 @@ void BM_EncodeOfferFiles(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeOfferFiles)->Arg(4)->Arg(64)->Arg(1024);
 
+// Typed encoders, called the way the senders call them: the message is kept
+// between sends and encoded in place. A peer's shared-file answer at the
+// peers' mean cache size (60 entries), the honeypot's HELLO-ANSWER and one
+// SENDING-PART block with its 32-byte random sample.
+void BM_EncodeSharedFilesAnswer(benchmark::State& state) {
+  const AskSharedFilesAnswer answer{make_offer(60).files};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encode(answer));
+  }
+  state.SetItemsProcessed(state.iterations() * 60);
+}
+BENCHMARK(BM_EncodeSharedFilesAnswer);
+
+void BM_EncodeHelloAnswer(benchmark::State& state) {
+  const Hello h = make_hello();
+  const HelloAnswer answer{h.user, h.client_id, h.port, h.tags, h.server_ip,
+                           h.server_port};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encode(answer));
+  }
+}
+BENCHMARK(BM_EncodeHelloAnswer);
+
+void BM_EncodeSendingPart(benchmark::State& state) {
+  SendingPart part;
+  part.file = FileId::from_words(3, 4);
+  part.begin = 184320;
+  part.end = 368640;
+  part.data.assign(32, 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encode(part));
+  }
+}
+BENCHMARK(BM_EncodeSendingPart);
+
 void BM_DecodeOfferFiles(benchmark::State& state) {
   const auto wire =
       encode(AnyMessage{make_offer(static_cast<std::size_t>(state.range(0)))});

@@ -20,9 +20,11 @@
 # smoke-scale chaos rep then runs under scripts/rss_by_span.py, which prints
 # its resident memory span by span and fails if the rep does.
 #
-# The deterministic codec fuzzer, the abuse/admission tests (the
-# ListenerDefense suite runs the one admission gate on both the server and
-# the honeypot), the observed-file catalogue's tests (it pages
+# The deterministic codec fuzzer, the byte reader/writer, tag and message
+# round-trip suites (every decoder's bounds checks are inline in the byte
+# codec, and these suites exercise them directly), the abuse/admission
+# tests (the ListenerDefense suite runs the one admission gate on both the
+# server and the honeypot), the observed-file catalogue's tests (it pages
 # attacker-sized shared lists and their names), the journal entry codec's
 # tests (journal files reach edhp_inspect from disk), the chaos repro
 # parser's tests (repro files reach edhp_inspect and edhp_chaosfuzz --replay
@@ -79,7 +81,7 @@ if [ "$want_asan" = 1 ]; then
   cmake --preset asan
   cmake --build --preset asan -j
   if [ "$fuzz_only" = 1 ]; then
-    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine|ObservedCatalogue|JournalEntries|ReproParse|CraftedRecordCount'
+    ctest --preset asan -j"$(nproc)" -R 'CodecFuzz|Abuse|Defense|Corruption|TokenBucket|Byzantine|ObservedCatalogue|JournalEntries|ReproParse|CraftedRecordCount|ByteWriter|ByteReader|Tags|AllMessages'
   else
     ctest --preset asan -j"$(nproc)"
   fi

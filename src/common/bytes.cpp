@@ -1,40 +1,19 @@
 #include "common/bytes.hpp"
 
+#include <algorithm>
+
 namespace edhp {
 
-void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+void ByteWriter::grow(std::size_t n) {
+  buf_.resize(std::max(len_ + n, std::max<std::size_t>(64, 2 * buf_.size())));
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-    v >>= 8;
-  }
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-    v >>= 8;
-  }
-}
-
-void ByteWriter::bytes(std::span<const std::uint8_t> v) {
-  buf_.insert(buf_.end(), v.begin(), v.end());
-}
-
-void ByteWriter::str16(std::string_view s) {
-  if (s.size() > 0xFFFF) {
-    throw DecodeError("str16: string too long to serialize");
-  }
-  u16(static_cast<std::uint16_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+void ByteWriter::throw_too_long() {
+  throw DecodeError("str16: string too long to serialize");
 }
 
 void ByteWriter::patch_u32(std::size_t at, std::uint32_t v) {
-  if (at + 4 > buf_.size()) {
+  if (at > len_ || len_ - at < 4) {
     throw DecodeError("patch_u32: offset out of range");
   }
   for (int i = 0; i < 4; ++i) {
@@ -43,60 +22,9 @@ void ByteWriter::patch_u32(std::size_t at, std::uint32_t v) {
   }
 }
 
-void ByteReader::need(std::size_t n) const {
-  if (remaining() < n) {
-    throw DecodeError("ByteReader: truncated buffer (need " + std::to_string(n) +
-                      " bytes, have " + std::to_string(remaining()) + ")");
-  }
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  }
-  pos_ += 8;
-  return v;
-}
-
-std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
-  need(n);
-  auto out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
-}
-
-std::string ByteReader::str16() {
-  return std::string(str16_view());
-}
-
-std::string_view ByteReader::str16_view() {
-  const std::size_t n = u16();
-  auto raw = bytes(n);
-  return {reinterpret_cast<const char*>(raw.data()), raw.size()};
+void ByteReader::throw_truncated(std::size_t n) const {
+  throw DecodeError("ByteReader: truncated buffer (need " + std::to_string(n) +
+                    " bytes, have " + std::to_string(remaining()) + ")");
 }
 
 void ByteReader::expect_done(std::string_view context) const {

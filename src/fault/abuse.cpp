@@ -1,5 +1,7 @@
 #include "fault/abuse.hpp"
 
+#include <charconv>
+#include <cstring>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -218,60 +220,52 @@ void AbuseInjector::oversize_burst(net::EndpointPtr ep, std::uint32_t target,
   }
   const bool to_server = target_is_server(target);
   const UserId user = abuse_user(AbuseKind::oversize_messages, target);
-  proto::AnyMessage msg;
+  net::Bytes packet;
   if (remaining == kOversizeMessages) {
     // Open with a handshake bloated to the tag-count ceiling.
-    if (to_server) {
-      proto::LoginRequest login;
-      login.user = user;
-      login.port = 4662;
-      for (std::size_t i = 0; i < kOversizeTags; ++i) {
-        login.tags.push_back(proto::Tag::u32_tag(
-            static_cast<std::uint8_t>(rng.below(256)),
-            static_cast<std::uint32_t>(rng.below(1u << 31))));
-      }
-      msg = std::move(login);
-    } else {
-      proto::Hello hello;
-      hello.user = user;
-      hello.port = 4662;
-      for (std::size_t i = 0; i < kOversizeTags; ++i) {
-        hello.tags.push_back(proto::Tag::u32_tag(
-            static_cast<std::uint8_t>(rng.below(256)),
-            static_cast<std::uint32_t>(rng.below(1u << 31))));
-      }
-      msg = std::move(hello);
+    std::vector<proto::Tag> tags;
+    tags.reserve(kOversizeTags);
+    for (std::size_t i = 0; i < kOversizeTags; ++i) {
+      tags.push_back(proto::Tag::u32_tag(
+          static_cast<std::uint8_t>(rng.below(256)),
+          static_cast<std::uint32_t>(rng.below(1u << 31))));
     }
+    packet = to_server
+                 ? proto::encode(proto::LoginRequest{user, 0, 4662, std::move(tags)})
+                 : proto::encode(proto::Hello{user, 0, 4662, std::move(tags), 0, 0});
   } else if (rng.chance(0.3)) {
     // Long keyword query (server) / shared-list probe amplification
     // (honeypot answers with its full advertised list).
-    if (to_server) {
-      proto::SearchRequest search;
-      search.query.assign(200, 'a' + static_cast<char>(rng.below(26)));
-      msg = std::move(search);
-    } else {
-      msg = proto::AskSharedFiles{};
-    }
+    packet = to_server ? proto::encode(proto::SearchRequest{std::string(
+                             200, 'a' + static_cast<char>(rng.below(26)))})
+                       : proto::encode(proto::AskSharedFiles{});
   } else {
-    // A maximal file list: every entry a fresh fake hash and name.
-    std::vector<proto::PublishedFile> files;
-    files.reserve(kOversizeEntries);
-    for (std::size_t i = 0; i < kOversizeEntries; ++i) {
-      proto::PublishedFile f;
+    // A maximal file list: every entry a fresh fake hash and name, written
+    // over the previous list's entries so their storage is reused.
+    auto& files = oversize_files_;
+    files.resize(kOversizeEntries);
+    for (auto& f : files) {
       const std::uint64_t lo = rng();
       f.file = FileId::from_words(lo, rng());
+      f.client_id = 0;
       f.port = 4662;
-      f.name = "spam-" + std::to_string(rng.below(1u << 20)) + ".avi";
+      char name[16] = "spam-";  // up to 7 digits and ".avi"
+      char* end = std::to_chars(name + 5, name + 12, rng.below(1u << 20)).ptr;
+      std::memcpy(end, ".avi", 4);
+      f.name.assign(name, static_cast<std::size_t>(end + 4 - name));
       f.size = static_cast<std::uint32_t>(rng.below(700u << 20));
-      files.push_back(std::move(f));
     }
     if (to_server) {
-      msg = proto::OfferFiles{std::move(files)};
+      proto::OfferFiles offer{std::move(files)};
+      packet = proto::encode(offer);
+      files = std::move(offer.files);
     } else {
-      msg = proto::AskSharedFilesAnswer{std::move(files)};
+      proto::AskSharedFilesAnswer answer{std::move(files)};
+      packet = proto::encode(answer);
+      files = std::move(answer.files);
     }
   }
-  ep->send(proto::encode(msg));
+  ep->send(std::move(packet));
   ++stats_.messages_sent;
   net_.simulation().schedule_in(
       kOversizeSpacing,

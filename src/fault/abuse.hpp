@@ -36,6 +36,7 @@
 #include "fault/plan.hpp"
 #include "fault/rng_splits.hpp"
 #include "net/network.hpp"
+#include "proto/messages.hpp"
 
 namespace edhp::fault {
 
@@ -143,6 +144,8 @@ class AbuseInjector {
   AbuseStats stats_;
   /// One hostile pool per AbuseKind, built at arm().
   HostilePool attackers_;
+  /// The oversize episodes' file list, refilled in place for each message.
+  std::vector<proto::PublishedFile> oversize_files_;
 };
 
 }  // namespace edhp::fault

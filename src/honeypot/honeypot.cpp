@@ -24,6 +24,9 @@ constexpr std::size_t kSendingPartOverhead = 5 + 1 + 16 + 8;
 
 /// Protocol version presented in the server login and HELLO-ANSWER.
 constexpr std::uint32_t kClientVersion = 0x3C;
+/// Bytes of random content materialized per SENDING-PART block; the rest of
+/// the block is accounted on the wire only (send_sized).
+constexpr std::size_t kSendingPartSample = 32;
 
 /// Period of the OFFER-FILES keep-alive to the server.
 constexpr Duration kOfferKeepalive = minutes(30);
@@ -90,6 +93,14 @@ Honeypot::Honeypot(net::Network& network, net::NodeId self, HoneypotConfig confi
       reinterpret_cast<const std::uint8_t*>(&ip), sizeof(ip)));
   user_hash_ = UserId(h.finish());
 
+  // The HELLO-ANSWER's identity and tags never change; handle_hello fills
+  // in the clientID and server address per send.
+  hello_answer_.user = user_hash_;
+  hello_answer_.port = net_.info(self_).port;
+  hello_answer_.tags = {proto::Tag::string_tag(proto::kTagName, config_.name),
+                        proto::Tag::u32_tag(proto::kTagVersion, kClientVersion)};
+  part_.data.reserve(kSendingPartSample);
+
   log_.header.honeypot = config_.id;
   log_.header.honeypot_name = config_.name;
   log_.header.strategy = std::string(to_string(config_.strategy));
@@ -149,7 +160,7 @@ void Honeypot::attempt_connect() {
     login.tags = {proto::Tag::string_tag(proto::kTagName, config_.name),
                   proto::Tag::u32_tag(proto::kTagVersion, kClientVersion),
                   proto::Tag::u32_tag(proto::kTagPort, login.port)};
-    server_ep_->send(proto::encode(proto::AnyMessage{login}));
+    server_ep_->send(proto::encode(login));
   });
 }
 
@@ -404,7 +415,7 @@ void Honeypot::send_offer() {
     pf.size = f.size;
     offer.files.push_back(std::move(pf));
   }
-  server_ep_->send(proto::encode(proto::AnyMessage{std::move(offer)}));
+  server_ep_->send(proto::encode(offer));
   offer_dirty_ = false;
   heartbeat_ = net_.simulation().now();
   ++counters_.offers_sent;
@@ -443,7 +454,7 @@ void Honeypot::add_advertised(AdvertisedFile file) {
 void Honeypot::search_and_adopt(const std::string& query, std::size_t limit) {
   if (!server_ep_ || !server_ep_->open() || limit == 0) return;
   pending_search_adopt_ = limit;
-  server_ep_->send(proto::encode(proto::AnyMessage{proto::SearchRequest{query}}));
+  server_ep_->send(proto::encode(proto::SearchRequest{query}));
   ++counters_.searches_sent;
 }
 
@@ -584,7 +595,7 @@ void Honeypot::process_peer(ConnKey key, net::Bytes packet) {
             pf.size = f.size;
             answer.files.push_back(std::move(pf));
           }
-          conn.endpoint->send(proto::encode(proto::AnyMessage{std::move(answer)}));
+          conn.endpoint->send(proto::encode(answer));
         }
       },
       msg);
@@ -624,18 +635,11 @@ void Honeypot::handle_hello(PeerConn& conn, const proto::HelloView& msg) {
 
   append_record(conn, logbook::QueryType::hello, nullptr);
 
-  proto::HelloAnswer answer;
-  answer.user = user_hash_;
-  answer.client_id = client_id_.value();
-  answer.port = net_.info(self_).port;
-  answer.tags = {proto::Tag::string_tag(proto::kTagName, config_.name),
-                 proto::Tag::u32_tag(proto::kTagVersion, kClientVersion)};
-  if (server_) {
-    answer.server_ip = net_.info(server_->node).ip.value();
-    answer.server_port = server_->port;
-  }
-  conn.endpoint->send(proto::encode(proto::AnyMessage{std::move(answer)}));
-  conn.endpoint->send(proto::encode(proto::AnyMessage{proto::AskSharedFiles{}}));
+  hello_answer_.client_id = client_id_.value();
+  hello_answer_.server_ip = server_ ? net_.info(server_->node).ip.value() : 0;
+  hello_answer_.server_port = server_ ? server_->port : 0;
+  conn.endpoint->send(proto::encode(hello_answer_));
+  conn.endpoint->send(proto::encode(proto::AskSharedFiles{}));
 }
 
 void Honeypot::handle_start_upload(PeerConn& conn,
@@ -655,7 +659,7 @@ void Honeypot::handle_start_upload(PeerConn& conn,
   // a queue maximises the queries we observe.
   if (conn.uploading) return;
   conn.uploading = true;
-  conn.endpoint->send(proto::encode(proto::AnyMessage{proto::AcceptUpload{}}));
+  conn.endpoint->send(proto::encode(proto::AcceptUpload{}));
 }
 
 void Honeypot::handle_request_parts(PeerConn& conn, const proto::RequestParts& msg) {
@@ -670,16 +674,14 @@ void Honeypot::handle_request_parts(PeerConn& conn, const proto::RequestParts& m
   for (std::size_t i = 0; i < proto::kRequestPartRanges; ++i) {
     if (msg.end[i] <= msg.begin[i]) continue;
     const std::uint32_t block = msg.end[i] - msg.begin[i];
-    proto::SendingPart part;
-    part.file = msg.file;
-    part.begin = msg.begin[i];
-    part.end = msg.end[i];
-    part.data.resize(std::min<std::uint32_t>(block, 32));
-    for (auto& b : part.data) {
+    part_.file = msg.file;
+    part_.begin = msg.begin[i];
+    part_.end = msg.end[i];
+    part_.data.resize(std::min<std::size_t>(block, kSendingPartSample));
+    for (auto& b : part_.data) {
       b = static_cast<std::uint8_t>(rng());
     }
-    conn.endpoint->send_sized(proto::encode(proto::AnyMessage{std::move(part)}),
-                              block + kSendingPartOverhead);
+    conn.endpoint->send_sized(proto::encode(part_), block + kSendingPartOverhead);
     ++counters_.blocks_sent;
   }
 }
@@ -787,7 +789,7 @@ void Honeypot::run_self_probe() {
   if (canary) {
     probe_await_canary_ = true;
     server_ep_->send(
-        proto::encode(proto::AnyMessage{proto::GetSources{canary_file()}}));
+        proto::encode(proto::GetSources{canary_file()}));
   } else {
     if (advertised_.empty()) {
       --probe_seq_;  // nothing to verify yet; keep the alternation phase
@@ -797,7 +799,7 @@ void Honeypot::run_self_probe() {
     probe_file_ = f.id;
     probe_await_search_ = true;
     server_ep_->send(
-        proto::encode(proto::AnyMessage{proto::SearchRequest{f.name}}));
+        proto::encode(proto::SearchRequest{f.name}));
   }
   probe_pending_ = true;
   ++integrity_.probes_sent;

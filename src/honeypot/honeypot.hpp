@@ -101,6 +101,10 @@ class Honeypot {
   [[nodiscard]] const std::vector<AdvertisedFile>& advertised() const noexcept {
     return advertised_;
   }
+  /// Whether `file` is in the advertised list.
+  [[nodiscard]] bool advertises(const FileId& file) const {
+    return advertised_ids_.contains(file);
+  }
 
   // --- Recovery & durability ----------------------------------------------
 
@@ -345,6 +349,10 @@ class Honeypot {
   proto::MessageArena arena_;
   anonymize::IpAnonymizer ip_anon_;
   UserId user_hash_;
+  /// Built once: every HELLO-ANSWER carries the same identity and tags.
+  proto::HelloAnswer hello_answer_;
+  /// Reused for every SENDING-PART block; its sample keeps its capacity.
+  proto::SendingPart part_;
 
   Status status_ = Status::idle;
   std::optional<ServerRef> server_;

@@ -564,16 +564,11 @@ void Manager::checkpoint() {
 
 // --- Watchdog --------------------------------------------------------------
 
-bool Manager::covers(const std::vector<AdvertisedFile>& advertised,
+bool Manager::covers(const Honeypot& hp,
                      const std::vector<AdvertisedFile>& ordered) {
-  std::unordered_set<FileId> have;
-  have.reserve(advertised.size());
-  for (const auto& f : advertised) {
-    have.insert(f.id);
-  }
   return std::all_of(ordered.begin(), ordered.end(),
-                     [&have](const AdvertisedFile& f) {
-                       return have.contains(f.id);
+                     [&hp](const AdvertisedFile& f) {
+                       return hp.advertises(f.id);
                      });
 }
 
@@ -641,7 +636,7 @@ void Manager::poll() {
       // A honeypot that died mid-OFFER (or whose advertise order was lost
       // while it was dead) is missing part of its ordered list: repair it.
       if (!state_.fleet[i].files.empty() &&
-          !covers(hp.advertised(), state_.fleet[i].files)) {
+          !covers(hp, state_.fleet[i].files)) {
         repair_advertised(i);
       }
       continue;
@@ -682,7 +677,7 @@ void Manager::poll() {
     // list previously ordered (plus anything the honeypot grew itself in
     // greedy mode, which it kept).
     hp.connect_to_server(slot.server);
-    if (!slot.files.empty() && !covers(hp.advertised(), slot.files)) {
+    if (!slot.files.empty() && !covers(hp, slot.files)) {
       repair_advertised(i);
     }
   }

@@ -290,8 +290,8 @@ class Manager {
   };
 
   void poll();
-  /// Whether every ordered file is present in the advertised list.
-  [[nodiscard]] static bool covers(const std::vector<AdvertisedFile>& advertised,
+  /// Whether the honeypot advertises every ordered file.
+  [[nodiscard]] static bool covers(const Honeypot& hp,
                                    const std::vector<AdvertisedFile>& ordered);
   /// Re-offer the ordered list plus any extras the honeypot grew itself.
   void repair_advertised(std::size_t index);

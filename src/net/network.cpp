@@ -22,10 +22,48 @@ struct Endpoint::Shared {
     std::size_t wire = 0;       // accounted wire footprint
     Bytes payload;
   };
+  /// FIFO of in-flight messages on a ring that doubles when full. Nothing
+  /// is allocated before the first send, and a queue that drains keeps its
+  /// ring for the next burst.
+  class Queue {
+   public:
+    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+    [[nodiscard]] const Delivery& front() const { return ring_[head_]; }
+    void push(Delivery d) {
+      if (count_ == ring_.size()) grow();
+      ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(d);
+      ++count_;
+    }
+    Delivery pop() {
+      Delivery d = std::move(ring_[head_]);
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --count_;
+      return d;
+    }
+    /// Drop everything queued and release the ring.
+    void clear() noexcept {
+      ring_ = {};
+      head_ = count_ = 0;
+    }
+
+   private:
+    void grow() {
+      std::vector<Delivery> ring(ring_.empty() ? 4 : 2 * ring_.size());
+      for (std::size_t i = 0; i < count_; ++i) {
+        ring[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+      }
+      ring_ = std::move(ring);
+      head_ = 0;
+    }
+
+    std::vector<Delivery> ring_;  ///< size is zero or a power of two
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
   /// One direction of the connection: a FIFO of in-flight messages drained
   /// by at most one scheduled simulation event (the head-of-line arrival).
   struct Direction {
-    std::deque<Delivery> queue;
+    Queue queue;
     bool armed = false;         // head-of-line event scheduled
   };
 
@@ -64,7 +102,7 @@ void Endpoint::send_sized(Bytes payload, std::size_t wire_size) {
   net.totals_.bytes_serialized += bytes_on_wire;
 
   auto& direction = is_a_ ? shared_->to_b : shared_->to_a;
-  direction.queue.push_back(
+  direction.queue.push(
       Shared::Delivery{arrival, bytes_on_wire, std::move(payload)});
   if (!direction.armed) {
     net.arm_delivery(shared_, /*to_a=*/!is_a_);
@@ -135,8 +173,7 @@ void Network::deliver_head(const std::shared_ptr<Endpoint::Shared>& shared,
     direction.queue.clear();
     return;
   }
-  Endpoint::Shared::Delivery delivery = std::move(direction.queue.front());
-  direction.queue.pop_front();
+  Endpoint::Shared::Delivery delivery = direction.queue.pop();
   // Chain the next arrival before invoking the handler, so handler-side
   // sends on the same connection append behind an already-armed head.
   if (!direction.queue.empty()) {

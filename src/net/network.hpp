@@ -29,7 +29,6 @@
 // on a build without the fault layer.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>

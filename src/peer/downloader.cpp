@@ -116,7 +116,7 @@ void Peer::on_server_connected(net::EndpointPtr ep) {
   login.tags = {proto::Tag::string_tag(proto::kTagName, profile_.client_name),
                 proto::Tag::u32_tag(proto::kTagVersion, profile_.client_version),
                 proto::Tag::u32_tag(proto::kTagPort, login.port)};
-  server_ep_->send(proto::encode(proto::AnyMessage{std::move(login)}));
+  server_ep_->send(proto::encode(login));
 }
 
 void Peer::on_server_message(net::Bytes packet) {
@@ -129,7 +129,7 @@ void Peer::on_server_message(net::Bytes packet) {
   }
   if (const auto* id = std::get_if<proto::IdChange>(&msg)) {
     client_id_ = id->client_id;
-    server_ep_->send(proto::encode(proto::AnyMessage{proto::GetSources{target_}}));
+    server_ep_->send(proto::encode(proto::GetSources{target_}));
     return;
   }
   if (const auto* found = std::get_if<proto::FoundSourcesView>(&msg)) {
@@ -245,6 +245,7 @@ void Peer::contact(std::size_t index) {
       if (closed.engaged) conclude(index);
     });
 
+    // Built per send: keeping it would add a HELLO to every live peer.
     proto::Hello hello;
     hello.user = profile_.user;
     hello.client_id = client_id_;
@@ -253,30 +254,29 @@ void Peer::contact(std::size_t index) {
                   proto::Tag::u32_tag(proto::kTagVersion, profile_.client_version)};
     hello.server_ip = ctx_.net->info(ctx_.server_node).ip.value();
     hello.server_port = ctx_.server_port;
-    s.endpoint->send(proto::encode(proto::AnyMessage{std::move(hello)}));
+    s.endpoint->send(proto::encode(hello));
     ++stats_.hellos_sent;
   });
 }
 
 void Peer::send_shared_list(Source& source) {
-  if (!cache_built_) {
-    cache_built_ = true;
+  if (shared_.files.empty()) {
+    // Sampled on the first request (at least one entry), then kept as the
+    // wire-ready list.
     const std::size_t n =
         1 + static_cast<std::size_t>(rng_.poisson(ctx_.params->cache_size_mean));
-    cache_ = ctx_.catalog->sample_cache(rng_, n);
+    auto cache = ctx_.catalog->sample_cache(rng_, n);
+    shared_.files.reserve(cache.size());
+    for (auto& f : cache) {
+      shared_.files.push_back({f.id, 0, 0, std::move(f.name), f.size});
+    }
   }
-  proto::AskSharedFilesAnswer answer;
-  answer.files.reserve(cache_.size());
-  for (const auto& f : cache_) {
-    proto::PublishedFile pf;
-    pf.file = f.id;
-    pf.client_id = client_id_;
-    pf.port = ctx_.net->info(node_).port;
-    pf.name = f.name;
-    pf.size = f.size;
-    answer.files.push_back(std::move(pf));
+  const std::uint16_t port = ctx_.net->info(node_).port;
+  for (auto& f : shared_.files) {
+    f.client_id = client_id_;
+    f.port = port;
   }
-  source.endpoint->send(proto::encode(proto::AnyMessage{std::move(answer)}));
+  source.endpoint->send(proto::encode(shared_));
 }
 
 void Peer::on_source_message(std::size_t index, net::Bytes packet) {
@@ -297,8 +297,7 @@ void Peer::on_source_message(std::size_t index, net::Bytes packet) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, proto::HelloAnswerView>) {
           if (uploader_) {
-            src.endpoint->send(
-                proto::encode(proto::AnyMessage{proto::StartUpload{target_}}));
+            src.endpoint->send(proto::encode(proto::StartUpload{target_}));
             ++stats_.start_uploads_sent;
             if (!src.asked_secondary) {
               // Ask this provider about every other file we want (the
@@ -306,8 +305,7 @@ void Peer::on_source_message(std::size_t index, net::Bytes packet) {
               // only the primary target is actually transferred.
               src.asked_secondary = true;
               for (const auto& extra : secondary_targets_) {
-                src.endpoint->send(proto::encode(
-                    proto::AnyMessage{proto::StartUpload{extra}}));
+                src.endpoint->send(proto::encode(proto::StartUpload{extra}));
                 ++stats_.start_uploads_sent;
               }
             }
@@ -374,7 +372,7 @@ void Peer::send_request_round(std::size_t index) {
     src.round_expected += rp.end[i] - rp.begin[i];
   }
   src.round_received = 0;
-  src.endpoint->send(proto::encode(proto::AnyMessage{rp}));
+  src.endpoint->send(proto::encode(rp));
   ++stats_.request_parts_sent;
   src.timeout = simulation().schedule_in(ctx_.params->request_timeout,
                                          [this, index] { on_request_timeout(index); });
@@ -397,7 +395,7 @@ void Peer::on_request_timeout(std::size_t index) {
   if (src.endpoint) {
     auto rp = make_round(target_, src.part_bytes);
     src.round_received = 0;
-    src.endpoint->send(proto::encode(proto::AnyMessage{rp}));
+    src.endpoint->send(proto::encode(rp));
     ++stats_.request_parts_sent;
     src.timeout = simulation().schedule_in(
         ctx_.params->request_timeout, [this, index] { on_request_timeout(index); });

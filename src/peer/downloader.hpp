@@ -152,8 +152,9 @@ class Peer {
   std::uint32_t sessions_left_ = 0;
   bool uploader_ = true;  ///< false: handshake-only peer (never START-UPLOAD)
   bool shares_list_ = false;
-  std::vector<CatalogFile> cache_;  ///< files shared on request (stable)
-  bool cache_built_ = false;
+  /// Files shared on request, kept as the wire-ready list: sampled once,
+  /// then sent to every asker with the clientID and port written per send.
+  proto::AskSharedFilesAnswer shared_;
 
   net::EndpointPtr server_ep_;
   std::vector<Source> sources_;

@@ -61,7 +61,7 @@ void TopPeer::start() {
     login.port = net_.info(node_).port;
     login.tags = {proto::Tag::string_tag(proto::kTagName, profile_.client_name),
                   proto::Tag::u32_tag(proto::kTagVersion, profile_.client_version)};
-    server_ep_->send(proto::encode(proto::AnyMessage{std::move(login)}));
+    server_ep_->send(proto::encode(login));
   });
   toggle_activity();
 }
@@ -89,7 +89,7 @@ void TopPeer::on_server_message(net::Bytes packet) {
   }
   if (const auto* id = std::get_if<proto::IdChange>(&msg)) {
     client_id_ = id->client_id;
-    server_ep_->send(proto::encode(proto::AnyMessage{proto::GetSources{target_}}));
+    server_ep_->send(proto::encode(proto::GetSources{target_}));
     return;
   }
   if (const auto* found = std::get_if<proto::FoundSourcesView>(&msg)) {
@@ -160,7 +160,7 @@ void TopPeer::run_encounter(std::size_t index) {
     hello.tags = {proto::Tag::string_tag(proto::kTagName, profile_.client_name),
                   proto::Tag::u32_tag(proto::kTagVersion, profile_.client_version)};
     hello.server_ip = net_.info(server_node_).ip.value();
-    e.endpoint->send(proto::encode(proto::AnyMessage{std::move(hello)}));
+    e.endpoint->send(proto::encode(hello));
     ++sources_stats_[index].hellos;
   });
 }
@@ -181,7 +181,7 @@ void TopPeer::on_message(std::size_t index, net::Bytes packet) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, proto::HelloAnswerView>) {
           e.endpoint->send(
-              proto::encode(proto::AnyMessage{proto::StartUpload{target_}}));
+              proto::encode(proto::StartUpload{target_}));
           ++sources_stats_[index].start_uploads;
         } else if constexpr (std::is_same_v<T, proto::AcceptUpload>) {
           send_round(index);
@@ -211,7 +211,7 @@ void TopPeer::send_round(std::size_t index) {
     e.expected += rp.end[i] - rp.begin[i];
   }
   e.received = 0;
-  e.endpoint->send(proto::encode(proto::AnyMessage{rp}));
+  e.endpoint->send(proto::encode(rp));
   ++sources_stats_[index].request_parts;
   e.timeout = net_.simulation().schedule_in(kRequestTimeout, [this, index] {
     Encounter& enc = encounters_[index];

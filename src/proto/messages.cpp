@@ -10,6 +10,9 @@ constexpr std::size_t kMaxListedFiles = 1 << 20;  // hostile-input bound
 /// hash + u32 clientID + u16 port + u32 tag count (with zero tags).
 constexpr std::size_t kPublishedFileMinBytes = 16 + 4 + 2 + 4;
 
+constexpr std::size_t kHeaderBytes = 1 + 4 + 1;  // marker, length, opcode
+constexpr std::size_t kHashBytes = 16;
+
 void put_hash(ByteWriter& w, std::span<const std::uint8_t> bytes16) {
   w.bytes(bytes16);
 }
@@ -22,14 +25,48 @@ Hash128<Tag128> get_hash(ByteReader& r) {
   return Hash128<Tag128>(b);
 }
 
-void encode_published_file(ByteWriter& w, const PublishedFile& f) {
-  put_hash(w, f.file.bytes());
-  w.u32(f.client_id);
-  w.u16(f.port);
-  std::vector<Tag> tags;
-  tags.push_back(Tag::string_tag(kTagName, f.name));
-  tags.push_back(Tag::u32_tag(kTagFileSize, f.size));
-  encode_tags(w, tags);
+/// One packet: the header, then the payload that `body` writes, then the
+/// length field patched from what was written. `payload_bytes` sizes the
+/// buffer up front, so an exact figure makes the packet one allocation.
+template <typename Body>
+std::vector<std::uint8_t> packet(std::uint8_t opcode, std::size_t payload_bytes,
+                                 Body&& body) {
+  ByteWriter w(kHeaderBytes + payload_bytes);
+  w.u8(kProtoEDonkey);
+  w.u32(0);  // length, patched below
+  w.u8(opcode);
+  body(w);
+  // Length counts the opcode byte plus payload.
+  w.patch_u32(1, static_cast<std::uint32_t>(w.size() - 5));
+  return std::move(w).take();
+}
+
+std::vector<std::uint8_t> empty_packet(std::uint8_t opcode) {
+  return packet(opcode, 0, [](ByteWriter&) {});
+}
+
+/// Wire size of one PublishedFile entry: hash, clientID, port, then a
+/// two-tag list (name, size).
+constexpr std::size_t published_file_bytes(std::size_t name_bytes) {
+  return kHashBytes + 4 + 2 + 4 + string_tag_bytes(name_bytes) + kU32TagBytes;
+}
+
+std::size_t file_list_bytes(std::span<const PublishedFile> files) {
+  std::size_t n = 4;
+  for (const auto& f : files) n += published_file_bytes(f.name.size());
+  return n;
+}
+
+void put_file_list(ByteWriter& w, std::span<const PublishedFile> files) {
+  w.u32(static_cast<std::uint32_t>(files.size()));
+  for (const auto& f : files) {
+    put_hash(w, f.file.bytes());
+    w.u32(f.client_id);
+    w.u16(f.port);
+    w.u32(2);  // tag count
+    encode_tag(w, kTagName, std::string_view(f.name));
+    encode_tag(w, kTagFileSize, f.size);
+  }
 }
 
 void decode_published_file_view(ByteReader& r, MessageArena& arena) {
@@ -45,13 +82,6 @@ void decode_published_file_view(ByteReader& r, MessageArena& arena) {
     f.size = t->as_u32();
   }
   arena.files.push_back(f);
-}
-
-void encode_file_list(ByteWriter& w, const std::vector<PublishedFile>& files) {
-  w.u32(static_cast<std::uint32_t>(files.size()));
-  for (const auto& f : files) {
-    encode_published_file(w, f);
-  }
 }
 
 FileRange decode_file_list_view(ByteReader& r, MessageArena& arena) {
@@ -73,16 +103,25 @@ FileRange decode_file_list_view(ByteReader& r, MessageArena& arena) {
   return range;
 }
 
-void encode_hello_body(ByteWriter& w, const UserId& user, std::uint32_t client_id,
-                       std::uint16_t port, const std::vector<Tag>& tags,
-                       std::uint32_t server_ip, std::uint16_t server_port) {
-  w.u8(16);  // hash size, always 16 for MD4
-  put_hash(w, user.bytes());
-  w.u32(client_id);
-  w.u16(port);
-  encode_tags(w, tags);
-  w.u32(server_ip);
-  w.u16(server_port);
+std::vector<std::uint8_t> file_list_packet(std::uint8_t opcode,
+                                           std::span<const PublishedFile> files) {
+  return packet(opcode, file_list_bytes(files),
+                [files](ByteWriter& w) { put_file_list(w, files); });
+}
+
+/// HELLO and HELLO-ANSWER share one body.
+template <typename H>
+std::vector<std::uint8_t> hello_packet(std::uint8_t opcode, const H& m) {
+  const std::size_t bytes = 1 + kHashBytes + 4 + 2 + encoded_size(m.tags) + 4 + 2;
+  return packet(opcode, bytes, [&m](ByteWriter& w) {
+    w.u8(16);  // hash size, always 16 for MD4
+    put_hash(w, m.user.bytes());
+    w.u32(m.client_id);
+    w.u16(m.port);
+    encode_tags(w, m.tags);
+    w.u32(m.server_ip);
+    w.u16(m.server_port);
+  });
 }
 
 template <typename T>
@@ -100,65 +139,6 @@ T decode_hello_body_view(ByteReader& r, MessageArena& arena) {
   m.server_port = r.u16();
   return m;
 }
-
-struct Encoder {
-  ByteWriter& w;
-
-  void operator()(const LoginRequest& m) {
-    put_hash(w, m.user.bytes());
-    w.u32(m.client_id);
-    w.u16(m.port);
-    encode_tags(w, m.tags);
-  }
-  void operator()(const IdChange& m) {
-    w.u32(m.client_id);
-    w.u32(m.tcp_flags);
-  }
-  void operator()(const OfferFiles& m) { encode_file_list(w, m.files); }
-  void operator()(const GetSources& m) { put_hash(w, m.file.bytes()); }
-  void operator()(const FoundSources& m) {
-    put_hash(w, m.file.bytes());
-    if (m.sources.size() > 0xFF) {
-      throw DecodeError("FoundSources: more than 255 sources in one packet");
-    }
-    w.u8(static_cast<std::uint8_t>(m.sources.size()));
-    for (const auto& s : m.sources) {
-      w.u32(s.client_id);
-      w.u16(s.port);
-    }
-  }
-  void operator()(const SearchRequest& m) {
-    w.u8(0x01);  // search-type: plain string expression
-    w.str16(m.query);
-  }
-  void operator()(const SearchResult& m) { encode_file_list(w, m.files); }
-  void operator()(const ServerMessage& m) { w.str16(m.text); }
-  void operator()(const Hello& m) {
-    encode_hello_body(w, m.user, m.client_id, m.port, m.tags, m.server_ip,
-                      m.server_port);
-  }
-  void operator()(const HelloAnswer& m) {
-    encode_hello_body(w, m.user, m.client_id, m.port, m.tags, m.server_ip,
-                      m.server_port);
-  }
-  void operator()(const StartUpload& m) { put_hash(w, m.file.bytes()); }
-  void operator()(const AcceptUpload&) {}
-  void operator()(const QueueRank& m) { w.u32(m.rank); }
-  void operator()(const RequestParts& m) {
-    put_hash(w, m.file.bytes());
-    for (auto b : m.begin) w.u32(b);
-    for (auto e : m.end) w.u32(e);
-  }
-  void operator()(const SendingPart& m) {
-    put_hash(w, m.file.bytes());
-    w.u32(m.begin);
-    w.u32(m.end);
-    w.bytes(m.data);
-  }
-  void operator()(const CancelTransfer&) {}
-  void operator()(const AskSharedFiles&) {}
-  void operator()(const AskSharedFilesAnswer& m) { encode_file_list(w, m.files); }
-};
 
 }  // namespace
 
@@ -216,15 +196,117 @@ std::string_view name_of(const AnyMessage& msg) {
       msg);
 }
 
+std::vector<std::uint8_t> encode(const LoginRequest& m) {
+  return packet(kOpLoginRequest, kHashBytes + 4 + 2 + encoded_size(m.tags),
+                [&m](ByteWriter& w) {
+                  put_hash(w, m.user.bytes());
+                  w.u32(m.client_id);
+                  w.u16(m.port);
+                  encode_tags(w, m.tags);
+                });
+}
+
+std::vector<std::uint8_t> encode(const IdChange& m) {
+  return packet(kOpIdChange, 8, [&m](ByteWriter& w) {
+    w.u32(m.client_id);
+    w.u32(m.tcp_flags);
+  });
+}
+
+std::vector<std::uint8_t> encode(const OfferFiles& m) {
+  return file_list_packet(kOpOfferFiles, m.files);
+}
+
+std::vector<std::uint8_t> encode(const GetSources& m) {
+  return packet(kOpGetSources, kHashBytes,
+                [&m](ByteWriter& w) { put_hash(w, m.file.bytes()); });
+}
+
+std::vector<std::uint8_t> encode(const FoundSources& m) {
+  if (m.sources.size() > 0xFF) {
+    throw DecodeError("FoundSources: more than 255 sources in one packet");
+  }
+  return packet(kOpFoundSources, kHashBytes + 1 + 6 * m.sources.size(),
+                [&m](ByteWriter& w) {
+                  put_hash(w, m.file.bytes());
+                  w.u8(static_cast<std::uint8_t>(m.sources.size()));
+                  for (const auto& s : m.sources) {
+                    w.u32(s.client_id);
+                    w.u16(s.port);
+                  }
+                });
+}
+
+std::vector<std::uint8_t> encode(const SearchRequest& m) {
+  return packet(kOpSearchRequest, 1 + 2 + m.query.size(), [&m](ByteWriter& w) {
+    w.u8(0x01);  // search-type: plain string expression
+    w.str16(m.query);
+  });
+}
+
+std::vector<std::uint8_t> encode(const SearchResult& m) {
+  return file_list_packet(kOpSearchResult, m.files);
+}
+
+std::vector<std::uint8_t> encode(const ServerMessage& m) {
+  return packet(kOpServerMessage, 2 + m.text.size(),
+                [&m](ByteWriter& w) { w.str16(m.text); });
+}
+
+std::vector<std::uint8_t> encode(const Hello& m) {
+  return hello_packet(kOpHello, m);
+}
+
+std::vector<std::uint8_t> encode(const HelloAnswer& m) {
+  return hello_packet(kOpHelloAnswer, m);
+}
+
+std::vector<std::uint8_t> encode(const StartUpload& m) {
+  return packet(kOpStartUpload, kHashBytes,
+                [&m](ByteWriter& w) { put_hash(w, m.file.bytes()); });
+}
+
+std::vector<std::uint8_t> encode(const AcceptUpload&) {
+  return empty_packet(kOpAcceptUpload);
+}
+
+std::vector<std::uint8_t> encode(const QueueRank& m) {
+  return packet(kOpQueueRank, 4, [&m](ByteWriter& w) { w.u32(m.rank); });
+}
+
+std::vector<std::uint8_t> encode(const RequestParts& m) {
+  return packet(kOpRequestParts, kHashBytes + 8 * kRequestPartRanges,
+                [&m](ByteWriter& w) {
+                  put_hash(w, m.file.bytes());
+                  for (auto b : m.begin) w.u32(b);
+                  for (auto e : m.end) w.u32(e);
+                });
+}
+
+std::vector<std::uint8_t> encode(const SendingPart& m) {
+  return packet(kOpSendingPart, kHashBytes + 8 + m.data.size(),
+                [&m](ByteWriter& w) {
+                  put_hash(w, m.file.bytes());
+                  w.u32(m.begin);
+                  w.u32(m.end);
+                  w.bytes(m.data);
+                });
+}
+
+std::vector<std::uint8_t> encode(const CancelTransfer&) {
+  return empty_packet(kOpCancelTransfer);
+}
+
+std::vector<std::uint8_t> encode(const AskSharedFiles&) {
+  return empty_packet(kOpAskSharedFiles);
+}
+
+std::vector<std::uint8_t> encode(const AskSharedFilesAnswer& m) {
+  return file_list_packet(kOpAskSharedFilesAnswer, m.files);
+}
+
 std::vector<std::uint8_t> encode(const AnyMessage& msg) {
-  ByteWriter w(64);
-  w.u8(kProtoEDonkey);
-  w.u32(0);  // length, patched below
-  w.u8(opcode_of(msg));
-  std::visit(Encoder{w}, msg);
-  // Length counts the opcode byte plus payload.
-  w.patch_u32(1, static_cast<std::uint32_t>(w.size() - 5));
-  return std::move(w).take();
+  return std::visit([](const auto& m) { return encode(m); }, msg);
 }
 
 std::string_view name_of(const AnyMessageView& msg) {

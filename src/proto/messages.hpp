@@ -333,6 +333,30 @@ using AnyMessageView =
                  CancelTransfer, AskSharedFiles, AskSharedFilesAnswerView>;
 
 /// Serialize a message into a complete packet (header + opcode + payload).
+/// There is one encoder per message type. It reads the message's fields in
+/// place (tags and file entries are written from their string views and
+/// integers) and sizes the packet before writing it, so the returned buffer
+/// is the call's one allocation. A sender that keeps a message between
+/// sends (a per-node tag list, a reused scratch) encodes it without copying.
+[[nodiscard]] std::vector<std::uint8_t> encode(const LoginRequest& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const IdChange& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const OfferFiles& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const GetSources& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const FoundSources& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const SearchRequest& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const SearchResult& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const ServerMessage& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const Hello& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const HelloAnswer& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const StartUpload& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const AcceptUpload& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const QueueRank& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const RequestParts& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const SendingPart& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const CancelTransfer& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const AskSharedFiles& m);
+[[nodiscard]] std::vector<std::uint8_t> encode(const AskSharedFilesAnswer& m);
+/// The encoder of the type `msg` holds, for callers that hold a variant.
 [[nodiscard]] std::vector<std::uint8_t> encode(const AnyMessage& msg);
 
 /// Parse a complete packet received on `channel`; throws DecodeError on any

@@ -1,7 +1,5 @@
 #include "proto/tags.hpp"
 
-#include "proto/opcodes.hpp"
-
 namespace edhp::proto {
 
 Tag Tag::string_tag(std::uint8_t name, std::string v) {
@@ -43,14 +41,20 @@ std::uint32_t TagView::as_u32() const {
 }
 
 void encode_tag(ByteWriter& w, const Tag& tag) {
-  w.u8(tag.is_string() ? kTagTypeString : kTagTypeU32);
-  w.u16(1);  // special 1-byte tag name
-  w.u8(tag.name);
-  if (tag.is_string()) {
-    w.str16(tag.as_string());
+  if (const auto* s = std::get_if<std::string>(&tag.value)) {
+    encode_tag(w, tag.name, std::string_view(*s));
   } else {
-    w.u32(tag.as_u32());
+    encode_tag(w, tag.name, std::get<std::uint32_t>(tag.value));
   }
+}
+
+std::size_t encoded_size(std::span<const Tag> tags) {
+  std::size_t n = 4;
+  for (const auto& t : tags) {
+    const auto* s = std::get_if<std::string>(&t.value);
+    n += s != nullptr ? string_tag_bytes(s->size()) : kU32TagBytes;
+  }
+  return n;
 }
 
 TagView decode_tag_view(ByteReader& r) {
@@ -81,7 +85,7 @@ Tag decode_tag(ByteReader& r) {
   return Tag::u32_tag(v.name, v.as_u32());
 }
 
-void encode_tags(ByteWriter& w, const std::vector<Tag>& tags) {
+void encode_tags(ByteWriter& w, std::span<const Tag> tags) {
   w.u32(static_cast<std::uint32_t>(tags.size()));
   for (const auto& t : tags) {
     encode_tag(w, t);

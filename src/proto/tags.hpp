@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "proto/opcodes.hpp"
 
 namespace edhp::proto {
 
@@ -60,15 +61,37 @@ struct TagRange {
   std::uint32_t count = 0;
 };
 
+/// Serialize one tag from borrowed fields: a string tag or a u32 tag with a
+/// 1-byte special name.
+inline void encode_tag(ByteWriter& w, std::uint8_t name, std::string_view value) {
+  w.u8(kTagTypeString);
+  w.u16(1);
+  w.u8(name);
+  w.str16(value);
+}
+inline void encode_tag(ByteWriter& w, std::uint8_t name, std::uint32_t value) {
+  w.u8(kTagTypeU32);
+  w.u16(1);
+  w.u8(name);
+  w.u32(value);
+}
 /// Serialize one tag.
 void encode_tag(ByteWriter& w, const Tag& tag);
+
+/// Wire size of a string tag holding `value_bytes` bytes, and of a u32 tag.
+[[nodiscard]] constexpr std::size_t string_tag_bytes(std::size_t value_bytes) {
+  return 1 + 2 + 1 + 2 + value_bytes;
+}
+inline constexpr std::size_t kU32TagBytes = 1 + 2 + 1 + 4;
+/// Wire size of a tag list with its u32 count prefix.
+[[nodiscard]] std::size_t encoded_size(std::span<const Tag> tags);
 /// Parse one tag; throws DecodeError on malformed input.
 [[nodiscard]] Tag decode_tag(ByteReader& r);
 /// Parse one tag without copying its string value.
 [[nodiscard]] TagView decode_tag_view(ByteReader& r);
 
 /// Serialize a tag list with its u32 count prefix.
-void encode_tags(ByteWriter& w, const std::vector<Tag>& tags);
+void encode_tags(ByteWriter& w, std::span<const Tag> tags);
 /// Parse a tag list; `max_tags` bounds memory for hostile input.
 [[nodiscard]] std::vector<Tag> decode_tags(ByteReader& r, std::size_t max_tags = 256);
 /// Parse a tag list into `arena` (appending) and return the range covering

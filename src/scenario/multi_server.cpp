@@ -75,7 +75,7 @@ MultiServerResult run_multi_server(const MultiServerConfig& config,
             login.user = UserId::from_words(resident_rng(), resident_rng());
             login.port = 4662;
             login.tags = {proto::Tag::string_tag(proto::kTagName, "resident")};
-            resident.endpoint->send(proto::encode(proto::AnyMessage{login}));
+            resident.endpoint->send(proto::encode(login));
           });
     }
   }

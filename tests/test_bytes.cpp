@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/bytes.hpp"
 
 namespace edhp {
@@ -34,6 +36,29 @@ TEST(ByteWriter, Str16PrefixesLength) {
   EXPECT_EQ(b[0], 3);
   EXPECT_EQ(b[1], 0);
   EXPECT_EQ(b[2], 'a');
+}
+
+TEST(ByteWriter, Str16RejectsStringsPastU16Length) {
+  ByteWriter w;
+  w.u8(1);
+  EXPECT_THROW(w.str16(std::string(65536, 'x')), DecodeError);
+  EXPECT_EQ(w.size(), 1u);  // nothing of the rejected string was written
+  w.str16(std::string(65535, 'y'));
+  EXPECT_EQ(w.size(), 1u + 2 + 65535);
+}
+
+TEST(ByteWriter, GrowsPastItsInitialSize) {
+  ByteWriter w(3);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    w.u32(i * 2654435761u);
+  }
+  ASSERT_EQ(w.size(), 4000u);
+  ByteReader r(w.view());
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(r.u32(), i * 2654435761u);
+  }
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(std::move(w).take().size(), 4000u);
 }
 
 TEST(ByteWriter, PatchU32OverwritesInPlace) {

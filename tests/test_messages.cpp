@@ -4,11 +4,32 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <ostream>
 #include <string>
 
 #include "common/rng.hpp"
 #include "proto/messages.hpp"
+
+// Counts this binary's heap allocations while a test has counting on (see
+// allocations_of below); everything else allocates as usual.
+namespace {
+bool g_count_allocations = false;
+std::size_t g_allocations = 0;
+}  // namespace
+
+// Out of line, so the compiler does not pair an inlined free() with the
+// allocation expression at each call site.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace edhp::proto {
 namespace {
@@ -184,6 +205,40 @@ TEST(Decode, EmptyPacketRejected) {
   // Header claiming zero-length payload has no opcode.
   std::vector<std::uint8_t> wire{kProtoEDonkey, 0, 0, 0, 0};
   EXPECT_THROW((void)decode(Channel::client_client, wire), DecodeError);
+}
+
+// --- Allocations per encode ------------------------------------------------
+
+template <typename F>
+std::size_t allocations_of(F&& f) {
+  g_allocations = 0;
+  g_count_allocations = true;
+  f();
+  g_count_allocations = false;
+  return g_allocations;
+}
+
+TEST(Encode, OnePacketIsOneAllocation) {
+  // A peer's shared-file answer at the peers' mean cache size, with names
+  // too long for the small-string buffer, and a HELLO-ANSWER that does not
+  // fit a 64-byte first guess: each packet is sized once and written in
+  // place, so the packet buffer is the only allocation.
+  AskSharedFilesAnswer answer;
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    PublishedFile f = pub(i);
+    f.name = "Some.Shared.Video.File.Part" + std::to_string(i) + ".avi";
+    answer.files.push_back(std::move(f));
+  }
+  const HelloAnswer hello{user(3), 77, 4662,
+                          {Tag::string_tag(kTagName, "edhp honeypot 2008-10"),
+                           Tag::u32_tag(kTagVersion, 0x3C)},
+                          0x51234567, 4661};
+  std::vector<std::uint8_t> wire;
+  EXPECT_EQ(allocations_of([&] { wire = encode(answer); }), 1u);
+  EXPECT_EQ(decode(Channel::client_client, wire), AnyMessage{answer});
+  EXPECT_EQ(allocations_of([&] { wire = encode(hello); }), 1u);
+  EXPECT_GT(wire.size(), 64u);
+  EXPECT_EQ(decode(Channel::client_client, wire), AnyMessage{hello});
 }
 
 // --- Randomized property sweep ---------------------------------------------

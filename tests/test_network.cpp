@@ -89,6 +89,61 @@ TEST_F(Fixture, MessagesArriveInOrder) {
   }
 }
 
+TEST_F(Fixture, OrderHoldsWhenHandlerSendsRefillTheQueue) {
+  // Each of the first five arrivals makes the sender queue two more on the
+  // direction being drained: the queue refills right after it drains, then
+  // wraps around its ring and grows while holding messages.
+  auto a = net.add_node(true);
+  auto b = net.add_node(true);
+  std::vector<int> received;
+  EndpointPtr client, server;
+  std::uint8_t next = 0;
+  net.listen(b, [&](EndpointPtr ep) {
+    server = ep;
+    server->on_message([&](Bytes m) {
+      received.push_back(m[0]);
+      if (m[0] < 5) {
+        client->send(Bytes{next++});
+        client->send(Bytes{next++});
+      }
+    });
+  });
+  net.connect(a, b, [&](EndpointPtr ep) {
+    client = std::move(ep);
+    client->send(Bytes{next++});
+  });
+  s.run();
+  ASSERT_EQ(received.size(), 11u);
+  for (int i = 0; i < 11; ++i) {
+    EXPECT_EQ(received[static_cast<std::size_t>(i)], i);
+  }
+}
+
+TEST_F(Fixture, CloseMidBurstDropsTheRest) {
+  auto a = net.add_node(true);
+  auto b = net.add_node(true);
+  std::vector<int> received;
+  int closes = 0;
+  EndpointPtr client, server;
+  net.listen(b, [&](EndpointPtr ep) {
+    server = ep;
+    server->on_message([&](Bytes m) {
+      received.push_back(m[0]);
+      if (m[0] == 2) server->close();
+    });
+  });
+  net.connect(a, b, [&](EndpointPtr ep) {
+    client = std::move(ep);
+    client->on_close([&] { ++closes; });
+    for (std::uint8_t i = 0; i < 6; ++i) client->send(Bytes{i});
+  });
+  s.run();
+  EXPECT_EQ(received, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(closes, 1);
+  EXPECT_FALSE(client->open());
+  EXPECT_EQ(net.totals().messages_delivered, 3u);
+}
+
 TEST_F(Fixture, LargePayloadTakesLongerThanSmall) {
   auto a = net.add_node(true, 0.0, 100.0);  // 100 B/s uplink
   auto b = net.add_node(true);

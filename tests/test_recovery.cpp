@@ -564,7 +564,7 @@ TEST_F(RecoveryTest, AdvertiseClaimingImpossibleFileCountIsSkipped) {
   for (int i = 0; i < 14; ++i) advertise.u8(0);
   using T = logbook::JournalEntryType;
   const auto m = recover_orphan_from({{T::launch, launch_payload(ref)},
-                                      {T::advertise, advertise.view()},
+                                      {T::advertise, std::move(advertise).take()},
                                       {T::reassign, reassign_payload(backup_ref)}});
   ASSERT_EQ(m->fleet_size(), 1u);
   EXPECT_EQ(m->server_of(0).name, "backup");
@@ -584,7 +584,7 @@ TEST_F(RecoveryTest, CheckpointClaimingImpossibleFileCountIsSkipped) {
   checkpoint.u32(0);                              //   consecutive failures
   checkpoint.u32(0xFFFFFFFFu);                    //   file count
   using T = logbook::JournalEntryType;
-  const auto m = recover_orphan_from({{T::checkpoint, checkpoint.view()},
+  const auto m = recover_orphan_from({{T::checkpoint, std::move(checkpoint).take()},
                                       {T::launch, launch_payload(ref)},
                                       {T::reassign, reassign_payload(backup_ref)}});
   ASSERT_EQ(m->fleet_size(), 1u);
