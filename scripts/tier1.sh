@@ -25,7 +25,8 @@
 # codec, and these suites exercise them directly), the abuse/admission
 # tests (the ListenerDefense suite runs the one admission gate on both the
 # server and the honeypot), the observed-file catalogue's tests (it pages
-# attacker-sized shared lists and their names), the journal entry codec's
+# the file ids and sizes of attacker-sized shared lists, and they check its
+# index and its fleet union against a reference), the journal entry codec's
 # tests (journal files reach edhp_inspect from disk), the chaos repro
 # parser's tests (repro files reach edhp_inspect and edhp_chaosfuzz --replay
 # from disk) and the log reader's crafted record counts (log files reach

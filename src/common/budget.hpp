@@ -84,12 +84,6 @@ struct BudgetConfig {
   /// the session count observed when the episode begins.
   std::uint32_t session_ceiling = 0;
   DegradePolicy policy = DegradePolicy::priority_shed;
-
-  /// True when any ceiling is set (degradation can trip organically).
-  [[nodiscard]] bool any() const noexcept {
-    return disk_quota_bytes != 0 || mem_budget_records != 0 ||
-           session_ceiling != 0;
-  }
 };
 
 /// Counters of every declared degradation decision. All zero when budgets

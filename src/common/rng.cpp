@@ -149,17 +149,6 @@ double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::pareto(double xm, double alpha) {
-  if (xm <= 0.0 || alpha <= 0.0) {
-    throw std::invalid_argument("Rng::pareto: xm and alpha must be > 0");
-  }
-  double u;
-  do {
-    u = uniform();
-  } while (u == 0.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 std::size_t Rng::weighted(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {

@@ -50,8 +50,6 @@ class Rng {
   double normal(double mean = 0.0, double stddev = 1.0);
   /// Lognormal: exp(normal(mu, sigma)).
   double lognormal(double mu, double sigma);
-  /// Pareto with scale xm > 0 and shape alpha > 0.
-  double pareto(double xm, double alpha);
 
   /// Index drawn proportionally to non-negative weights (at least one > 0).
   std::size_t weighted(std::span<const double> weights);

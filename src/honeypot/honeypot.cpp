@@ -174,9 +174,9 @@ void Honeypot::on_server_message(net::Bytes packet) {
   }
   if (const auto* results = std::get_if<proto::SearchResultView>(&msg)) {
     if (probe_await_search_) {
-      // Probe reply, consumed before the adopt path: confirmed iff the
-      // reply still lists the advertised file we asked about. A corrupted
-      // reply (garbled ids) or an emptied index both read as a miss.
+      // Probe reply: confirmed iff the reply still lists the advertised
+      // file we asked about. A corrupted reply (garbled ids) or an emptied
+      // index both read as a miss.
       bool confirmed = false;
       for (const auto& f : arena_.of(results->files)) {
         if (f.file == probe_file_) {
@@ -185,17 +185,7 @@ void Honeypot::on_server_message(net::Bytes packet) {
         }
       }
       probe_result(confirmed);
-      return;
     }
-    std::size_t adopted = 0;
-    for (const auto& f : arena_.of(results->files)) {
-      if (adopted >= pending_search_adopt_) break;
-      if (advertised_ids_.contains(f.file)) continue;
-      add_advertised(AdvertisedFile{f.file, std::string(f.name), f.size});
-      ++adopted;
-    }
-    pending_search_adopt_ = 0;
-    counters_.search_adopted += adopted;
     return;
   }
   if (const auto* found = std::get_if<proto::FoundSourcesView>(&msg)) {
@@ -220,7 +210,6 @@ void Honeypot::on_server_message(net::Bytes packet) {
     }
     retries_episode_ = 0;
     heartbeat_ = net_.simulation().now();
-    begin_coverage();
     send_offer();
     offer_timer_ = std::make_unique<sim::PeriodicTimer>(
         net_.simulation(), kOfferKeepalive, [this] { send_offer(); });
@@ -240,7 +229,6 @@ void Honeypot::on_server_closed() {
   net_.simulation().cancel(probe_timeout_event_);
   probe_pending_ = probe_await_search_ = probe_await_canary_ = false;
   server_ep_.reset();
-  end_coverage();
   if (config_.retry) {
     // New outage episode: reconnect on our own before involving the
     // manager, like a real client riding out a server restart.
@@ -279,30 +267,6 @@ Duration Honeypot::retry_delay(std::size_t attempt) const {
   x ^= x >> 31;
   const double unit = static_cast<double>(x >> 11) * 0x1.0p-53;  // [0, 1)
   return capped * (1.0 + kRetryJitter * (2.0 * unit - 1.0));
-}
-
-void Honeypot::begin_coverage() {
-  if (connected_since_ < 0) {
-    connected_since_ = net_.simulation().now();
-  }
-}
-
-void Honeypot::end_coverage() {
-  if (connected_since_ >= 0) {
-    coverage_.push_back({connected_since_, net_.simulation().now()});
-    connected_since_ = -1.0;
-  }
-}
-
-double Honeypot::connected_time() const {
-  double total = 0;
-  for (const auto& w : coverage_) {
-    total += w.end - w.begin;
-  }
-  if (connected_since_ >= 0) {
-    total += net_.simulation().now() - connected_since_;
-  }
-  return total;
 }
 
 void Honeypot::periodic_spool() {
@@ -402,20 +366,20 @@ void Honeypot::ack_spooled(std::uint64_t seq) {
   }
 }
 
+std::vector<proto::PublishedFile> Honeypot::published_files() const {
+  std::vector<proto::PublishedFile> files;
+  files.reserve(advertised_.size());
+  const std::uint16_t port = net_.info(self_).port;
+  for (const auto& f : advertised_) {
+    files.push_back(
+        proto::PublishedFile{f.id, client_id_.value(), port, f.name, f.size});
+  }
+  return files;
+}
+
 void Honeypot::send_offer() {
   if (!server_ep_ || !server_ep_->open()) return;
-  proto::OfferFiles offer;
-  offer.files.reserve(advertised_.size());
-  for (const auto& f : advertised_) {
-    proto::PublishedFile pf;
-    pf.file = f.id;
-    pf.client_id = client_id_.value();
-    pf.port = net_.info(self_).port;
-    pf.name = f.name;
-    pf.size = f.size;
-    offer.files.push_back(std::move(pf));
-  }
-  server_ep_->send(proto::encode(offer));
+  server_ep_->send(proto::encode(proto::OfferFiles{published_files()}));
   offer_dirty_ = false;
   heartbeat_ = net_.simulation().now();
   ++counters_.offers_sent;
@@ -451,13 +415,6 @@ void Honeypot::add_advertised(AdvertisedFile file) {
   }
 }
 
-void Honeypot::search_and_adopt(const std::string& query, std::size_t limit) {
-  if (!server_ep_ || !server_ep_->open() || limit == 0) return;
-  pending_search_adopt_ = limit;
-  server_ep_->send(proto::encode(proto::SearchRequest{query}));
-  ++counters_.searches_sent;
-}
-
 void Honeypot::disconnect() { teardown(Status::idle); }
 
 void Honeypot::crash() {
@@ -486,7 +443,6 @@ void Honeypot::teardown(Status next) {
   net_.simulation().cancel(retry_event_);
   net_.simulation().cancel(probe_timeout_event_);
   probe_pending_ = probe_await_search_ = probe_await_canary_ = false;
-  end_coverage();
   if (server_ep_) {
     server_ep_->close();
     server_ep_.reset();
@@ -584,18 +540,8 @@ void Honeypot::process_peer(ConnKey key, net::Bytes packet) {
         } else if constexpr (std::is_same_v<T, proto::AskSharedFiles>) {
           // A peer may browse us; answer with the advertised list to look
           // like a normal sharer.
-          proto::AskSharedFilesAnswer answer;
-          answer.files.reserve(advertised_.size());
-          for (const auto& f : advertised_) {
-            proto::PublishedFile pf;
-            pf.file = f.id;
-            pf.client_id = client_id_.value();
-            pf.port = net_.info(self_).port;
-            pf.name = f.name;
-            pf.size = f.size;
-            answer.files.push_back(std::move(pf));
-          }
-          conn.endpoint->send(proto::encode(answer));
+          conn.endpoint->send(
+              proto::encode(proto::AskSharedFilesAnswer{published_files()}));
         }
       },
       msg);
@@ -707,7 +653,7 @@ void Honeypot::handle_shared_list(PeerConn& conn,
     }
   }
   for (const auto& f : arena_.of(msg.files)) {
-    observed_.insert(f.file, f.size, f.name);
+    observed_.insert(f.file, f.size);
     if (config_.greedy && in_harvest_window() &&
         advertised_.size() < config_.greedy_max_files &&
         !advertised_ids_.contains(f.file)) {

@@ -75,16 +75,6 @@ class Honeypot {
   /// Replace the advertised file list and push it to the server.
   void advertise(std::vector<AdvertisedFile> files);
 
-  /// Append one file (greedy growth); the OFFER keep-alive pushes it.
-  void add_advertised(AdvertisedFile file);
-
-  /// Keyword bootstrap: search the server for `query` and adopt up to
-  /// `limit` results into the advertised list — the paper's suggested way
-  /// of capturing "all the activity regarding ... a specific keyword".
-  /// Results arrive asynchronously; adopted count is visible via
-  /// counters().search_adopted.
-  void search_and_adopt(const std::string& query, std::size_t limit);
-
   /// Drop the server connection and stop accepting peers.
   void disconnect();
 
@@ -105,6 +95,10 @@ class Honeypot {
   [[nodiscard]] bool advertises(const FileId& file) const {
     return advertised_ids_.contains(file);
   }
+  /// The advertised list as shared-file entries under this honeypot's
+  /// clientID and port: the body of its OFFER-FILES and of its answer to a
+  /// peer that browses it.
+  [[nodiscard]] std::vector<proto::PublishedFile> published_files() const;
 
   // --- Recovery & durability ----------------------------------------------
 
@@ -126,18 +120,6 @@ class Honeypot {
 
   /// Total self-reconnect attempts across all outage episodes.
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_total_; }
-
-  /// Closed [login, connection-loss) intervals; the currently open interval
-  /// (if connected) is not included — see connected_time().
-  struct CoverageWindow {
-    Time begin = 0;
-    Time end = 0;
-  };
-  [[nodiscard]] const std::vector<CoverageWindow>& coverage() const noexcept {
-    return coverage_;
-  }
-  /// Total time spent logged in, including the currently open window.
-  [[nodiscard]] double connected_time() const;
 
   /// Receives every spooled chunk (the manager's gathering channel); the
   /// bool is true for a fresh cut, false for a (possibly stale) re-send —
@@ -226,9 +208,8 @@ class Honeypot {
 
   [[nodiscard]] const logbook::LogFile& log() const noexcept { return log_; }
 
-  /// Distinct files seen in harvested shared-file lists, with their sizes
-  /// and names: Table I's "distinct files" / "space used" and the manager's
-  /// anonymised catalog export.
+  /// Distinct files seen in harvested shared-file lists, with their sizes:
+  /// Table I's "distinct files" / "space used".
   [[nodiscard]] const ObservedCatalogue& observed() const noexcept {
     return observed_;
   }
@@ -236,8 +217,6 @@ class Honeypot {
   /// Events with no home in the typed stats above (each counted once).
   struct Counters {
     std::uint64_t offers_sent = 0;
-    std::uint64_t searches_sent = 0;
-    std::uint64_t search_adopted = 0;         ///< files adopted from results
     std::uint64_t advertise_orders_lost = 0;  ///< advertise() while dead
     std::uint64_t retry_budget_exhausted = 0;
     std::uint64_t chunks_resent = 0;
@@ -294,9 +273,9 @@ class Honeypot {
   /// Backoff delay for the given 0-based attempt, with deterministic jitter
   /// derived from (honeypot id, attempt) — no RNG stream involved.
   [[nodiscard]] Duration retry_delay(std::size_t attempt) const;
-  void begin_coverage();
-  void end_coverage();
   void send_offer();
+  /// Append one file (greedy growth); the OFFER keep-alive pushes it.
+  void add_advertised(AdvertisedFile file);
   void on_peer_accept(net::EndpointPtr ep);
   void on_peer_message(ConnKey key, net::Bytes packet);
   /// Decode and dispatch one peer packet (post-admission).
@@ -363,7 +342,6 @@ class Honeypot {
 
   std::vector<AdvertisedFile> advertised_;
   std::unordered_set<FileId> advertised_ids_;
-  std::size_t pending_search_adopt_ = 0;  ///< limit of the in-flight search
 
   std::unordered_map<ConnKey, PeerConn> peers_;
   ConnKey next_conn_ = 1;
@@ -386,8 +364,6 @@ class Honeypot {
   sim::EventHandle retry_event_{};
   std::size_t retries_episode_ = 0;
   std::uint64_t retries_total_ = 0;
-  std::vector<CoverageWindow> coverage_;
-  Time connected_since_ = -1.0;  ///< < 0 when no window is open
 
   // Spool state. Marks index into log_: records/names below the mark are
   // already cut into chunks; `pending_chunks_` is the local on-disk spool
@@ -435,7 +411,7 @@ class Honeypot {
   std::unique_ptr<sim::PeriodicTimer> probe_timer_;
   sim::EventHandle probe_timeout_event_{};
   bool probe_pending_ = false;
-  bool probe_await_search_ = false;  ///< reply consumed before adopt path
+  bool probe_await_search_ = false;
   bool probe_await_canary_ = false;
   std::uint64_t probe_seq_ = 0;     ///< alternates search / canary probes
   std::size_t probe_cursor_ = 0;    ///< round-robin over advertised files

@@ -8,9 +8,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "anonymize/name_anonymizer.hpp"
 #include "anonymize/renumber.hpp"
-#include "logbook/log_io.hpp"
 #include "proto/udp_messages.hpp"
 
 namespace edhp::honeypot {
@@ -763,18 +761,6 @@ const Honeypot& Manager::honeypot(std::size_t index) const {
   return *live_.at(index).honeypot;
 }
 
-std::vector<std::string> Manager::persist_logs(const std::string& directory) const {
-  std::vector<std::string> paths;
-  paths.reserve(live_.size());
-  for (const auto& slot : live_) {
-    const auto path = directory + "/hp-" +
-                      std::to_string(slot.honeypot->config().id) + ".edhplog";
-    logbook::save(path, slot.honeypot->log());
-    paths.push_back(path);
-  }
-  return paths;
-}
-
 logbook::LogFile Manager::merged_anonymized(std::uint64_t* distinct_peers_out) const {
   std::vector<const logbook::LogFile*> logs;
   logs.reserve(live_.size());
@@ -822,24 +808,6 @@ logbook::LogFile Manager::publish(std::span<const logbook::LogFile* const> logs,
     *distinct_peers_out = distinct;
   }
   return merged;
-}
-
-std::vector<std::string> Manager::export_observed_names(
-    std::uint64_t threshold) const {
-  std::vector<std::string> corpus;
-  for_each_honeypot([&corpus](const Honeypot& hp) {
-    const auto& seen = hp.observed();
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-      corpus.emplace_back(seen.name(i));
-    }
-  });
-  anonymize::NameAnonymizer anonymizer(corpus, threshold);
-  std::vector<std::string> out;
-  out.reserve(corpus.size());
-  for (const auto& name : corpus) {
-    out.push_back(anonymizer.anonymize(name));
-  }
-  return out;
 }
 
 ObservedFiles Manager::observed_files() const {

@@ -248,11 +248,6 @@ class Manager {
     return durable_quarantine_records_;
   }
 
-  /// Write every honeypot's current (stage-1) log to
-  /// `<directory>/hp-<id>.edhplog` in the binary format; returns the paths.
-  /// This is the periodic gathering the paper's manager performs.
-  std::vector<std::string> persist_logs(const std::string& directory) const;
-
   /// Merge every fleet honeypot's log, read where it lives (no copy), and
   /// apply stage-2 anonymisation: the published dataset. Returns the merged
   /// log; `distinct_peers_out` (optional) receives the number of distinct
@@ -273,12 +268,6 @@ class Manager {
   /// and space-used statistics. A file's first honeypot in fleet order
   /// sets its size.
   [[nodiscard]] ObservedFiles observed_files() const;
-
-  /// Publishable catalog of observed file names: every name harvested by
-  /// the fleet (orphans included), passed through the word-frequency
-  /// anonymiser (words rarer than `threshold` become integer tokens).
-  [[nodiscard]] std::vector<std::string> export_observed_names(
-      std::uint64_t threshold) const;
 
  private:
   /// The live-only half of a fleet slot; the journaled half is

@@ -9,8 +9,7 @@
 namespace edhp::honeypot {
 namespace {
 
-/// Entry numbers (per catalogue and fleet-wide) and name offsets are
-/// stored as u32.
+/// Entry numbers, per catalogue and fleet-wide, are stored as u32.
 constexpr std::size_t kLimit = std::numeric_limits<std::uint32_t>::max();
 
 /// Slot hash over both 8-byte halves of the id. Each half is multiplied
@@ -30,8 +29,7 @@ std::size_t slot_hash(const FileId& id) noexcept {
 
 }  // namespace
 
-bool ObservedCatalogue::insert(const FileId& file, std::uint32_t size,
-                               std::string_view name) {
+bool ObservedCatalogue::insert(const FileId& file, std::uint32_t size) {
   if (2 * (size_ + 1) > index_.size()) grow();
   const std::size_t mask = index_.size() - 1;
   std::size_t slot = slot_hash(file) & mask;
@@ -39,31 +37,13 @@ bool ObservedCatalogue::insert(const FileId& file, std::uint32_t size,
     if (entry(index_[slot] - 1).file == file) return false;
   }
   if (size_ >= kLimit) throw std::length_error("observed catalogue full");
-  if (pages_.empty() || pages_.back().entries.size() == kPageEntries) {
-    Page& page = pages_.emplace_back();
-    page.entries.reserve(kPageEntries);
-    page.name_ends.reserve(kPageEntries);
+  if (pages_.empty() || pages_.back().size() == kPageEntries) {
+    pages_.emplace_back().reserve(kPageEntries);
   }
-  const std::uint32_t end = store_name(name);
-  Page& page = pages_.back();
-  page.entries.push_back(Entry{file, size});
-  page.name_ends.push_back(end);
+  pages_.back().push_back(Entry{file, size});
   index_[slot] = static_cast<std::uint32_t>(++size_);
   bytes_ += size;
   return true;
-}
-
-std::string_view ObservedCatalogue::name(std::size_t i) const noexcept {
-  const std::size_t end = name_end(i);
-  std::size_t begin = i == 0 ? 0 : name_end(i - 1);
-  if (end == begin) return {};
-  // A name follows the previous one only where it fits in the rest of that
-  // page; otherwise store_name started it on the next page number.
-  if (end - begin > kNamePageBytes - begin % kNamePageBytes) {
-    begin = (begin + kNamePageBytes - 1) / kNamePageBytes * kNamePageBytes;
-  }
-  return {name_pages_[begin / kNamePageBytes].get() + begin % kNamePageBytes,
-          end - begin};
 }
 
 void ObservedCatalogue::grow() {
@@ -74,33 +54,6 @@ void ObservedCatalogue::grow() {
     while (index_[slot] != 0) slot = (slot + 1) & mask;
     index_[slot] = static_cast<std::uint32_t>(i + 1);
   }
-}
-
-std::uint32_t ObservedCatalogue::store_name(std::string_view name) {
-  // An empty name fits anywhere and takes no bytes.
-  const bool fits = name.size() <= name_room_;
-  const std::size_t begin =
-      fits ? name_cursor_ : name_pages_.size() * kNamePageBytes;
-  if (begin + name.size() > kLimit) {
-    throw std::length_error("observed catalogue full");
-  }
-  if (fits) {
-    if (!name.empty()) {
-      std::memcpy(name_pages_.back().get() + begin % kNamePageBytes,
-                  name.data(), name.size());
-    }
-    name_room_ -= name.size();
-  } else {
-    const std::size_t length = std::max(name.size(), kNamePageBytes);
-    auto page = std::make_unique_for_overwrite<char[]>(length);
-    std::memcpy(page.get(), name.data(), name.size());
-    const std::size_t first = name_pages_.size();
-    name_pages_.resize(first + (length + kNamePageBytes - 1) / kNamePageBytes);
-    name_pages_[first] = std::move(page);
-    name_room_ = length - name.size();
-  }
-  name_cursor_ = begin + name.size();
-  return static_cast<std::uint32_t>(name_cursor_);
 }
 
 ObservedFiles observed_union(

@@ -267,16 +267,7 @@ void Campaign::arm_byzantine() {
     servers_[s]->set_corrupt_search(active, seed);
   };
   bind.advertised_files = [this](std::size_t h) {
-    std::vector<proto::PublishedFile> out;
-    for (const auto& f : hosts_[h]->advertised()) {
-      proto::PublishedFile pf;
-      pf.file = f.id;
-      pf.port = 4662;
-      pf.name = f.name;
-      pf.size = f.size;
-      out.push_back(std::move(pf));
-    }
-    return out;
+    return hosts_[h]->published_files();
   };
   byzantine_ = std::make_unique<fault::ByzantineInjector>(
       world_.network, std::move(plan), byz, std::move(bind),

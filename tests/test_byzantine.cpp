@@ -419,7 +419,7 @@ TEST_F(ByzantineDefenseTest, ProbeTimeoutScoresOneMissAndIgnoresLateReplies) {
   // A server session whose round trip exceeds the 2 minute probe timeout:
   // every probe times out before its reply can land, so it scores exactly
   // one miss, and the honest reply that arrives afterwards scores nothing:
-  // no confirm, no fabrication, no adopted search result.
+  // no confirm, no fabrication, no change to the advertised list.
   ManagerConfig mc;
   mc.journal = journal;
   Manager m(net, mc);
@@ -439,7 +439,6 @@ TEST_F(ByzantineDefenseTest, ProbeTimeoutScoresOneMissAndIgnoresLateReplies) {
   EXPECT_EQ(stats.probes_confirmed, 0u);
   EXPECT_EQ(stats.fabricated_sources_detected, 0u);
   const auto& hp = m.honeypot(idx);
-  EXPECT_EQ(hp.counters().search_adopted, 0u);
   EXPECT_EQ(hp.advertised().size(), bait().size());
   m.stop();
 

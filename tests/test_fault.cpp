@@ -222,9 +222,6 @@ TEST(Recovery, HoneypotRetriesThroughUplinkOutage) {
   EXPECT_EQ(hp.status(), honeypot::Status::connected);
   EXPECT_GE(hp.retries(), 1u);
   EXPECT_EQ(hp.epoch(), 1u);  // self-retry is not a relaunch
-  ASSERT_GE(hp.coverage().size(), 1u);  // first window closed by the outage
-  EXPECT_GT(hp.connected_time(), 0.0);
-  EXPECT_LT(hp.connected_time(), s.now());
   EXPECT_EQ(injector.stats().uplink_outages, 1u);
 }
 

@@ -268,8 +268,8 @@ TEST_F(HoneypotTest, HarvestsSharedListsAndAggregates) {
   EXPECT_EQ(hp.observed().size(), 3u);
   EXPECT_EQ(hp.observed().bytes(), 1000u + 2000u + 3000u);
   EXPECT_EQ(hp.counters().shared_lists_received, 2u);
-  EXPECT_EQ(hp.observed().name(0), "shared-0.avi");
-  EXPECT_EQ(hp.observed().name(2), "shared-2.avi");
+  EXPECT_EQ(hp.observed().entry(0).file, FileId::from_words(0, 0));
+  EXPECT_EQ(hp.observed().entry(2).size, 3000u);
 }
 
 TEST_F(HoneypotTest, GreedyModeAdoptsHarvestedFiles) {
@@ -328,19 +328,40 @@ TEST_F(HoneypotTest, GreedyStopsAfterHarvestWindow) {
   EXPECT_EQ(hp.observed().size(), 2u);
 }
 
+// A browsing peer gets every advertised file under the honeypot's own
+// clientID and port, and the server indexed the same names and sizes from
+// the honeypot's OFFER-FILES.
 TEST_F(HoneypotTest, AnswersSharedFilesBrowsing) {
   Honeypot hp(net, net.add_node(true), config(ContentStrategy::no_content));
   hp.connect_to_server(ref);
   settle();
-  hp.advertise({fake});
+  const std::vector<AdvertisedFile> files{
+      fake, {FileId::from_words(0xCC, 0xDD), "second.mp3", 4321}};
+  hp.advertise(files);
   auto peer = contact(hp);
   peer.ep->send(proto::encode(AnyMessage{proto::AskSharedFiles{}}));
   settle();
   const auto* answer =
       std::get_if<proto::AskSharedFilesAnswer>(&peer.inbox.back());
   ASSERT_NE(answer, nullptr);
-  ASSERT_EQ(answer->files.size(), 1u);
-  EXPECT_EQ(answer->files[0].file, fake.id);
+  ASSERT_EQ(answer->files.size(), files.size());
+  ASSERT_TRUE(hp.client_id().is_high());
+  const std::uint16_t port = net.info(hp.node()).port;
+  ASSERT_NE(port, 0u);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const auto& entry = answer->files[i];
+    EXPECT_EQ(entry.file, files[i].id);
+    EXPECT_EQ(entry.name, files[i].name);
+    EXPECT_EQ(entry.size, files[i].size);
+    EXPECT_EQ(entry.client_id, hp.client_id().value());
+    EXPECT_EQ(entry.port, port);
+
+    const auto indexed = server.index().search(files[i].name, 10);
+    ASSERT_EQ(indexed.size(), 1u) << files[i].name;
+    EXPECT_EQ(indexed[0].file, files[i].id);
+    EXPECT_EQ(indexed[0].name, files[i].name);
+    EXPECT_EQ(indexed[0].size, files[i].size);
+  }
 }
 
 TEST_F(HoneypotTest, CrashAndRelaunchKeepsLog) {
@@ -419,92 +440,6 @@ TEST_F(HoneypotTest, LowIdPeerFlaggedInLog) {
   auto peer = contact(hp, true, /*client_id=*/1234);  // LowID
   ASSERT_EQ(hp.log().records.size(), 1u);
   EXPECT_FALSE(hp.log().records[0].high_id());
-}
-
-}  // namespace
-}  // namespace edhp::honeypot
-
-namespace edhp::honeypot {
-namespace {
-
-TEST_F(HoneypotTest, SearchAndAdoptPullsKeywordMatches) {
-  // Another client shares keyword-matching files with the server.
-  const auto sharer_node = net.add_node(true);
-  net::EndpointPtr keep;
-  net.connect(sharer_node, server_node, [&](net::EndpointPtr ep) {
-    keep = std::move(ep);
-    proto::LoginRequest login;
-    login.user = UserId::from_words(5, 5);
-    login.port = 4662;
-    keep->send(proto::encode(proto::AnyMessage{login}));
-    proto::OfferFiles offer;
-    for (int i = 0; i < 3; ++i) {
-      proto::PublishedFile f;
-      f.file = FileId::from_words(static_cast<std::uint64_t>(100 + i), 1);
-      f.name = "crimson.echo.track" + std::to_string(i) + ".mp3";
-      f.size = 5000;
-      offer.files.push_back(f);
-    }
-    proto::PublishedFile other;
-    other.file = FileId::from_words(999, 1);
-    other.name = "unrelated.iso";
-    offer.files.push_back(other);
-    keep->send(proto::encode(proto::AnyMessage{std::move(offer)}));
-  });
-  settle();
-
-  Honeypot hp(net, net.add_node(true), config(ContentStrategy::no_content));
-  hp.connect_to_server(ref);
-  settle();
-  hp.search_and_adopt("crimson echo", 10);
-  settle();
-
-  EXPECT_EQ(hp.advertised().size(), 3u);
-  EXPECT_EQ(hp.counters().search_adopted, 3u);
-  for (const auto& f : hp.advertised()) {
-    EXPECT_NE(f.name.find("crimson"), std::string::npos);
-  }
-  // The honeypot now appears as a provider of the keyword files.
-  EXPECT_EQ(server.index()
-                .sources(FileId::from_words(100, 1), 10)
-                .size(),
-            2u);  // original sharer + honeypot
-}
-
-TEST_F(HoneypotTest, SearchAdoptRespectsLimit) {
-  const auto sharer_node = net.add_node(true);
-  net::EndpointPtr keep;
-  net.connect(sharer_node, server_node, [&](net::EndpointPtr ep) {
-    keep = std::move(ep);
-    proto::LoginRequest login;
-    login.user = UserId::from_words(6, 6);
-    login.port = 4662;
-    keep->send(proto::encode(proto::AnyMessage{login}));
-    proto::OfferFiles offer;
-    for (int i = 0; i < 8; ++i) {
-      proto::PublishedFile f;
-      f.file = FileId::from_words(static_cast<std::uint64_t>(200 + i), 1);
-      f.name = "topic.file" + std::to_string(i) + ".avi";
-      offer.files.push_back(f);
-    }
-    keep->send(proto::encode(proto::AnyMessage{std::move(offer)}));
-  });
-  settle();
-
-  Honeypot hp(net, net.add_node(true), config(ContentStrategy::no_content));
-  hp.connect_to_server(ref);
-  settle();
-  hp.search_and_adopt("topic", 2);
-  settle();
-  EXPECT_EQ(hp.advertised().size(), 2u);
-}
-
-TEST_F(HoneypotTest, SearchWhileDisconnectedIsNoOp) {
-  Honeypot hp(net, net.add_node(true), config(ContentStrategy::no_content));
-  hp.search_and_adopt("anything", 5);
-  settle();
-  EXPECT_TRUE(hp.advertised().empty());
-  EXPECT_EQ(hp.counters().searches_sent, 0u);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "honeypot/manager.hpp"
-#include "logbook/log_io.hpp"
-#include "scratch_dir.hpp"
 #include "server/server.hpp"
 
 namespace edhp::honeypot {
@@ -169,40 +167,6 @@ TEST_F(ManagerTest, ReassignMovesHoneypotToAnotherServer) {
   EXPECT_EQ(server.session_count(), 0u);
   EXPECT_TRUE(other.index().has_file(f.id));
   EXPECT_EQ(manager.honeypot(0).log().header.server_name, "other-server");
-}
-
-TEST_F(ManagerTest, ExportObservedNamesAnonymises) {
-  launch_one();
-  settle();
-  // Feed the honeypot a shared list through the wire.
-  const auto peer_node = net.add_node(true);
-  net::EndpointPtr keep;
-  net.connect(peer_node, manager.honeypot(0).node(), [&](net::EndpointPtr ep) {
-    keep = std::move(ep);
-    proto::Hello hello;
-    hello.user = UserId::from_words(1, 1);
-    hello.client_id = net.info(peer_node).ip.value();
-    hello.port = 4662;
-    keep->send(proto::encode(proto::AnyMessage{hello}));
-    proto::AskSharedFilesAnswer answer;
-    for (int i = 0; i < 3; ++i) {
-      proto::PublishedFile pf;
-      pf.file = FileId::from_words(static_cast<std::uint64_t>(i), 9);
-      pf.name = "common.word.secret" + std::to_string(i) + ".avi";
-      pf.size = 10;
-      answer.files.push_back(pf);
-    }
-    keep->send(proto::encode(proto::AnyMessage{answer}));
-  });
-  settle();
-
-  const auto names = manager.export_observed_names(/*threshold=*/2);
-  ASSERT_EQ(names.size(), 3u);
-  for (const auto& n : names) {
-    // Frequent words survive, the per-file "secretN" tokens do not.
-    EXPECT_NE(n.find("common"), std::string::npos);
-    EXPECT_EQ(n.find("secret"), std::string::npos);
-  }
 }
 
 }  // namespace
@@ -371,20 +335,6 @@ TEST(ManagerSurvey, CrashedCandidateTimesOutOnlyRespondersDelivered) {
   for (const auto& e : got) {
     EXPECT_NE(e.server.name, "srv-2");
   }
-}
-
-TEST_F(ManagerTest, PersistLogsWritesLoadableFiles) {
-  launch_one();
-  launch_one(ContentStrategy::random_content);
-  settle();
-  const ScratchDir dir;
-  const auto paths = manager.persist_logs(dir.path().string());
-  ASSERT_EQ(paths.size(), 2u);
-  for (const auto& path : paths) {
-    const auto log = logbook::load(path);
-    EXPECT_EQ(log.header.peer_kind, logbook::PeerIdKind::stage1_hash);
-  }
-  EXPECT_EQ(logbook::load(paths[1]).header.strategy, "random-content");
 }
 
 }  // namespace

@@ -1,14 +1,11 @@
 // The observed-file catalogue behind Table I's distinct files and space
 // used: first-sighting semantics per honeypot, first-catalogue-wins union
-// across the fleet, checked against a node-map reference model; and its
-// pages: names at page edges, name views that outlive later inserts, and
-// union duplicates past an entry page boundary.
+// across the fleet, checked against a node-map reference model, and union
+// duplicates past an entry page boundary.
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -18,89 +15,32 @@
 namespace edhp::honeypot {
 namespace {
 
-TEST(ObservedCatalogue, FirstSightingFixesSizeAndName) {
+TEST(ObservedCatalogue, FirstSightingFixesSize) {
   ObservedCatalogue c;
   const FileId zero{};  // a valid key, not an empty-slot marker
-  EXPECT_TRUE(c.insert(zero, 7, "zero.avi"));
-  EXPECT_TRUE(c.insert(FileId::from_words(1, 2), 10, "a.mp3"));
-  EXPECT_FALSE(c.insert(zero, 99, "renamed.avi"));
-  EXPECT_FALSE(c.insert(FileId::from_words(1, 2), 11, ""));
-  EXPECT_TRUE(c.insert(FileId::from_words(2, 1), 20, ""));
+  EXPECT_TRUE(c.insert(zero, 7));
+  EXPECT_TRUE(c.insert(FileId::from_words(1, 2), 10));
+  EXPECT_FALSE(c.insert(zero, 99));
+  EXPECT_FALSE(c.insert(FileId::from_words(1, 2), 11));
+  EXPECT_TRUE(c.insert(FileId::from_words(2, 1), 20));
   ASSERT_EQ(c.size(), 3u);
   EXPECT_EQ(c.bytes(), 7u + 10u + 20u);
   EXPECT_EQ(c.entry(0).file, zero);
   EXPECT_EQ(c.entry(0).size, 7u);
-  EXPECT_EQ(c.name(0), "zero.avi");
-  EXPECT_EQ(c.name(1), "a.mp3");
-  EXPECT_EQ(c.name(2), "");
+  EXPECT_EQ(c.entry(1).size, 10u);
+  EXPECT_EQ(c.entry(2).file, FileId::from_words(2, 1));
 }
 
 TEST(ObservedCatalogue, UnionTakesSizeFromFirstCatalogue) {
   ObservedCatalogue a, b;
-  b.insert(FileId::from_words(5, 5), 100, "x");
-  b.insert(FileId{}, 3, "z");
-  a.insert(FileId::from_words(5, 5), 1, "x");
+  b.insert(FileId::from_words(5, 5), 100);
+  b.insert(FileId{}, 3);
+  a.insert(FileId::from_words(5, 5), 1);
   const std::array<const ObservedCatalogue*, 2> fleet{&a, &b};
   const auto u = observed_union(fleet);
   EXPECT_EQ(u.distinct, 2u);
   EXPECT_EQ(u.bytes, 1u + 3u);
   EXPECT_EQ(observed_union({}).distinct, 0u);
-}
-
-// Names at the edges of the name pages: one that exactly fills a page, an
-// empty one at the boundary it leaves, one that would straddle a page (it
-// starts the next page instead), and names longer than a page, both as a
-// catalogue's first name and after others. Each name has its own fill
-// byte, so a view that reads a neighbour's bytes fails the comparison.
-TEST(ObservedCatalogue, NamesAtPageEdgesStayWhole) {
-  constexpr std::size_t kPage = ObservedCatalogue::kNamePageBytes;
-  const std::vector<std::string> names{
-      std::string(kPage, 'a'),          // fills the first page exactly
-      "",                               // empty, at the boundary it left
-      std::string(kPage - 10, 'b'),     // 10 bytes of its page left over
-      std::string(20, 'c'),             // would straddle: the next page
-      std::string(3 * kPage + 7, 'd'),  // longer than a page
-      "",                               // empty, right after the long name
-      "e",                              // after a long name: a fresh page
-      std::string(kPage - 1, 'f'),      // fills the rest of e's page
-      std::string(2 * kPage, 'g'),      // exactly two pages long
-      "h",
-  };
-  ObservedCatalogue c;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    ASSERT_TRUE(c.insert(FileId::from_words(i, 1), 1, names[i]));
-  }
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(c.name(i), names[i]) << "name " << i;
-  }
-  // The straddler did not continue where its predecessor ended; a name
-  // that fit in the rest of a page did.
-  EXPECT_NE(c.name(3).data(), c.name(2).data() + c.name(2).size());
-  EXPECT_EQ(c.name(7).data(), c.name(6).data() + c.name(6).size());
-
-  ObservedCatalogue long_first;
-  const std::string longer(kPage + 1, 'x');
-  ASSERT_TRUE(long_first.insert(FileId{}, 1, longer));
-  ASSERT_TRUE(long_first.insert(FileId::from_words(1, 1), 2, "y"));
-  ASSERT_FALSE(long_first.insert(FileId{}, 3, "z"));
-  EXPECT_EQ(long_first.name(0), longer);
-  EXPECT_EQ(long_first.name(1), "y");
-}
-
-// A name's view stays valid while the catalogue grows: 100k more inserts
-// add entry and name pages and double the index many times, and the view
-// still reads the same bytes at the same address.
-TEST(ObservedCatalogue, NameViewSurvivesLaterInserts) {
-  ObservedCatalogue c;
-  ASSERT_TRUE(c.insert(FileId{}, 1, "first.avi"));
-  const std::string_view first = c.name(0);
-  for (std::uint64_t i = 1; i <= 100000; ++i) {
-    ASSERT_TRUE(c.insert(FileId::from_words(i, i), 1, std::to_string(i)));
-  }
-  ASSERT_EQ(c.size(), 100001u);
-  EXPECT_EQ(first, "first.avi");
-  EXPECT_EQ(first.data(), c.name(0).data());
-  EXPECT_EQ(c.name(100000), "100000");
 }
 
 // The union resolves an index slot through the catalogue bases to an entry
@@ -113,15 +53,15 @@ TEST(ObservedCatalogue, UnionResolvesDuplicatesPastEntryPages) {
   ObservedCatalogue a, empty, b, c;
   const FileId ab = FileId::from_words(0xA, 0xB);
   const FileId bc = FileId::from_words(0xB, 0xC);
-  a.insert(ab, 1, "ab");
+  a.insert(ab, 1);
   for (std::uint64_t i = 0; i < kPage + 5; ++i) {
-    b.insert(FileId::from_words(i, 0xB0), 10, "");
+    b.insert(FileId::from_words(i, 0xB0), 10);
   }
-  b.insert(ab, 100, "ab again");
-  b.insert(bc, 20, "bc");
+  b.insert(ab, 100);
+  b.insert(bc, 20);
   ASSERT_GT(b.size(), kPage);
-  c.insert(bc, 3000, "bc again");
-  c.insert(FileId::from_words(0xC, 0xC), 30, "");
+  c.insert(bc, 3000);
+  c.insert(FileId::from_words(0xC, 0xC), 30);
 
   const std::uint64_t fillers = kPage + 5;
   const std::array<const ObservedCatalogue*, 4> fleet{&a, &empty, &b, &c};
@@ -138,8 +78,8 @@ TEST(ObservedCatalogue, UnionResolvesDuplicatesPastEntryPages) {
 // ~200k inserts into three catalogues, drawn from a pool of ids shaped to
 // stress the index: random ids, ids sharing their first 8 bytes, ids
 // sharing their last 8 bytes, ids with equal halves, and the zero id. Every
-// id recurs within and across catalogues with a fresh size and name each
-// time, so only the first sighting may stick.
+// id recurs within and across catalogues with a fresh size each time, so
+// only the first sighting may stick.
 TEST(ObservedCatalogue, MatchesNodeMapReference) {
   Rng rng(20081001);
   std::vector<FileId> pool;
@@ -157,7 +97,6 @@ TEST(ObservedCatalogue, MatchesNodeMapReference) {
   struct Reference {
     std::unordered_map<FileId, std::uint32_t> sizes;
     std::vector<FileId> order;
-    std::vector<std::string> names;
     std::uint64_t bytes = 0;
   };
   std::array<ObservedCatalogue, 3> catalogues;
@@ -167,13 +106,11 @@ TEST(ObservedCatalogue, MatchesNodeMapReference) {
     // The zero id recurs often enough to reach every catalogue.
     const FileId id = n % 997 == 0 ? FileId{} : pool[rng.below(pool.size())];
     const auto size = static_cast<std::uint32_t>(rng());
-    const std::string name = std::to_string(n);
-    const bool fresh = catalogues[c].insert(id, size, name);
+    const bool fresh = catalogues[c].insert(id, size);
     auto& ref = reference[c];
     ASSERT_EQ(fresh, ref.sizes.try_emplace(id, size).second) << "insert " << n;
     if (fresh) {
       ref.order.push_back(id);
-      ref.names.push_back(name);
       ref.bytes += size;
     }
   }
@@ -192,7 +129,6 @@ TEST(ObservedCatalogue, MatchesNodeMapReference) {
     for (std::size_t i = 0; i < cat.size(); ++i) {
       ASSERT_EQ(cat.entry(i).file, ref.order[i]) << "catalogue " << c;
       ASSERT_EQ(cat.entry(i).size, ref.sizes.at(ref.order[i]));
-      ASSERT_EQ(cat.name(i), ref.names[i]);
     }
     for (const auto& id : ref.order) {
       if (fleet.try_emplace(id, ref.sizes.at(id)).second) {

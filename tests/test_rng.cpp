@@ -183,15 +183,5 @@ TEST(ZipfSampler, RejectsEmptyAndOutOfRange) {
   EXPECT_THROW((void)z.pmf(5), std::out_of_range);
 }
 
-TEST(Rng, ParetoTailHeavierThanExponential) {
-  Rng r(41);
-  int pareto_big = 0;
-  constexpr int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (r.pareto(1.0, 1.2) > 50.0) ++pareto_big;
-  }
-  EXPECT_GT(pareto_big, 5);  // power-law tail reaches far
-}
-
 }  // namespace
 }  // namespace edhp
